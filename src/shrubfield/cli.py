@@ -20,7 +20,8 @@ Unknown keys in a command's section are rejected.
 
 Exit codes are stable: 0 success, 2 validation or configuration failure
 (bad flags, malformed files, unsatisfiable layouts), 3 numeric failure
-(step underflow, exhausted step budgets, evaluation at exceptional points).
+(step underflow, exhausted step budgets, evaluation at exceptional points,
+non-finite field rows in the synthesis spot check).
 """
 
 from __future__ import annotations
@@ -411,14 +412,17 @@ def _tangency_spot_check(field: field_synth.VectorField, count: int, seed: int) 
 
     Rows are rescaled by their largest component before any product is
     taken; towering composites otherwise overflow doubles when squared.
-    A row that evaluates to exactly zero is tangent by convention.
+    A row that evaluates to exactly zero is tangent by convention. A row
+    with an infinite or NaN entry is counted in `nonfinite_rows`, never
+    with the zero rows, and is left out of the maximum.
     """
     rng = np.random.default_rng(seed)
     points = rng.normal(size=(count, 3))
     points /= np.linalg.norm(points, axis=1, keepdims=True)
     rows = field.evaluate_many(points)
+    finite = np.isfinite(rows).all(axis=1)
     scale = np.max(np.abs(rows), axis=1)
-    live = scale > 0.0
+    live = finite & (scale > 0.0)
     unit_rows = rows[live] / scale[live, None]
     defect = np.abs(
         np.einsum("ij,ij->i", unit_rows, points[live])
@@ -426,7 +430,8 @@ def _tangency_spot_check(field: field_synth.VectorField, count: int, seed: int) 
     return {
         "samples": count,
         "seed": seed,
-        "zero_rows": int(np.sum(~live)),
+        "zero_rows": int(np.sum(finite & ~live)),
+        "nonfinite_rows": int(np.sum(~finite)),
         "max_normalized": float(defect.max()) if defect.size else 0.0,
     }
 
@@ -506,6 +511,12 @@ def synthesize_command(ctx, shrub_file, out, spot_checks, seed, report, config):
     function = field_synth.compose_shrub_function(layout)
     field = field_synth.build_field(function)
     _require_writable(out, "bundle")
+    tangency = _tangency_spot_check(field, spot_checks, seed)
+    if tangency["nonfinite_rows"]:
+        raise NumericFailureError(
+            f"{tangency['nonfinite_rows']} of {spot_checks} spot-check field "
+            "rows are not finite (the boundary function overflows doubles)"
+        )
     field_synth.save_bundle(out, function)
 
     body = {
@@ -519,7 +530,7 @@ def synthesize_command(ctx, shrub_file, out, spot_checks, seed, report, config):
             [float(c) for c in point] for point in function.exceptional_points()
         ],
         "south_spiral_rate": 2.0 * field.g_value((0.0, 0.0, -1.0)),
-        "tangency": _tangency_spot_check(field, spot_checks, seed),
+        "tangency": tangency,
     }
     click.echo(f"bundle: {out}")
     _emit_report(body, report)

@@ -26,6 +26,7 @@ from .poly_core import (
 
 PLANE_VARS = ("x", "y")
 SPHERE_VARS = ("x", "y", "z")
+HOMOGENEOUS_VARS = ("x", "y", "w")
 
 
 class DomainError(ValueError):
@@ -285,6 +286,21 @@ def normalized_residual(poly: Polynomial, point) -> float:
 
 def poly_gradient(poly: Polynomial) -> tuple[Polynomial, ...]:
     return tuple(poly.diff(v) for v in poly.variables)
+
+
+def homogenize(p: Polynomial) -> Polynomial:
+    """The form w^n p(x/w, y/w), n = deg p, in the variables (x, y, w).
+
+    Composed with the linear map (x, y, z) -> (x, y, 1 - z) it is the
+    stereographic lift of p; composed with an inverse affine map in
+    homogeneous coordinates it is the lift of the moved curve.
+    """
+    if p.variables != PLANE_VARS:
+        raise ValueError("homogenize expects a plane polynomial in (x, y)")
+    n = p.total_degree()
+    return Polynomial(
+        HOMOGENEOUS_VARS, {(a, b, n - a - b): c for (a, b), c in p.terms.items()}
+    )
 
 
 # -- affine deformation of implicit curves ------------------------------------

@@ -1,15 +1,15 @@
 """Tangent vector fields on the sphere from squared boundary functions.
 
 A shrub layout hands us a collection of plane curves and segments. Each one
-becomes a factor: placed leaf boundaries give polynomials (lifted to the
-sphere through the stereographic chart), segments give closed-form arc
-functions. The product F of all factors vanishes exactly on the realized
+becomes a factor: placed leaf boundaries give polynomials (the homogenised
+canonical hypocycloid polynomial composed with an exact affine map of the
+sphere coordinates), segments give closed-form arc functions. The product F of all factors vanishes exactly on the realized
 boundary, and the induced field is built from G = F^2 so that the zero set
 consists of degenerate rest points that orbits accumulate on without
 reaching.
 
 Factor coefficients stay exact rationals end to end; only evaluation is
-floating point, through small compiled coefficient tables.
+floating point, through one value-and-gradient kernel per factor.
 """
 
 from __future__ import annotations
@@ -21,12 +21,13 @@ from fractions import Fraction
 import numpy as np
 
 from .curves import (
+    HOMOGENEOUS_VARS,
     SPHERE_VARS,
+    AffineMap,
     DomainError,
     SphereArcFunction,
-    apply_affine,
+    homogenize,
     implicitize,
-    lift_to_sphere,
     plane_to_sphere,
     sphere_arc,
 )
@@ -50,72 +51,118 @@ from .shrub_model import (
 UNIT_NORM_TOLERANCE = 1e-12
 
 
-class _NumericPoly:
-    """Float coefficient table for fast polynomial evaluation.
+def _factor_variables(source) -> tuple:
+    """Variables of P: homogeneous plane coordinates (x, y, w) for a placed
+    hypocycloid, sphere coordinates for every other factor."""
+    if source is not None and source["piece"] == "hypocycloid":
+        return HOMOGENEOUS_VARS
+    return SPHERE_VARS
 
-    Keeps exponent rows and coefficients as arrays; evaluation is a single
-    broadcasted power-product per point batch.
+
+def _source_map(source) -> tuple[tuple, tuple]:
+    """Exact (B, b) of a factor P(B u + b), derived from its source.
+
+    A placed hypocycloid stores the forward affine map A of its plane
+    curve. The lift of the moved curve is P^h(L (x, y, 1 - z)), where P^h
+    is the homogenised canonical polynomial and L is A^-1 in homogeneous
+    coordinates; written in u = (x, y, z) that is B u + b. Every other
+    factor uses the identity map.
     """
-
-    __slots__ = ("exps", "coeffs", "nvars")
-
-    def __init__(self, poly: Polynomial):
-        items = sorted(poly.terms.items())
-        self.nvars = len(poly.variables)
-        if items:
-            self.exps = np.array([e for e, _ in items], dtype=np.int64)
-            self.coeffs = np.array([float(c) for _, c in items])
-        else:
-            self.exps = np.zeros((0, self.nvars), dtype=np.int64)
-            self.coeffs = np.zeros(0)
-
-    def value(self, pts: np.ndarray) -> np.ndarray:
-        """Evaluate at an (m, nvars) float array; returns shape (m,)."""
-        if not len(self.coeffs):
-            return np.zeros(pts.shape[0])
-        mono = np.prod(pts[:, None, :] ** self.exps[None, :, :], axis=2)
-        return mono @ self.coeffs
+    zero, one = Fraction(0), Fraction(1)
+    if _factor_variables(source) == SPHERE_VARS:
+        return ((one, zero, zero), (zero, one, zero), (zero, zero, one)), (zero,) * 3
+    inverse = AffineMap(
+        tuple(parse_point(row) for row in source["matrix"]),
+        parse_point(source["offset"]),
+    ).inverse()
+    (a, b), (c, d) = inverse.matrix
+    e, f = inverse.offset
+    return ((a, b, -e), (c, d, -f), (zero, zero, -one)), (e, f, one)
 
 
 class PolyFactor:
-    """Polynomial factor of the boundary function, in sphere coordinates.
+    """Polynomial factor P(B u + b) of the boundary function.
 
-    `source`, when present, records the parametric origin of the factor's
-    zero curve (the equator, or a hypocycloid with its exact affine map) so
-    the zero set can be sampled without re-deriving it from coefficients.
+    P is exact; (B, b) is an exact rational affine map of sphere points,
+    derived from `source`. Hand-built factors and the equator use the
+    identity map and sphere variables. A placed hypocycloid uses the
+    homogenised canonical polynomial in (x, y, w) and the inverse of its
+    placement, so its 28 terms (k = 4) stand in for the hundreds an
+    expanded lift would need, and floats never see that expansion's
+    cancellation.
+
+    One kernel gives the value and the gradient together: power tables of
+    the mapped coordinates built by repeated multiplication, a gather of the
+    monomials of P and of its partials, one product with an (n, 4)
+    coefficient table, and the chain rule B^T grad P.
     """
 
     kind = "poly"
 
     def __init__(self, poly: Polynomial, label: str = "", source: dict = None):
-        if poly.variables != SPHERE_VARS:
-            raise ValueError("factor polynomial must use sphere variables")
+        self.source = dict(source) if source else None
+        expected = _factor_variables(self.source)
+        if poly.variables != expected:
+            raise ValueError(f"factor polynomial must use variables {expected}")
         if not poly:
             raise ValueError("zero polynomial cannot be a factor")
         self.poly = poly
         self.label = label
-        self.source = dict(source) if source else None
-        self._val = _NumericPoly(poly)
-        self._grad = tuple(_NumericPoly(poly.diff(v)) for v in SPHERE_VARS)
+        self.matrix, self.shift = _source_map(self.source)
+        self._mapped = expected == HOMOGENEOUS_VARS
+        self._matrix_f = np.array([[float(c) for c in row] for row in self.matrix])
+        self._shift_f = np.array([float(c) for c in self.shift])
+        # rows: monomials of P and of its partials; columns: P, dP/dv_j
+        rows: dict[tuple, list] = {}
+        for exps, c in poly.terms.items():
+            rows.setdefault(exps, [0, 0, 0, 0])[0] += c
+            for j, e in enumerate(exps):
+                if e:
+                    lower = exps[:j] + (e - 1,) + exps[j + 1 :]
+                    rows.setdefault(lower, [0, 0, 0, 0])[j + 1] += e * c
+        monomials = sorted(rows)
+        self._degree = max(max(exps) for exps in monomials)
+        width = self._degree + 1
+        # flat indices into the (m, 3 * width) power table
+        self._gather = np.array(monomials, dtype=np.intp) + np.arange(3) * width
+        self._coeffs = np.array([[float(c) for c in rows[e]] for e in monomials])
 
     @property
     def exceptional_points(self) -> tuple:
         return ()
 
-    def value_many(self, pts: np.ndarray) -> np.ndarray:
-        return self._val.value(pts)
+    def _monomials(self, pts: np.ndarray) -> np.ndarray:
+        v = pts @ self._matrix_f.T + self._shift_f if self._mapped else pts
+        m, d = v.shape[0], self._degree
+        # powers 0..d of each coordinate; cumprod is repeated multiplication
+        table = np.empty((m, 3, d + 1))
+        table[:, :, 0] = 1.0
+        np.cumprod(np.broadcast_to(v[:, :, None], (m, 3, d)), axis=2, out=table[:, :, 1:])
+        return table.reshape(m, -1)[:, self._gather].prod(axis=2)
 
-    def gradient_many(self, pts: np.ndarray) -> np.ndarray:
-        return np.stack([g.value(pts) for g in self._grad], axis=1)
+    def value_and_gradient_many(
+        self, pts: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        out = self._monomials(pts) @ self._coeffs
+        grad = out[:, 1:] @ self._matrix_f if self._mapped else out[:, 1:]
+        return out[:, 0], grad
+
+    def value_many(self, pts: np.ndarray) -> np.ndarray:
+        return self._monomials(pts) @ self._coeffs[:, 0]
 
     def value(self, u) -> float:
-        return float(self._val.value(np.asarray(u, dtype=float)[None, :])[0])
+        return float(self.value_many(np.asarray(u, dtype=float)[None, :])[0])
 
     def gradient(self, u) -> np.ndarray:
-        return self.gradient_many(np.asarray(u, dtype=float)[None, :])[0]
+        return self.value_and_gradient_many(np.asarray(u, dtype=float)[None, :])[1][0]
 
     def value_exact(self, point):
-        return self.poly.evaluate(tuple(Fraction(c) for c in point))
+        u = tuple(Fraction(c) for c in point)
+        mapped = tuple(
+            sum((bij * uj for bij, uj in zip(row, u)), bi)
+            for row, bi in zip(self.matrix, self.shift)
+        )
+        return self.poly.evaluate(mapped)
 
 
 class ArcFactor:
@@ -141,16 +188,18 @@ class ArcFactor:
         r = np.hypot(a, b)
         return a * a + (r + b) ** 2
 
-    def gradient_many(self, pts: np.ndarray) -> np.ndarray:
+    def value_and_gradient_many(
+        self, pts: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
         a = pts @ self._n - self._d
         b = pts @ self._m - self._e
         r = np.hypot(a, b)
         if np.any(r == 0.0):
             raise DomainError("arc factor gradient at an endpoint")
+        s = r + b
         dr = (a[:, None] * self._n + b[:, None] * self._m) / r[:, None]
-        return 2.0 * a[:, None] * self._n + 2.0 * (r + b)[:, None] * (
-            dr + self._m
-        )
+        grad = 2.0 * a[:, None] * self._n + 2.0 * s[:, None] * (dr + self._m)
+        return a * a + s * s, grad
 
     def value(self, u) -> float:
         return self.arc.value(u)
@@ -201,13 +250,6 @@ class SphereFunction:
             out *= factor.value_many(pts)
         return out
 
-    def value_and_gradient(self, u) -> tuple[float, np.ndarray]:
-        v, g = self.value_and_gradient_many(np.asarray(u, dtype=float)[None, :])
-        return float(v[0]), g[0]
-
-    def gradient(self, u) -> np.ndarray:
-        return self.value_and_gradient(u)[1]
-
     def value_and_gradient_many(
         self, pts: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -220,8 +262,10 @@ class SphereFunction:
         n = len(self.factors)
         if n == 0:
             return np.ones(m), np.zeros((m, 3))
-        vals = [f.value_many(pts) for f in self.factors]
-        grads = [f.gradient_many(pts) for f in self.factors]
+        pairs = [f.value_and_gradient_many(pts) for f in self.factors]
+        if n == 1:
+            return pairs[0]
+        vals = [v for v, _ in pairs]
         prefix = [np.ones(m)]
         for v in vals:
             prefix.append(prefix[-1] * v)
@@ -232,7 +276,7 @@ class SphereFunction:
         total = prefix[-1]
         grad = np.zeros((m, 3))
         for i in range(n):
-            grad += (prefix[i] * suffix[i + 1])[:, None] * grads[i]
+            grad += (prefix[i] * suffix[i + 1])[:, None] * pairs[i][1]
         return total, grad
 
 
@@ -291,11 +335,6 @@ class VectorField:
 
 def build_field(function: SphereFunction) -> VectorField:
     return VectorField(function)
-
-
-def eval_field(field: VectorField, u) -> np.ndarray:
-    """Single evaluation with the unit-norm guard."""
-    return field.evaluate(u)
 
 
 # -- rest point at the bottom of the sphere ---------------------------------
@@ -385,19 +424,23 @@ def _segment_interior_point(segment) -> tuple:
     )
 
 
-def _leaf_boundary_poly(placement: LeafPlacement) -> Polynomial:
-    curve = apply_affine(implicitize(placement.k_layout), placement.affine)
-    return curve.poly
-
-
-def _leaf_source(placement: LeafPlacement) -> dict:
+def _leaf_factor(pid: int, placement: LeafPlacement) -> PolyFactor:
     # exact rationals as strings, so bundles round-trip byte for byte
-    return {
+    source = {
         "piece": "hypocycloid",
         "k": placement.k_layout,
         "matrix": [rational_point(row) for row in placement.affine.matrix],
         "offset": rational_point(placement.affine.offset),
     }
+    factor = PolyFactor(
+        homogenize(implicitize(placement.k_layout).poly),
+        label=f"leaf:{pid}",
+        source=source,
+    )
+    # the south pole is the chart origin
+    if factor.value_exact((0, 0, -1)) == 0:
+        raise AssertionError("placed leaf boundary passes through the chart origin")
+    return factor
 
 
 def _compose_frame(layout: ShrubLayout) -> SphereFunction:
@@ -410,20 +453,8 @@ def _compose_frame(layout: ShrubLayout) -> SphereFunction:
     ]
     for pid in sorted(layout.placements):
         placement = layout.placements[pid]
-        if not isinstance(placement, LeafPlacement) or placement.frame:
-            continue
-        poly = _leaf_boundary_poly(placement)
-        at_origin = poly.evaluate((Fraction(0), Fraction(0)))
-        if at_origin == 0:
-            raise AssertionError(
-                "placed leaf boundary passes through the chart origin"
-            )
-        lifted = lift_to_sphere(poly, poly.total_degree())
-        factors.append(
-            PolyFactor(
-                lifted.poly, label=f"leaf:{pid}", source=_leaf_source(placement)
-            )
-        )
+        if isinstance(placement, LeafPlacement) and not placement.frame:
+            factors.append(_leaf_factor(pid, placement))
     return SphereFunction(
         factors=factors,
         punctures=(),
@@ -437,19 +468,8 @@ def _compose_punctured(layout: ShrubLayout) -> SphereFunction:
     factors = []
     for pid in sorted(layout.placements):
         placement = layout.placements[pid]
-        if not isinstance(placement, LeafPlacement):
-            continue
-        poly = _leaf_boundary_poly(placement)
-        if poly.evaluate((Fraction(0), Fraction(0))) == 0:
-            raise AssertionError(
-                "placed leaf boundary passes through the chart origin"
-            )
-        lifted = lift_to_sphere(poly, poly.total_degree())
-        factors.append(
-            PolyFactor(
-                lifted.poly, label=f"leaf:{pid}", source=_leaf_source(placement)
-            )
-        )
+        if isinstance(placement, LeafPlacement):
+            factors.append(_leaf_factor(pid, placement))
     for index, segment in enumerate(layout.maximal_segments):
         arc = sphere_arc(
             _chart_image(segment.start),
@@ -471,9 +491,10 @@ def compose_shrub_function(layout: ShrubLayout) -> SphereFunction:
     """Boundary function for a drawn shrub.
 
     Frame layouts give a plain z factor (the outer disk boundary is the
-    equator) plus one lifted polynomial per inner leaf. Punctured layouts
-    lift every placed leaf curve directly and add one circular-arc factor
-    per maximal segment; segments reaching the bud at infinity close up at
+    equator) plus one leaf factor per inner leaf: the homogenised canonical
+    hypocycloid polynomial composed with the inverse placement, never
+    expanded. Punctured layouts make a leaf factor of every placed leaf and
+    add one circular-arc factor per maximal segment; segments reaching the bud at infinity close up at
     the top of the sphere, and the punctures are the images of the
     non-analytic buds.
     """
@@ -538,7 +559,7 @@ def example_field(name: str) -> VectorField:
 # -- serialized bundles -------------------------------------------------------
 
 
-BUNDLE_FORMAT = "field-bundle/1"
+BUNDLE_FORMAT = "field-bundle/2"
 
 
 def bundle_dict(function: SphereFunction) -> dict:
@@ -587,16 +608,27 @@ def save_bundle(path, function: SphereFunction) -> None:
 
 
 def function_from_bundle(data: dict) -> SphereFunction:
+    """Rebuild a boundary function; a leaf's map comes from its `source`.
+
+    Version 1 bundles stored each leaf factor expanded in sphere variables;
+    they are refused, since their floats cancel badly.
+    """
+    if data.get("format") == "field-bundle/1":
+        raise ValueError(
+            "field-bundle/1 stores expanded leaf factors; "
+            f"re-run synthesize to write a {BUNDLE_FORMAT} bundle"
+        )
     if data.get("format") != BUNDLE_FORMAT:
         raise ValueError(f"not a {BUNDLE_FORMAT} bundle")
     factors = []
     for item in data["factors"]:
         if item["kind"] == "poly":
+            source = item.get("source")
             factors.append(
                 PolyFactor(
-                    Polynomial.from_text(item["poly"], SPHERE_VARS),
+                    Polynomial.from_text(item["poly"], _factor_variables(source)),
                     label=item.get("label", ""),
-                    source=item.get("source"),
+                    source=source,
                 )
             )
         elif item["kind"] == "arc":

@@ -151,18 +151,26 @@ def _make_deriv(
     return deriv
 
 
-def _dp_step(u, h, deriv, rtol, atol):
+def _dp_step(u, h, deriv, rtol, atol, k0):
+    """One Dormand-Prince attempt from u, whose first stage k0 is given.
+
+    The last stage is taken at the fifth-order solution itself, and `deriv`
+    normalises its argument, so that stage is the first stage of the next
+    step ("first same as last"); it is returned as the third item. A step
+    whose solution or last stage is not finite returns k0 in its place.
+    """
     k = np.empty((7, 3))
-    k[0] = deriv(u)
-    for i in range(1, 7):
+    k[0] = k0
+    for i in range(1, 6):
         k[i] = deriv(u + h * (_DP_A[i] @ k[:i]))
-    u5 = u + h * (_DP_B5 @ k)
-    if not np.all(np.isfinite(u5)):
-        return u, math.inf
+    u5 = u + h * (_DP_A[6] @ k[:6])
+    k[6] = deriv(u5)
+    if not (np.all(np.isfinite(u5)) and np.all(np.isfinite(k[6]))):
+        return u, math.inf, k0
     err = h * (_DP_ERR @ k)
     scale = atol + rtol * np.maximum(np.abs(u), np.abs(u5))
     err_norm = math.sqrt(float(np.mean((err / scale) ** 2)))
-    return u5 / np.linalg.norm(u5), err_norm
+    return u5 / np.linalg.norm(u5), err_norm, k[6]
 
 
 def _angle_increment(u, unew) -> float:
@@ -206,7 +214,10 @@ def integrate(
     """Integrate one orbit for the given horizon.
 
     Adaptive embedded Runge-Kutta (orders 4 and 5) with the state projected
-    back to the sphere after every accepted step. The winding angle is
+    back to the sphere after every accepted step. The start evaluation is
+    the first stage of the first step, and each accepted step hands its
+    last stage on as the next first stage, so an orbit costs 1 + 6 field
+    evaluations per step attempt. The winding angle is
     advanced by the wrapped planar increment of (x, y); any step that would
     swing it by a quarter turn or more is rejected and retried shorter, so
     unwrapping stays unambiguous even close to the poles axis. A negative
@@ -236,9 +247,10 @@ def integrate(
     min_step = opts.min_step if opts.min_step is not None else span * 1e-14
 
     try:
-        v0 = float(np.linalg.norm(deriv(p)))
+        k0 = deriv(p)
     except DomainError as exc:
         raise FlowError(f"field evaluation refused the start ({exc})", p)
+    v0 = float(np.linalg.norm(k0))
     if opts.fixed_step is not None:
         h = min(opts.fixed_step, span)
     elif opts.first_step is not None:
@@ -270,7 +282,7 @@ def integrate(
         if h < min_step:
             raise FlowError("step size underflow", u)
         try:
-            unew, err_norm = _dp_step(u, h, deriv, opts.rtol, opts.atol)
+            unew, err_norm, k_last = _dp_step(u, h, deriv, opts.rtol, opts.atol, k0)
         except DomainError as exc:
             raise FlowError(f"evaluation hit an exceptional point ({exc})", u)
         if opts.fixed_step is None and err_norm > 1.0:
@@ -288,6 +300,7 @@ def integrate(
             continue
         t += h
         u = unew
+        k0 = k_last
         th += dth
         times.append(t)
         states.append(u)

@@ -8,9 +8,11 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
-from shrubfield.cli import main
+from shrubfield import field_synth
+from shrubfield.cli import _tangency_spot_check, main
 from shrubfield.field_synth import load_bundle
 from shrubfield.poly_core import Polynomial
 
@@ -200,6 +202,38 @@ def test_lone_leaf_bundle_is_the_equator_field(workdir):
     assert math.isclose(body["south_spiral_rate"], 2.0, rel_tol=1e-12)
     function = load_bundle(workdir / "bundle.json")
     assert [factor.label for factor in function.factors] == ["frame"]
+
+
+def _overflowing_function():
+    # each factor is about 1e200, so F is about 1e400 and no row is finite
+    # away from the poles
+    big = Polynomial.constant(10**200, ("x", "y", "z"))
+    z = Polynomial.variable("z", ("x", "y", "z"))
+    return field_synth.SphereFunction(
+        factors=[field_synth.PolyFactor(big + z), field_synth.PolyFactor(big - z)]
+    )
+
+
+def test_spot_check_counts_nonfinite_rows_apart_from_zero_rows():
+    field = field_synth.build_field(_overflowing_function())
+    with np.errstate(over="ignore", invalid="ignore"):
+        tangency = _tangency_spot_check(field, 50, 0)
+    assert tangency["nonfinite_rows"] == 50
+    assert tangency["zero_rows"] == 0
+    plain = _tangency_spot_check(field_synth.example_field("equator"), 50, 0)
+    assert plain["nonfinite_rows"] == 0
+
+
+def test_overflowing_synthesis_is_a_numeric_failure(workdir, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(
+        field_synth, "compose_shrub_function", lambda layout: _overflowing_function()
+    )
+    out = tmp_path / "overflow.json"
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = main(["synthesize", str(workdir / "lone-leaf.json"), "--out", str(out)])
+    assert rc == 3
+    assert "not finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unorientable_shrub_cannot_be_synthesized(workdir, tmp_path):
@@ -428,6 +462,17 @@ def test_garbage_bundles_are_validation_failures(tmp_path):
     fake = tmp_path / "fake.json"
     fake.write_text(json.dumps({"format": "something-else"}))
     assert main(["simulate", str(fake)]) == 2
+
+
+def test_version_one_bundles_ask_for_a_new_synthesis(workdir, tmp_path, capsys):
+    data = _read_json(workdir / "bundle.json")
+    assert data["format"] == "field-bundle/2"
+    data["format"] = "field-bundle/1"
+    stale = tmp_path / "stale.json"
+    stale.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["simulate", str(stale), "--out-csv", str(tmp_path / "x.csv")]) == 2
+    assert "re-run synthesize" in capsys.readouterr().err
 
 
 # -- report ----------------------------------------------------------------------

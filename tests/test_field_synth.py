@@ -11,7 +11,12 @@ from hypothesis import strategies as st
 
 from shrubfield.curves import (
     SPHERE_VARS,
+    AffineMap,
     DomainError,
+    apply_affine,
+    homogenize,
+    implicitize,
+    lift_to_sphere,
     normalized_residual,
     param_point,
     plane_to_sphere,
@@ -28,7 +33,6 @@ from shrubfield.field_synth import (
     bundle_dict,
     bundle_text,
     compose_shrub_function,
-    eval_field,
     example_field,
     example_shrubs,
     function_from_bundle,
@@ -37,7 +41,7 @@ from shrubfield.field_synth import (
     save_bundle,
     synthesize_field,
 )
-from shrubfield.poly_core import Polynomial
+from shrubfield.poly_core import Polynomial, parse_point
 from shrubfield.shrub_model import (
     Attachment,
     Junction,
@@ -140,13 +144,13 @@ def test_arc_factor_gradient_raises_at_endpoints():
     with pytest.raises(DomainError):
         factor.gradient(np.array([1.0, 0.0, 0.0]))
     with pytest.raises(DomainError):
-        factor.gradient_many(np.array([[-1.0, 0.0, 0.0]]))
+        factor.value_and_gradient_many(np.array([[-1.0, 0.0, 0.0]]))
 
 
 def test_arc_factor_gradient_matches_finite_differences():
     factor = ArcFactor(segment_sphere_function())
     u = np.array([0.1, 0.4, 0.6])
-    grad = factor.gradient_many(u[None, :])[0]
+    grad = factor.value_and_gradient_many(u[None, :])[1][0]
     h = 1e-6
     for i in range(3):
         step = np.zeros(3)
@@ -160,6 +164,110 @@ def test_arc_factor_exceptional_points_are_the_endpoints():
     factor = ArcFactor(arc)
     assert factor.exceptional_points == arc.endpoints
     assert PolyFactor(Z).exceptional_points == ()
+
+
+def _leaf_factors():
+    """Every leaf factor of the five examples, plus one hand-placed k = 3
+    leaf (layouts only place k divisible by 4)."""
+    out = []
+    for name, shrub in sorted(example_shrubs().items()):
+        fn = compose_shrub_function(layout_shrub(shrub))
+        out.extend(
+            (f"{name}/{f.label}", f)
+            for f in fn.factors
+            if f.kind == "poly" and f.source["piece"] == "hypocycloid"
+        )
+    source = {
+        "piece": "hypocycloid",
+        "k": 3,
+        "matrix": [["1/3", "1/5"], ["-1/7", "1/2"]],
+        "offset": ["2", "-1/3"],
+    }
+    out.append(
+        ("k3", PolyFactor(homogenize(implicitize(3).poly), "leaf:k3", source))
+    )
+    return out
+
+
+def _expanded(factor):
+    """P(B u + b) expanded exactly in sphere variables."""
+    u = (X, Y, Z)
+    linear = [
+        sum((c * v for c, v in zip(row, u)), Polynomial.constant(b, SPHERE_VARS))
+        for row, b in zip(factor.matrix, factor.shift)
+    ]
+    return factor.poly.substitute(dict(zip(factor.poly.variables, linear)))
+
+
+def _rational_sphere_points():
+    """Images of a rational plane grid: |p| < 1 lands in the southern
+    hemisphere, |p| > 1 in the northern one."""
+    coords = [Fraction(c) for c in ("-7/2", "-2", "-1", "-1/3", "0", "2/5", "1", "5/3", "3")]
+    return [plane_to_sphere((a, b)) for a in coords for b in coords]
+
+
+def test_leaf_factors_expand_to_the_lifted_affine_image():
+    # the expanded lift of the moved curve is an independent oracle
+    cases = _leaf_factors()
+    assert len(cases) == 5
+    for name, factor in cases:
+        k = factor.source["k"]
+        affine = AffineMap(
+            tuple(parse_point(row) for row in factor.source["matrix"]),
+            parse_point(factor.source["offset"]),
+        )
+        moved = apply_affine(implicitize(k), affine).poly
+        lifted = lift_to_sphere(moved, moved.total_degree()).poly
+        assert _expanded(factor) == lifted, name
+        assert factor.poly.total_degree() == lifted.total_degree(), name
+
+
+def test_leaf_factor_gradient_is_the_chain_rule():
+    for name, factor in _leaf_factors():
+        expanded = _expanded(factor)
+        partials = [expanded.diff(v) for v in SPHERE_VARS]
+        for point in _rational_sphere_points()[::7]:
+            exact = [float(p.evaluate(point)) for p in partials]
+            scale = max(abs(g) for g in exact)
+            _, grad = factor.value_and_gradient_many(
+                np.array([[float(c) for c in point]])
+            )
+            assert np.allclose(grad[0], exact, rtol=0, atol=1e-11 * scale), name
+
+
+def _condition(factor, point) -> float:
+    """sum |c| |V^e| over |P(V)| at the mapped point V: the relative error
+    an evaluation of P from its own coefficients can amplify."""
+    mapped = [
+        sum((bij * uj for bij, uj in zip(row, point)), bi)
+        for row, bi in zip(factor.matrix, factor.shift)
+    ]
+    size = sum(
+        abs(c) * math.prod(abs(v) ** e for v, e in zip(mapped, exps))
+        for exps, c in factor.poly.terms.items()
+    )
+    value = abs(factor.value_exact(point))
+    return math.inf if value == 0 else float(size / value)
+
+
+def test_poly_factors_match_exact_values_at_rational_points():
+    factors = [
+        (f"{name}/{f.label}", f)
+        for name, shrub in sorted(example_shrubs().items())
+        for f in compose_shrub_function(layout_shrub(shrub)).factors
+        if f.kind == "poly"
+    ]
+    for name, factor in factors:
+        checked = {"south": 0, "north": 0}
+        for point in _rational_sphere_points():
+            # off the zero set: the factor's own evaluation is well posed
+            if _condition(factor, point) > 100.0:
+                continue
+            exact = float(factor.value_exact(point))
+            value = factor.value(tuple(float(c) for c in point))
+            assert abs(value - exact) <= 1e-12 * abs(exact), (name, point)
+            checked["south" if point[2] < 0 else "north"] += 1
+        assert min(checked.values()) >= 5, (name, checked)
 
 
 # -- products ---------------------------------------------------------------------
@@ -256,7 +364,7 @@ def test_unit_norm_guard_rejects_off_sphere_points():
     with pytest.raises(ValueError, match="unit sphere"):
         field.evaluate((1.1, 0.0, 0.0))
     with pytest.raises(ValueError):
-        eval_field(field, (0.5, 0.5, 0.5))
+        field.evaluate((0.5, 0.5, 0.5))
 
 
 def test_evaluate_many_demands_point_batches():
@@ -529,6 +637,27 @@ def test_bundle_format_and_metadata_survive():
     assert data["metadata"]["mode"] == "frame"
     back = function_from_bundle(data)
     assert back.metadata == fn.metadata
+
+
+def test_bundle_stores_the_homogenised_canonical_leaf():
+    fn = compose_shrub_function(layout_shrub(example_shrubs()["framed-chain"]))
+    data = bundle_dict(fn)
+    assert data["format"] == "field-bundle/2"
+    leaves = [f for f in data["factors"] if f["label"].startswith("leaf:")]
+    assert len(leaves) == 2
+    canonical = homogenize(implicitize(4).poly).to_text()
+    for entry in leaves:
+        assert entry["poly"] == canonical
+        assert entry["source"]["piece"] == "hypocycloid"
+    back = function_from_bundle(json.loads(bundle_text(fn)))
+    for a, b in zip(fn.factors, back.factors):
+        assert (a.matrix, a.shift) == (b.matrix, b.shift)
+    assert bundle_text(back) == bundle_text(fn)
+
+
+def test_bundle_refuses_version_one():
+    with pytest.raises(ValueError, match="re-run synthesize"):
+        function_from_bundle({"format": "field-bundle/1", "factors": []})
 
 
 def test_bundle_rejects_foreign_formats():

@@ -178,6 +178,71 @@ def test_fixed_step_must_be_positive():
         )
 
 
+class CountingField:
+    """Stands in for a VectorField and counts the points it evaluates."""
+
+    def __init__(self, field):
+        self.field = field
+        self.function = field.function
+        self.evaluations = 0
+
+    def evaluate_many(self, pts):
+        self.evaluations += len(pts)
+        return self.field.evaluate_many(pts)
+
+
+def test_each_step_attempt_costs_six_evaluations():
+    # the start evaluation is the first stage of the first step, and every
+    # accepted step hands its last stage on, rejected or not
+    for name, start, horizon in (
+        ("equator", OFF_BOTTOM, 6.0),
+        ("lone-sprig", OFF_BOTTOM, 3.0),
+    ):
+        counted = CountingField(field_for(name))
+        traj = integrate(counted, start, horizon, IntegrateOptions(unit_speed=True))
+        d = traj.diagnostics
+        attempts = d["accepted"] + d["rejected_error"] + d["rejected_winding"]
+        assert counted.evaluations == 1 + 6 * attempts, name
+
+
+def _seven_stage_orbit(field, start, h, count):
+    """Fixed-step Dormand-Prince orbit with all seven stages evaluated
+    afresh at every step."""
+    a = [
+        [],
+        [1 / 5],
+        [3 / 40, 9 / 40],
+        [44 / 45, -56 / 15, 32 / 9],
+        [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
+        [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
+        [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
+    ]
+    b5 = [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0]
+
+    def deriv(u):
+        return field.evaluate(u / np.linalg.norm(u))
+
+    u = np.asarray(start, dtype=float)
+    states = [u]
+    for _ in range(count):
+        k = []
+        for row in a:
+            k.append(deriv(u + h * sum((c * kj for c, kj in zip(row, k)), np.zeros(3))))
+        u5 = u + h * sum(c * kj for c, kj in zip(b5, k))
+        u = u5 / np.linalg.norm(u5)
+        states.append(u)
+    return np.array(states)
+
+
+def test_reused_stages_match_a_seven_stage_reference():
+    field = field_for("equator")
+    # a step of 1/16 divides the horizon exactly
+    traj = integrate(field, OFF_BOTTOM, 4.0, IntegrateOptions(fixed_step=0.0625))
+    reference = _seven_stage_orbit(field, OFF_BOTTOM, 0.0625, len(traj) - 1)
+    assert len(traj) == 65
+    assert float(np.max(np.abs(traj.states - reference))) < 1e-12
+
+
 # -- the conserved quantity ---------------------------------------------------
 
 
