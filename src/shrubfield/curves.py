@@ -15,6 +15,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+
+import numpy as np
 
 from .poly_core import (
     GaussInt,
@@ -31,6 +34,27 @@ HOMOGENEOUS_VARS = ("x", "y", "w")
 
 class DomainError(ValueError):
     """Evaluation requested where a function is not defined/analytic."""
+
+
+# -- component form -----------------------------------------------------------
+#
+# Numeric kernels take the coordinates x, y, z either as Python floats (one
+# point) or as equal-length numpy columns (a batch), and use only +, -, *,
+# comparisons and `component_sqrt`, so one formula serves both shapes.
+# Python floats raise where numpy returns inf or NaN: `**` raises
+# OverflowError and division by an exact zero raises ZeroDivisionError. So
+# kernels use no `**`, and divide only once `component_any` has ruled out a
+# zero divisor; non-finite values stay values.
+
+
+def component_sqrt(v):
+    """Square root of a float or of a numpy column."""
+    return math.sqrt(v) if isinstance(v, float) else np.sqrt(v)
+
+
+def component_any(mask) -> bool:
+    """Whether a comparison holds for the point, or for any point of a batch."""
+    return mask if isinstance(mask, bool) else bool(mask.any())
 
 
 # -- parametric hypocycloid -------------------------------------------------
@@ -389,30 +413,45 @@ class SphereArcFunction:
     e: Fraction
     endpoints: tuple  # the two exceptional sphere points, exact
 
-    def components(self, u) -> tuple[float, float]:
-        a = float(u[0]) * float(self.n[0]) + float(u[1]) * float(self.n[1]) \
-            + float(u[2]) * float(self.n[2]) - float(self.d)
-        b = float(u[0]) * float(self.m[0]) + float(u[1]) * float(self.m[1]) \
-            + float(u[2]) * float(self.m[2]) - float(self.e)
-        return a, b
+    @cached_property
+    def _float_coefficients(self) -> tuple:
+        return (
+            tuple(float(c) for c in self.n),
+            float(self.d),
+            tuple(float(c) for c in self.m),
+            float(self.e),
+        )
+
+    def value_and_gradient(self, x, y, z) -> tuple:
+        """Value and gradient in component form (see `component_sqrt`).
+
+        Returns (value, (gx, gy, gz)); the gradient is None when the point,
+        or any point of a batch, is an arc endpoint, where it does not exist.
+        """
+        (n0, n1, n2), d, (m0, m1, m2), e = self._float_coefficients
+        a = x * n0 + y * n1 + z * n2 - d
+        b = x * m0 + y * m1 + z * m2 - e
+        r = component_sqrt(a * a + b * b)
+        s = r + b
+        value = a * a + s * s
+        if component_any(r == 0.0):
+            return value, None
+        gradient = tuple(
+            2.0 * a * ni + 2.0 * s * ((a * ni + b * mi) / r + mi)
+            for ni, mi in ((n0, m0), (n1, m1), (n2, m2))
+        )
+        return value, gradient
 
     def value(self, u) -> float:
-        a, b = self.components(u)
-        r = math.hypot(a, b)
-        return a * a + (r + b) * (r + b)
+        x, y, z = (float(c) for c in u)
+        return self.value_and_gradient(x, y, z)[0]
 
     def gradient(self, u) -> tuple[float, float, float]:
-        a, b = self.components(u)
-        r = math.hypot(a, b)
-        if r == 0.0:
+        x, y, z = (float(c) for c in u)
+        gradient = self.value_and_gradient(x, y, z)[1]
+        if gradient is None:
             raise DomainError("arc function gradient at an endpoint")
-        nf = tuple(float(c) for c in self.n)
-        mf = tuple(float(c) for c in self.m)
-        out = []
-        for i in range(3):
-            dr = (a * nf[i] + b * mf[i]) / r
-            out.append(2.0 * a * nf[i] + 2.0 * (r + b) * (dr + mf[i]))
-        return tuple(out)
+        return gradient
 
     def value_exact(self, u, sq=None):
         """Exact rational value when sqrt(A^2+B^2) happens to be rational

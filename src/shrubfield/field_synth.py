@@ -17,6 +17,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import add, mul
 
 import numpy as np
 
@@ -26,6 +28,8 @@ from .curves import (
     AffineMap,
     DomainError,
     SphereArcFunction,
+    component_any,
+    component_sqrt,
     homogenize,
     implicitize,
     plane_to_sphere,
@@ -91,10 +95,11 @@ class PolyFactor:
     expanded lift would need, and floats never see that expansion's
     cancellation.
 
-    One kernel gives the value and the gradient together: power tables of
-    the mapped coordinates built by repeated multiplication, a gather of the
-    monomials of P and of its partials, one product with an (n, 4)
-    coefficient table, and the chain rule B^T grad P.
+    One kernel in component form gives the value and the gradient
+    together: power tables of the mapped coordinates built by repeated
+    multiplication, the products of the monomials of P and of its partials,
+    one sum of coefficient times monomial per nonzero column (P and its
+    partials), and the chain rule B^T grad P.
     """
 
     kind = "poly"
@@ -109,9 +114,13 @@ class PolyFactor:
         self.poly = poly
         self.label = label
         self.matrix, self.shift = _source_map(self.source)
-        self._mapped = expected == HOMOGENEOUS_VARS
-        self._matrix_f = np.array([[float(c) for c in row] for row in self.matrix])
-        self._shift_f = np.array([float(c) for c in self.shift])
+        # sparse rows of v = B u + b and of B^T; None for the identity map
+        self._map = self._chain = None
+        if expected == HOMOGENEOUS_VARS:
+            self._map = tuple(
+                (_sparse(row), float(bj)) for row, bj in zip(self.matrix, self.shift)
+            )
+            self._chain = tuple(_sparse(column) for column in zip(*self.matrix))
         # rows: monomials of P and of its partials; columns: P, dP/dv_j
         rows: dict[tuple, list] = {}
         for exps, c in poly.terms.items():
@@ -121,40 +130,50 @@ class PolyFactor:
                     lower = exps[:j] + (e - 1,) + exps[j + 1 :]
                     rows.setdefault(lower, [0, 0, 0, 0])[j + 1] += e * c
         monomials = sorted(rows)
-        self._degree = max(max(exps) for exps in monomials)
-        width = self._degree + 1
-        # flat indices into the (m, 3 * width) power table
-        self._gather = np.array(monomials, dtype=np.intp) + np.arange(3) * width
-        self._coeffs = np.array([[float(c) for c in rows[e]] for e in monomials])
+        self._exponents = tuple(monomials)
+        self._top = tuple(max(1, max(e[j] for e in monomials)) for j in range(3))
+        self._columns = tuple(
+            _sparse([rows[e][col] for e in monomials]) for col in range(4)
+        )
 
     @property
     def exceptional_points(self) -> tuple:
         return ()
 
-    def _monomials(self, pts: np.ndarray) -> np.ndarray:
-        v = pts @ self._matrix_f.T + self._shift_f if self._mapped else pts
-        m, d = v.shape[0], self._degree
-        # powers 0..d of each coordinate; cumprod is repeated multiplication
-        table = np.empty((m, 3, d + 1))
-        table[:, :, 0] = 1.0
-        np.cumprod(np.broadcast_to(v[:, :, None], (m, 3, d)), axis=2, out=table[:, :, 1:])
-        return table.reshape(m, -1)[:, self._gather].prod(axis=2)
+    def value_and_gradient(self, x, y, z) -> tuple:
+        """(F, dF/dx, dF/dy, dF/dz) in component form: floats for one point,
+        numpy columns for a batch."""
+        u = (x, y, z)
+        if self._map is not None:
+            u = tuple(_sparse_dot(row, u, shift) for row, shift in self._map)
+        tables = []
+        for v, top in zip(u, self._top):
+            powers = [1.0, v]
+            for _ in range(top - 1):
+                powers.append(powers[-1] * v)
+            tables.append(powers)
+        px, py, pz = tables
+        monomials = [px[i] * py[j] * pz[k] for i, j, k in self._exponents]
+        value, *partials = [_sparse_dot(c, monomials) for c in self._columns]
+        if self._chain is not None:
+            partials = [_sparse_dot(row, partials) for row in self._chain]
+        return (value, *partials)
 
     def value_and_gradient_many(
         self, pts: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        out = self._monomials(pts) @ self._coeffs
-        grad = out[:, 1:] @ self._matrix_f if self._mapped else out[:, 1:]
-        return out[:, 0], grad
+        return _batch(self.value_and_gradient, pts)
 
     def value_many(self, pts: np.ndarray) -> np.ndarray:
-        return self._monomials(pts) @ self._coeffs[:, 0]
+        return self.value_and_gradient_many(pts)[0]
 
     def value(self, u) -> float:
-        return float(self.value_many(np.asarray(u, dtype=float)[None, :])[0])
+        x, y, z = (float(c) for c in u)
+        return self.value_and_gradient(x, y, z)[0]
 
     def gradient(self, u) -> np.ndarray:
-        return self.value_and_gradient_many(np.asarray(u, dtype=float)[None, :])[1][0]
+        x, y, z = (float(c) for c in u)
+        return np.array(self.value_and_gradient(x, y, z)[1:])
 
     def value_exact(self, point):
         u = tuple(Fraction(c) for c in point)
@@ -166,40 +185,32 @@ class PolyFactor:
 
 
 class ArcFactor:
-    """Arc-function factor; analytic except at the two arc endpoints."""
+    """Arc-function factor; analytic except at the two arc endpoints. Its
+    formula is the arc function's own component-form kernel."""
 
     kind = "arc"
 
     def __init__(self, arc: SphereArcFunction, label: str = ""):
         self.arc = arc
         self.label = label
-        self._n = np.array([float(c) for c in arc.n])
-        self._d = float(arc.d)
-        self._m = np.array([float(c) for c in arc.m])
-        self._e = float(arc.e)
 
     @property
     def exceptional_points(self) -> tuple:
         return self.arc.endpoints
 
-    def value_many(self, pts: np.ndarray) -> np.ndarray:
-        a = pts @ self._n - self._d
-        b = pts @ self._m - self._e
-        r = np.hypot(a, b)
-        return a * a + (r + b) ** 2
+    def value_and_gradient(self, x, y, z) -> tuple:
+        value, gradient = self.arc.value_and_gradient(x, y, z)
+        if gradient is None:
+            raise DomainError("arc factor gradient at an endpoint")
+        return (value, *gradient)
 
     def value_and_gradient_many(
         self, pts: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        a = pts @ self._n - self._d
-        b = pts @ self._m - self._e
-        r = np.hypot(a, b)
-        if np.any(r == 0.0):
-            raise DomainError("arc factor gradient at an endpoint")
-        s = r + b
-        dr = (a[:, None] * self._n + b[:, None] * self._m) / r[:, None]
-        grad = 2.0 * a[:, None] * self._n + 2.0 * s[:, None] * (dr + self._m)
-        return a * a + s * s, grad
+        return _batch(self.value_and_gradient, pts)
+
+    def value_many(self, pts: np.ndarray) -> np.ndarray:
+        return self.arc.value_and_gradient(*_columns(pts))[0]
 
     def value(self, u) -> float:
         return self.arc.value(u)
@@ -209,6 +220,36 @@ class ArcFactor:
 
     def value_exact(self, point):
         return self.arc.value_exact(tuple(Fraction(c) for c in point))
+
+
+def _sparse(entries) -> tuple:
+    """(coefficients, indices) of the nonzero entries, as floats."""
+    return tuple(zip(*[(float(c), i) for i, c in enumerate(entries) if c])) or ((), ())
+
+
+def _sparse_dot(weights, values, start=0.0):
+    """start + sum of coefficient times value over a `_sparse` row, added
+    left to right; values are floats or numpy columns.
+
+    A left fold, not `sum`: from Python 3.12 `sum` compensates float sums,
+    so one point would no longer round like a numpy column.
+    """
+    coefficients, indices = weights
+    return reduce(add, map(mul, coefficients, map(values.__getitem__, indices)), start)
+
+
+def _columns(pts: np.ndarray) -> tuple:
+    """The x, y and z columns of an (m, 3) batch, each contiguous."""
+    return tuple(np.ascontiguousarray(np.asarray(pts, dtype=float).T))
+
+
+def _batch(kernel, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Run a component-form (value, gx, gy, gz) kernel on an (m, 3) batch;
+    constant columns are broadcast to m rows."""
+    out = np.empty((4, len(pts)))
+    for row, column in zip(out, kernel(*_columns(pts))):
+        row[...] = column
+    return out[0], out[1:].T
 
 
 class SphereFunction:
@@ -250,34 +291,29 @@ class SphereFunction:
             out *= factor.value_many(pts)
         return out
 
+    def value_and_gradient(self, x, y, z) -> tuple:
+        """(F, dF/dx, dF/dy, dF/dz) of the product in component form.
+
+        A running product rule, g <- g v + F h and F <- F v over the factors
+        (v, h), never divides, so a factor with a zero value is harmless.
+        """
+        if not self.factors:
+            return 1.0, 0.0, 0.0, 0.0
+        first, *rest = self.factors
+        f, gx, gy, gz = first.value_and_gradient(x, y, z)
+        for factor in rest:
+            v, hx, hy, hz = factor.value_and_gradient(x, y, z)
+            gx = gx * v + f * hx
+            gy = gy * v + f * hy
+            gz = gz * v + f * hz
+            f = f * v
+        return f, gx, gy, gz
+
     def value_and_gradient_many(
         self, pts: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Product and its gradient by the product rule.
-
-        Partial products are accumulated from both ends so a factor with a
-        zero value never forces a division.
-        """
-        m = pts.shape[0]
-        n = len(self.factors)
-        if n == 0:
-            return np.ones(m), np.zeros((m, 3))
-        pairs = [f.value_and_gradient_many(pts) for f in self.factors]
-        if n == 1:
-            return pairs[0]
-        vals = [v for v, _ in pairs]
-        prefix = [np.ones(m)]
-        for v in vals:
-            prefix.append(prefix[-1] * v)
-        suffix = [np.ones(m)]
-        for v in reversed(vals):
-            suffix.append(suffix[-1] * v)
-        suffix.reverse()
-        total = prefix[-1]
-        grad = np.zeros((m, 3))
-        for i in range(n):
-            grad += (prefix[i] * suffix[i + 1])[:, None] * pairs[i][1]
-        return total, grad
+        """Product and its gradient at an (m, 3) batch."""
+        return _batch(self.value_and_gradient, pts)
 
 
 # -- the induced tangent field ---------------------------------------------
@@ -310,27 +346,41 @@ class VectorField:
         return self.evaluate_many(np.asarray(u, dtype=float)[None, :])[0]
 
     def evaluate_many(self, pts) -> np.ndarray:
-        """Field vectors at an (m, 3) batch of unit points."""
+        """Field vectors at an (m, 3) batch of unit points.
+
+        One row runs the component-form formula on Python floats, a larger
+        batch runs it on numpy columns.
+        """
         pts = np.asarray(pts, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 3:
             raise ValueError("expected an (m, 3) array of sphere points")
-        norms = np.linalg.norm(pts, axis=1)
-        if np.any(np.abs(norms - 1.0) > UNIT_NORM_TOLERANCE):
-            worst = float(np.max(np.abs(norms - 1.0)))
+        if pts.shape[0] == 1:
+            return np.array([self._rows(*pts[0].tolist())])
+        return np.stack(self._rows(*_columns(pts)), axis=1)
+
+    def _rows(self, x, y, z) -> tuple:
+        """(f1, f2, f3) in component form, after the unit-norm guard."""
+        norm = component_sqrt(x * x + y * y + z * z)
+        deviation = abs(norm - 1.0)
+        if component_any(deviation > UNIT_NORM_TOLERANCE):
+            worst = float(np.max(deviation))
             raise ValueError(
                 f"field is defined on the unit sphere; |norm - 1| = {worst:.3e}"
             )
-        v = pts / norms[:, None]
-        fval, fgrad = self.function.value_and_gradient_many(v)
-        radial = np.sum(v * fgrad, axis=1)
-        gg = 2.0 * fval[:, None] * (fgrad - radial[:, None] * v)
+        x, y, z = x / norm, y / norm, z / norm
+        fval, fx, fy, fz = self.function.value_and_gradient(x, y, z)
+        radial = x * fx + y * fy + z * fz
+        two_f = 2.0 * fval
+        ggx = two_f * (fx - radial * x)
+        ggy = two_f * (fy - radial * y)
+        ggz = two_f * (fz - radial * z)
         g = fval * fval
-        x, y, z = v[:, 0], v[:, 1], v[:, 2]
         rho2 = x * x + y * y
-        f1 = 2.0 * z * (y - x) * g + rho2 * (z * gg[:, 1] - y * gg[:, 2])
-        f2 = -2.0 * z * (x + y) * g + rho2 * (x * gg[:, 2] - z * gg[:, 0])
-        f3 = rho2 * (2.0 * g + y * gg[:, 0] - x * gg[:, 1])
-        return np.stack([f1, f2, f3], axis=1)
+        return (
+            2.0 * z * (y - x) * g + rho2 * (z * ggy - y * ggz),
+            -2.0 * z * (x + y) * g + rho2 * (x * ggz - z * ggx),
+            rho2 * (2.0 * g + y * ggx - x * ggy),
+        )
 
 
 def build_field(function: SphereFunction) -> VectorField:

@@ -105,48 +105,61 @@ class Trajectory:
 
 
 # -- the embedded Runge-Kutta pair -------------------------------------------
+#
+# The integrator runs on 3-tuples of Python floats; a stage costs one
+# one-point field evaluation, and numpy's per-call overhead would dominate
+# it. Python floats raise where numpy returns inf or NaN, so nothing here
+# divides by a value that can be an exact zero.
 
 _DP_A = (
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
-_DP_B5 = np.array(
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0]
-)
-_DP_B4 = np.array(
-    [
-        5179 / 57600,
-        0.0,
-        7571 / 16695,
-        393 / 640,
-        -92097 / 339200,
-        187 / 2100,
-        1 / 40,
-    ]
-)
-_DP_ERR = _DP_B5 - _DP_B4
+_DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
+_DP_ERR = tuple(b5 - b4 for b5, b4 in zip(_DP_A[6] + (0.0,), _DP_B4))
+
+
+def _unit(u) -> tuple:
+    """Radial projection of a 3-tuple; the origin maps to NaN, as 0/0 does."""
+    x, y, z = u
+    norm = math.hypot(x, y, z)
+    if norm == 0.0:
+        return (math.nan,) * 3
+    return (x / norm, y / norm, z / norm)
+
+
+def _advance(u, h, weights, ks) -> tuple:
+    """u + h * sum_j weights_j ks_j on 3-tuples."""
+    sx = sy = sz = 0.0
+    for c, (kx, ky, kz) in zip(weights, ks):
+        sx += c * kx
+        sy += c * ky
+        sz += c * kz
+    return (u[0] + h * sx, u[1] + h * sy, u[2] + h * sz)
 
 
 def _make_deriv(
     field: VectorField, unit_speed: bool, reverse: bool
-) -> Callable[[np.ndarray], np.ndarray]:
-    def deriv(u: np.ndarray) -> np.ndarray:
-        v = u / np.linalg.norm(u)
-        f = field.evaluate_many(v[None, :])[0]
-        if unit_speed:
+) -> Callable[[tuple], tuple]:
+    sign = -1.0 if reverse else 1.0
+
+    def deriv(u: tuple) -> tuple:
+        f1, f2, f3 = field.evaluate_many(np.array([_unit(u)]))[0].tolist()
+        if unit_speed and math.isfinite(f1) and math.isfinite(f2) and math.isfinite(f3):
             # rescale by the largest component first; squaring raw values
             # of towering composites would overflow doubles
-            peak = float(np.max(np.abs(f)))
+            peak = max(abs(f1), abs(f2), abs(f3))
             if peak == 0.0:
-                return np.zeros(3)
-            f = f / peak
-            f = f / np.linalg.norm(f)
-        return -f if reverse else f
+                return (0.0, 0.0, 0.0)
+            f1, f2, f3 = f1 / peak, f2 / peak, f3 / peak
+            norm = math.sqrt(f1 * f1 + f2 * f2 + f3 * f3)
+            f1, f2, f3 = f1 / norm, f2 / norm, f3 / norm
+        return (sign * f1, sign * f2, sign * f3)
 
     return deriv
 
@@ -159,18 +172,20 @@ def _dp_step(u, h, deriv, rtol, atol, k0):
     step ("first same as last"); it is returned as the third item. A step
     whose solution or last stage is not finite returns k0 in its place.
     """
-    k = np.empty((7, 3))
-    k[0] = k0
-    for i in range(1, 6):
-        k[i] = deriv(u + h * (_DP_A[i] @ k[:i]))
-    u5 = u + h * (_DP_A[6] @ k[:6])
-    k[6] = deriv(u5)
-    if not (np.all(np.isfinite(u5)) and np.all(np.isfinite(k[6]))):
+    ks = [k0]
+    for weights in _DP_A[1:6]:
+        ks.append(deriv(_advance(u, h, weights, ks)))
+    u5 = _advance(u, h, _DP_A[6], ks)
+    k6 = deriv(u5)
+    if not all(map(math.isfinite, u5 + k6)):
         return u, math.inf, k0
-    err = h * (_DP_ERR @ k)
-    scale = atol + rtol * np.maximum(np.abs(u), np.abs(u5))
-    err_norm = math.sqrt(float(np.mean((err / scale) ** 2)))
-    return u5 / np.linalg.norm(u5), err_norm, k[6]
+    ks.append(k6)
+    err = _advance((0.0, 0.0, 0.0), h, _DP_ERR, ks)
+    total = 0.0
+    for e, a, b in zip(err, u, u5):
+        ratio = e / (atol + rtol * max(abs(a), abs(b)))
+        total += ratio * ratio
+    return _unit(u5), math.sqrt(total / 3.0), k6
 
 
 def _angle_increment(u, unew) -> float:
@@ -237,12 +252,15 @@ def integrate(
         raise ValueError("start point must lie on the unit sphere")
     p = p / nrm
     _refuse_exceptional(field.function, p)
+    p = tuple(p.tolist())
 
     span = abs(float(horizon))
     if span == 0.0 or not math.isfinite(span):
         raise ValueError("horizon must be finite and nonzero")
     if opts.fixed_step is not None and opts.fixed_step <= 0.0:
         raise ValueError("fixed step must be positive")
+    if not (opts.rtol >= 0.0 and opts.atol > 0.0):
+        raise ValueError("tolerances need rtol >= 0 and atol > 0")
     deriv = _make_deriv(field, opts.unit_speed, horizon < 0)
     min_step = opts.min_step if opts.min_step is not None else span * 1e-14
 
@@ -250,7 +268,7 @@ def integrate(
         k0 = deriv(p)
     except DomainError as exc:
         raise FlowError(f"field evaluation refused the start ({exc})", p)
-    v0 = float(np.linalg.norm(k0))
+    v0 = math.hypot(*k0)
     if opts.fixed_step is not None:
         h = min(opts.fixed_step, span)
     elif opts.first_step is not None:
@@ -362,13 +380,12 @@ def trajectory_csv(traj: Trajectory) -> str:
 
 def _pairwise_min_angle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Min great-circle distance from each row of `a` to the set `b`."""
-    mins = np.empty(a.shape[0])
+    # arccos falls monotonically, so the nearest point has the largest dot
+    nearest = np.empty(a.shape[0])
     chunk = 1024
     for s in range(0, a.shape[0], chunk):
-        dots = a[s : s + chunk] @ b.T
-        np.clip(dots, -1.0, 1.0, out=dots)
-        mins[s : s + chunk] = np.arccos(dots).min(axis=1)
-    return mins
+        nearest[s : s + chunk] = (a[s : s + chunk] @ b.T).max(axis=1)
+    return np.arccos(np.clip(nearest, -1.0, 1.0))
 
 
 def first_integral_drift(
@@ -602,11 +619,16 @@ def _arc_piece(arc):
     return length, sampler
 
 
-def _allocate(total: int, lengths: np.ndarray) -> np.ndarray:
-    counts = np.ones(len(lengths), dtype=int)
-    quotas = lengths / float(lengths.sum()) * total
-    for _ in range(total - len(lengths)):
-        counts[int(np.argmax(quotas - counts))] += 1
+def _allocate(total: int, lengths: np.ndarray) -> list:
+    """Greedy largest-shortfall allocation, at least one point per piece;
+    ties go to the first piece."""
+    quotas = (lengths / float(lengths.sum()) * total).tolist()
+    counts = [1] * len(quotas)
+    shortfall = [q - 1 for q in quotas]
+    for _ in range(total - len(quotas)):
+        i = shortfall.index(max(shortfall))
+        counts[i] += 1
+        shortfall[i] = quotas[i] - counts[i]
     return counts
 
 

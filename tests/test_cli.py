@@ -14,6 +14,7 @@ import pytest
 from shrubfield import field_synth
 from shrubfield.cli import _tangency_spot_check, main
 from shrubfield.field_synth import load_bundle
+from shrubfield.flow_sim import FlowError, IntegrateOptions, integrate
 from shrubfield.poly_core import Polynomial
 
 
@@ -222,6 +223,23 @@ def test_spot_check_counts_nonfinite_rows_apart_from_zero_rows():
     assert tangency["zero_rows"] == 0
     plain = _tangency_spot_check(field_synth.example_field("equator"), 50, 0)
     assert plain["nonfinite_rows"] == 0
+
+
+def test_overflowing_one_point_row_is_a_nonfinite_value():
+    # the one-point row runs on Python floats, which raise where numpy
+    # returns inf or NaN; the kernel must keep the overflow a value
+    field = field_synth.build_field(_overflowing_function())
+    row = field.evaluate_many(np.array([[0.6, 0.0, -0.8]]))
+    assert row.shape == (1, 3)
+    assert not np.isfinite(row).any()
+
+
+def test_overflowing_orbit_stops_on_step_underflow():
+    field = field_synth.build_field(_overflowing_function())
+    start = (0.1, 0.0, -math.sqrt(0.99))
+    for unit_speed in (True, False):
+        with pytest.raises(FlowError, match="step size underflow"):
+            integrate(field, start, 1.0, IntegrateOptions(unit_speed=unit_speed))
 
 
 def test_overflowing_synthesis_is_a_numeric_failure(workdir, tmp_path, monkeypatch, capsys):

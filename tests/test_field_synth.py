@@ -258,16 +258,17 @@ def test_poly_factors_match_exact_values_at_rational_points():
         if f.kind == "poly"
     ]
     for name, factor in factors:
-        checked = {"south": 0, "north": 0}
-        for point in _rational_sphere_points():
-            # off the zero set: the factor's own evaluation is well posed
-            if _condition(factor, point) > 100.0:
-                continue
-            exact = float(factor.value_exact(point))
-            value = factor.value(tuple(float(c) for c in point))
-            assert abs(value - exact) <= 1e-12 * abs(exact), (name, point)
-            checked["south" if point[2] < 0 else "north"] += 1
-        assert min(checked.values()) >= 5, (name, checked)
+        # off the zero set: the factor's own evaluation is well posed
+        points = [p for p in _rational_sphere_points() if _condition(factor, p) <= 100.0]
+        exact = np.array([float(factor.value_exact(p)) for p in points])
+        floats = np.array([[float(c) for c in p] for p in points])
+        # one point at a time on Python floats, and the whole batch on columns
+        single = np.array([factor.value(u) for u in floats])
+        batch = factor.value_many(floats)
+        for value in (single, batch):
+            assert np.all(np.abs(value - exact) <= 1e-12 * np.abs(exact)), name
+        south = int(np.sum(floats[:, 2] < 0))
+        assert min(south, len(points) - south) >= 5, (name, south, len(points))
 
 
 # -- products ---------------------------------------------------------------------
@@ -365,6 +366,19 @@ def test_unit_norm_guard_rejects_off_sphere_points():
         field.evaluate((1.1, 0.0, 0.0))
     with pytest.raises(ValueError):
         field.evaluate((0.5, 0.5, 0.5))
+    with pytest.raises(ValueError, match="unit sphere"):
+        field.evaluate_many(np.array([[0.0, 0.0, 1.0], [1.1, 0.0, 0.0]]))
+
+
+def test_one_point_rows_equal_batched_rows():
+    # one row runs on Python floats, a batch on numpy columns
+    pts = unit_points(200, seed=41)
+    for name in sorted(example_shrubs()):
+        field = field_for(name)
+        batch = field.evaluate_many(pts)
+        single = np.concatenate([field.evaluate_many(p[None, :]) for p in pts])
+        scale = np.max(np.abs(batch), axis=1, keepdims=True)
+        assert np.all(np.abs(single - batch) <= 1e-14 * scale), name
 
 
 def test_evaluate_many_demands_point_batches():
@@ -488,6 +502,8 @@ def test_field_evaluation_refuses_exact_punctures():
     field = field_for("lone-sprig")
     with pytest.raises(DomainError):
         field.evaluate((0.0, 0.0, 1.0))
+    with pytest.raises(DomainError):
+        field.evaluate_many(np.array([[0.0, 0.0, -1.0], [0.0, 0.0, 1.0]]))
 
 
 def test_punctured_composition_of_the_spiked_leaf():

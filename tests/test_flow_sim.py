@@ -9,6 +9,8 @@ from shrubfield.curves import sphere_arc
 from shrubfield.field_synth import ArcFactor, SphereFunction, example_field
 from shrubfield.flow_sim import (
     FlowError,
+    _allocate,
+    _pairwise_min_angle,
     IntegrateOptions,
     MeridianFrame,
     Trajectory,
@@ -168,6 +170,12 @@ def test_step_floor_stops_the_run_with_a_location():
         )
 
 
+def test_tolerances_must_be_positive():
+    for options in (IntegrateOptions(atol=0.0), IntegrateOptions(rtol=-1e-10)):
+        with pytest.raises(ValueError, match="tolerances"):
+            integrate(field_for("equator"), OFF_BOTTOM, 1.0, options)
+
+
 def test_fixed_step_must_be_positive():
     with pytest.raises(ValueError, match="fixed step"):
         integrate(
@@ -244,6 +252,14 @@ def test_reused_stages_match_a_seven_stage_reference():
 
 
 # -- the conserved quantity ---------------------------------------------------
+
+
+def test_nearest_angle_matches_the_elementwise_minimum():
+    states = equator_run().states
+    zs = zero_for("equator")
+    for a, b in ((states, zs), (zs, states)):
+        elementwise = np.arccos(np.clip(a @ b.T, -1.0, 1.0)).min(axis=1)
+        assert np.array_equal(_pairwise_min_angle(a, b), elementwise)
 
 
 def test_first_integral_holds_on_guarded_samples():
@@ -445,6 +461,27 @@ def test_sample_counts_follow_piece_lengths():
     assert pts.shape == (300, 3)
     on_equator = int(np.sum(pts[:, 2] == 0.0))
     assert 0 < on_equator < 300
+
+
+def test_allocation_matches_the_argmax_loop():
+    def argmax_loop(total, lengths):
+        counts = np.ones(len(lengths), dtype=int)
+        quotas = lengths / float(lengths.sum()) * total
+        for _ in range(total - len(lengths)):
+            counts[int(np.argmax(quotas - counts))] += 1
+        return counts
+
+    rng = np.random.default_rng(17)
+    cases = [
+        np.array([1.0]),
+        np.array([2.0, 2.0, 2.0]),  # ties go to the first piece
+        np.array([math.pi, 1.0, math.pi, 1e-3]),
+        np.array([2.0 * math.pi, 0.37, 0.37]),
+        rng.uniform(0.01, 7.0, size=9),
+    ]
+    for lengths in cases:
+        for total in (len(lengths), len(lengths) + 1, 100, 1200):
+            assert _allocate(total, lengths) == argmax_loop(total, lengths).tolist()
 
 
 def test_sampling_without_a_parametric_source_is_refused():
