@@ -30,7 +30,6 @@ import hashlib
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 import click
@@ -812,6 +811,10 @@ def simulate_command(ctx, bundle, **_kwargs):
         if seeds is None or seeds == 1:
             results = [_run_orbit(bundle, cfg, seed_values[0])]
         else:
+            # imported here: the pool machinery costs 10-15 ms of start-up
+            # that no other command needs
+            from concurrent.futures import ProcessPoolExecutor
+
             workers = min(seeds, os.cpu_count() or 1)
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(

@@ -19,13 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .poly_core import (
-    GaussInt,
-    Polynomial,
-    UniPoly,
-    split_re_im,
-    sylvester_resultant,
-)
+from .poly_core import Polynomial, UniPoly, sylvester_resultant
 
 PLANE_VARS = ("x", "y")
 SPHERE_VARS = ("x", "y", "z")
@@ -234,27 +228,61 @@ class ImplicitCurve:
 # -- exact implicitization -----------------------------------------------------
 
 
-def _hypo_eliminant_pair(k: int) -> tuple[UniPoly, UniPoly]:
-    """The two parameter polynomials whose common root encodes curve membership.
+def _resultant_degree_bound(k: int) -> int:
+    """Degree bound 2(k - 1) of the resultant in x, and separately in y.
 
-    Writing the parametrization through a unimodular complex parameter and
+    x enters one coefficient of p and y one coefficient of q, and both have
+    degree 2(k - 1) in t, so each variable fills at most 2(k - 1) rows of
+    the Sylvester matrix.
+    """
+    return 2 * (k - 1)
+
+
+def _eliminant_resultant(k: int, x: int, s: int) -> int:
+    """S(x, s) = R(x, i*s), the resultant at the point (x, i*s), x, s integers.
+
+    Writing the parametrization through a unimodular complex parameter t and
     clearing denominators gives one polynomial whose x-dependence is linear
-    and one whose y-dependence is linear, with Gaussian-integer coefficients.
+    and one whose y-dependence is linear, 2i*y t^n with n = k - 1. With
+    y = i*s that coefficient is -2s, so both polynomials have integer
+    coefficients and the Sylvester determinant is over the integers.
     """
     n = k - 1
-    x = Polynomial.variable("x", PLANE_VARS)
-    y = Polynomial.variable("y", PLANE_VARS)
-    one = Polynomial.constant(1, PLANE_VARS)
-    nn = Polynomial.constant(n, PLANE_VARS)
-    two_i = Polynomial.constant(GaussInt(0, 2), PLANE_VARS)
+    p = UniPoly.from_dict("t", {2 * n: 1, n + 1: n, n: -2 * x, n - 1: n, 0: 1})
+    q = UniPoly.from_dict("t", {2 * n: 1, n + 1: -n, n: -2 * s, n - 1: n, 0: -1})
+    return sylvester_resultant(p, q)
 
-    p = UniPoly.from_dict(
-        "t", {2 * n: one, n + 1: nn, n: -2 * x, n - 1: nn, 0: one}
-    )
-    q = UniPoly.from_dict(
-        "t", {2 * n: one, n + 1: -nn, n: two_i * y, n - 1: nn, 0: -one}
-    )
-    return p, q
+
+def _interpolate(nodes, values) -> list[Fraction]:
+    """Monomial coefficients, constant first, of the polynomial of degree
+    below len(nodes) through the points (nodes[j], values[j]).
+
+    Newton's divided differences, then the nested Newton form multiplied
+    out; exact in `Fraction`s.
+    """
+    diffs = [Fraction(v) for v in values]
+    for j in range(1, len(nodes)):
+        for i in range(len(nodes) - 1, j - 1, -1):
+            diffs[i] = (diffs[i] - diffs[i - 1]) / (nodes[i] - nodes[i - j])
+    coeffs = [diffs[-1]]
+    for i in range(len(nodes) - 2, -1, -1):
+        # coeffs <- coeffs * (t - nodes[i]) + diffs[i]
+        coeffs = [diffs[i] - nodes[i] * coeffs[0]] + [
+            coeffs[d - 1] - nodes[i] * coeffs[d] for d in range(1, len(coeffs))
+        ] + [coeffs[-1]]
+    return coeffs
+
+
+def _bounded_integers(coeffs: list[Fraction], k: int) -> list[int]:
+    """The coefficients below the spare top one, which must vanish; all
+    must be integers. Raises instead of returning a wrong polynomial when
+    the degree bound is wrong."""
+    if coeffs[-1] != 0 or any(c.denominator != 1 for c in coeffs):
+        raise ArithmeticError(
+            f"k={k}: interpolated resultant is not an integer polynomial "
+            f"within the degree bound {len(coeffs) - 2}"
+        )
+    return [c.numerator for c in coeffs[:-1]]
 
 
 _implicit_cache: dict[int, "ImplicitCurve"] = {}
@@ -263,18 +291,41 @@ _implicit_cache: dict[int, "ImplicitCurve"] = {}
 def implicitize(k: int) -> ImplicitCurve:
     """Exact plane polynomial whose real zero set is the k-cusped hypocycloid.
 
-    The parameter is eliminated by a Sylvester resultant over the
-    Gaussian-integer polynomial ring; the (complex) resultant P splits as
-    P1 + i*P2 and the returned polynomial is F = P1^2 + P2^2 >= 0. The raw
-    determinant is kept (no content normalization) for reproducibility; the
-    integer content is recorded in `implicit_metadata`.
+    The parameter is eliminated by a Sylvester resultant R(x, y) with
+    Gaussian-integer coefficients c_ab, found by evaluation and exact
+    interpolation (G. E. Collins, JACM 18(4), 1971). S(x, s) = R(x, i*s) is
+    evaluated at integer points, where each determinant is over the
+    integers, on 2(k-1) + 2 nodes per axis: the degree bound plus one spare
+    node, whose coefficient must come out zero. Newton interpolation in s and
+    then in x gives the integer coefficients d_ab = c_ab * i^b of S. R splits
+    as P1 + i*P2 and the returned polynomial is F = P1^2 + P2^2 >= 0. The
+    raw determinant is kept (no content normalization) for reproducibility;
+    the integer content is recorded in `implicit_metadata`.
     """
     if k < 3:
         raise ValueError("cusp count must be at least 3")
     if k not in _implicit_cache:
-        p, q = _hypo_eliminant_pair(k)
-        resultant = sylvester_resultant(p, q)
-        p1, p2 = split_re_im(resultant)
+        bound = _resultant_degree_bound(k)
+        # bound + 2 nodes centred on 0, which keeps the determinants small
+        nodes = range(-(bound // 2) - 1, bound - bound // 2 + 1)
+        # by_x[j][b]: coefficient of s^b in S(nodes[j], s)
+        by_x = [
+            _bounded_integers(
+                _interpolate(nodes, [_eliminant_resultant(k, x, s) for s in nodes]), k
+            )
+            for x in nodes
+        ]
+        real: dict[tuple[int, int], int] = {}
+        imag: dict[tuple[int, int], int] = {}
+        for b in range(bound + 1):
+            d_b = _bounded_integers(_interpolate(nodes, [row[b] for row in by_x]), k)
+            # c_ab = d_ab * i^(-b): the real part for even b, else the imaginary
+            sign = (1, -1, -1, 1)[b % 4]
+            part = imag if b % 2 else real
+            for a, d in enumerate(d_b):
+                part[(a, b)] = sign * d
+        p1 = Polynomial(PLANE_VARS, real)
+        p2 = Polynomial(PLANE_VARS, imag)
         f = p1 * p1 + p2 * p2
         _implicit_cache[k] = ImplicitCurve(poly=f, domain="plane")
         _metadata_cache[k] = {

@@ -6,13 +6,13 @@ used by every JSON artifact.
 
 Polynomial layer: sparse multivariate polynomials over those coefficients.
 A polynomial is a map from exponent vectors to coefficients; no floating
-point enters any ring operation, so resultants computed here are exact.
-Terms live in a dict and are ordered graded-lexicographically where order
-matters (text output, leading-term division).
+point enters any ring operation. Terms live in a dict and are ordered
+graded-lexicographically in the text form.
 
-Univariate layer: polynomials over the multivariate ring together with the
-Sylvester matrix and a fraction-free (division-exact) determinant, which is
-how curve implicitization eliminates its parameter.
+Univariate layer: polynomials with exact scalar coefficients together with
+the Sylvester matrix and a fraction-free (division-exact) determinant. Curve
+implicitization evaluates resultants of integer polynomials with them and
+interpolates the results.
 """
 from __future__ import annotations
 
@@ -312,13 +312,6 @@ class Polynomial:
             return 0
         return max(e[idx] for e in self.terms)
 
-    def leading(self) -> tuple[tuple[int, ...], Coeff]:
-        """Leading term under graded lex order."""
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        exps = max(self.terms, key=_grlex_key)
-        return exps, self.terms[exps]
-
     def coeff_l1_norm(self) -> float:
         total = 0.0
         for c in self.terms.values():
@@ -478,52 +471,14 @@ def _parse_coeff(text: str) -> Coeff:
     return _norm_coeff(parse_rational(text))
 
 
-# -- exact division ------------------------------------------------------
-
-
-def poly_exact_div(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Divide a by b when b divides a exactly; raise ValueError otherwise."""
-    if a.variables != b.variables:
-        raise ValueError("variable mismatch in division")
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    quotient = Polynomial.zero(a.variables)
-    rem = a
-    b_exps, b_c = b.leading()
-    while rem:
-        r_exps, r_c = rem.leading()
-        diff = tuple(x - y for x, y in zip(r_exps, b_exps))
-        if any(d < 0 for d in diff):
-            raise ValueError("division is not exact (monomial mismatch)")
-        q_c = coeff_exact_div(r_c, b_c)
-        if isinstance(q_c, Fraction) and q_c.denominator != 1 and not isinstance(r_c, Fraction):
-            raise ValueError("division is not exact (coefficient mismatch)")
-        term = Polynomial(a.variables, {diff: q_c})
-        quotient = quotient + term
-        rem = rem - term * b
-    return quotient
-
-
-def _ring_exact_div(a, b):
-    if isinstance(b, int):
-        if b == 1:
-            return a
-        if b == -1:
-            return -a
-    if isinstance(a, Polynomial) or isinstance(b, Polynomial):
-        pa = a if isinstance(a, Polynomial) else Polynomial.constant(a, b.variables)
-        pb = b if isinstance(b, Polynomial) else Polynomial.constant(b, a.variables)
-        return poly_exact_div(pa, pb)
-    return coeff_exact_div(a, b)
-
-
 # -- univariate layer ------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class UniPoly:
-    """Univariate polynomial whose coefficients live in the Polynomial ring
-    (or are plain exact scalars). coeffs[i] multiplies var**i."""
+    """Univariate polynomial with exact scalar coefficients.
+
+    coeffs[i] multiplies var**i."""
 
     var: str
     coeffs: tuple
@@ -560,13 +515,9 @@ class UniPoly:
 
 
 def _trim(coeffs: list) -> tuple:
-    while coeffs and not _is_nonzero(coeffs[-1]):
+    while coeffs and not coeffs[-1]:
         coeffs.pop()
     return tuple(coeffs)
-
-
-def _is_nonzero(x) -> bool:
-    return bool(x)
 
 
 def sylvester_matrix(p: UniPoly, q: UniPoly) -> list[list]:
@@ -605,20 +556,25 @@ def bareiss_determinant(matrix: list[list]):
     sign = 1
     prev = 1
     for k in range(size - 1):
-        if not _is_nonzero(m[k][k]):
+        if not m[k][k]:
             for r in range(k + 1, size):
-                if _is_nonzero(m[r][k]):
+                if m[r][k]:
                     m[k], m[r] = m[r], m[k]
                     sign = -sign
                     break
             else:
                 return 0 * prev
-        pivot = m[k][k]
+        pivot_row = m[k]
+        pivot = pivot_row[k]
         for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                num = pivot * m[i][j] - m[i][k] * m[k][j]
-                m[i][j] = _ring_exact_div(num, prev)
-            m[i][k] = 0
+            row = m[i]
+            lead = row[k]
+            if not lead and pivot == prev:
+                continue  # the update would leave the row as it is
+            cells = [pivot * row[j] - lead * pivot_row[j] for j in range(k + 1, size)]
+            if prev != 1:
+                cells = [coeff_exact_div(c, prev) for c in cells]
+            row[k:] = [0] + cells
         prev = pivot
     result = m[size - 1][size - 1]
     return result if sign > 0 else -result
@@ -627,21 +583,3 @@ def bareiss_determinant(matrix: list[list]):
 def sylvester_resultant(p: UniPoly, q: UniPoly):
     """Resultant of p and q w.r.t. their shared main variable."""
     return bareiss_determinant(sylvester_matrix(p, q))
-
-
-def split_re_im(p: Polynomial) -> tuple[Polynomial, Polynomial]:
-    """Split a Gaussian-coefficient polynomial into real and imaginary parts."""
-    re_terms: dict[tuple[int, ...], Coeff] = {}
-    im_terms: dict[tuple[int, ...], Coeff] = {}
-    for exps, c in p.terms.items():
-        if isinstance(c, GaussInt):
-            if c.re:
-                re_terms[exps] = c.re
-            if c.im:
-                im_terms[exps] = c.im
-        else:
-            re_terms[exps] = c
-    return (
-        Polynomial(p.variables, re_terms),
-        Polynomial(p.variables, im_terms),
-    )

@@ -4,9 +4,12 @@ Everything goes through ``main(argv)`` exactly as the console script would,
 asserting on exit codes and on the files the commands leave behind.
 """
 
+import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -90,6 +93,27 @@ def test_curve_file_and_residual_report(tmp_path):
     assert body["cusp_gradient_max"] < 1e-8
     assert body["origin_value_nonzero"] is True
     assert len(body["config_sha256"]) == 64
+
+
+# sha256 of the curve files written when the resultant came from the
+# fraction-free determinant over Z[i][x, y]
+CURVE_FILE_SHA256 = {
+    3: "a6c9b099e9504477d6dca522279987764281f073fbc726c38f466ba3ce23d177",
+    4: "d3088afc04689097fe5d16b79079fe185ff6f4a82e1452547febe9038c4ea2fb",
+    5: "c0914a8712a2b2f9cb0f0796e91320b15c5bd204bdd0b5e56b787e89e8a80074",
+    6: "ec003e592f502fb5a88c15b9c401721bf1e583551b87118c14e51b04c4112b37",
+}
+
+
+def test_curve_files_are_pinned(tmp_path):
+    for k, digest in CURVE_FILE_SHA256.items():
+        out = tmp_path / f"k{k}.curve.json"
+        rc = main(
+            ["implicitize", "--k", str(k), "--samples", "8", "--out", str(out),
+             "--report", str(tmp_path / f"k{k}.report.json")]
+        )
+        assert rc == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, k
 
 
 def test_astroid_grid_agreement(tmp_path):
@@ -533,3 +557,13 @@ def test_report_rejects_unrecognized_files(tmp_path):
     stray = tmp_path / "stray.json"
     stray.write_text(json.dumps({"kind": "unheard-of"}))
     assert main(["report", str(stray)]) == 2
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # only `simulate --seeds` needs the pool; it is imported on that branch
+    code = (
+        "import sys, shrubfield.cli; "
+        "sys.exit('concurrent.futures.process' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -1,4 +1,5 @@
 """Curve layer tests: parametrization, implicitization, segments, arcs, lifts."""
+import hashlib
 import math
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shrubfield import curves
 from shrubfield.curves import (
     AffineMap,
     DomainError,
@@ -27,7 +29,7 @@ from shrubfield.curves import (
     sphere_arc,
     sphere_to_plane,
 )
-from shrubfield.poly_core import Polynomial, poly_exact_div
+from shrubfield.poly_core import Polynomial
 
 V2 = ("x", "y")
 X = Polynomial.variable("x", V2)
@@ -112,9 +114,7 @@ def test_astroid_matches_classical_form_exactly():
     # to the integer content 4096 = 2^12, as an exact polynomial identity.
     classical = (X * X + Y * Y - 16) ** 3 + 432 * X * X * Y * Y
     f4 = implicitize(4).poly
-    assert poly_exact_div(f4, classical * classical) == Polynomial.constant(
-        4096, V2
-    )
+    assert f4 == 4096 * classical * classical
 
 
 def test_implicit_zero_at_cusp_and_nonzero_at_origin():
@@ -167,6 +167,50 @@ def test_exact_grid_zero_classification_matches_classical():
         for j in range(21):
             p = (Fraction(-5) + Fraction(i, 2), Fraction(-5) + Fraction(j, 2))
             assert (f4.evaluate(p) == 0) == (classical.evaluate(p) == 0)
+
+
+# sha256 of implicitize(k).poly.to_text(), as computed by the earlier
+# fraction-free determinant over Z[i][x, y]
+IMPLICIT_TEXT_SHA256 = {
+    3: "35807b5f33f964b474a144bb0adcee70fb4f2f151bfb9c4690b42135bac96184",
+    4: "c15f6c7c2ec5b1ce6aebb4a2baf1910ca55727da1387f7c0610b8fc1073afb7b",
+    5: "4946d2c73a20a9870b7c5c46d0ff30f87d8aff7797d26dc05b77e53a2e86d726",
+    6: "56c5223dde29a17b37e09f5714d0a452568df91f66f96267c43ec3ac214857b6",
+    7: "876d95f323c17b3306deb3420e43d82384e95e0ce45f6acf7a52bd7fd2608ff9",
+    8: "35bbaa7a940db056328ac58dc42ac02dd28066481bf0cc39b830c9962bf37286",
+}
+
+
+def test_implicitize_output_is_pinned():
+    for k, digest in IMPLICIT_TEXT_SHA256.items():
+        text = implicitize(k).poly.to_text()
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, k
+
+
+def test_implicit_metadata_is_pinned():
+    assert implicit_metadata(3) == {
+        "k": 3, "degree": 8, "terms": 24, "integer_content": 256,
+        "resultant_degree": 4,
+    }
+    assert implicit_metadata(4) == {
+        "k": 4, "degree": 12, "terms": 28, "integer_content": 4096,
+        "resultant_degree": 6,
+    }
+    assert implicit_metadata(5) == {
+        "k": 5, "degree": 16, "terms": 69, "integer_content": 65536,
+        "resultant_degree": 8,
+    }
+
+
+def test_implicitize_refuses_a_low_degree_bound(monkeypatch):
+    # one node short, the spare coefficient is the true top one, not zero
+    monkeypatch.setattr(curves, "_implicit_cache", {})
+    monkeypatch.setattr(curves, "_metadata_cache", {})
+    monkeypatch.setattr(curves, "_resultant_degree_bound", lambda k: 2 * k - 3)
+    for k in (3, 4, 5):
+        with pytest.raises(ArithmeticError):
+            implicitize(k)
+        assert k not in curves._implicit_cache
 
 
 def test_implicitize_rejects_small_k():

@@ -1,5 +1,6 @@
 """Field layer tests: factors, products, the induced field, composition,
 reference shrubs, and serialized bundles."""
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -669,6 +670,23 @@ def test_bundle_stores_the_homogenised_canonical_leaf():
     for a, b in zip(fn.factors, back.factors):
         assert (a.matrix, a.shift) == (b.matrix, b.shift)
     assert bundle_text(back) == bundle_text(fn)
+
+
+# sha256 of bundle_text for each example shrub, as written when the leaf
+# polynomial came from the fraction-free determinant over Z[i][x, y]
+EXAMPLE_BUNDLE_SHA256 = {
+    "equator": "0dd2fdc221766d3de27af0729f6c0fa7587a4d9d624bd0c3265d8e24ea43edec",
+    "lone-sprig": "9091f27ccfd8f796543a6b45a31dc7959af5028027af2db2ed351d0c7856f476",
+    "framed-pair": "1e8a7ac28064a4953f6205fb594369e4d40a78974b67dfb6ebb3f10e4837724e",
+    "framed-chain": "79dc6e76fc03dad5844bff33d6ed18041a12cc20f44ae0d722a914a536fd6cab",
+    "spiked-leaf": "1096b8fe99864a3ceeaa4c81a765cb3ff5b1b36c4b2ac8e5784e44ec620a8571",
+}
+
+
+def test_example_bundles_are_pinned():
+    for name, digest in EXAMPLE_BUNDLE_SHA256.items():
+        text = bundle_text(field_for(name).function)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, name
 
 
 def test_bundle_refuses_version_one():

@@ -1,4 +1,4 @@
-"""Coefficient arithmetic, polynomial ring laws, exact division, resultants.
+"""Coefficient arithmetic, polynomial ring laws, determinants, resultants.
 
 Resultant values are checked two ways: small frozen cases worked out by hand,
 and a numeric cross-check against the root-product formula
@@ -22,10 +22,8 @@ from shrubfield.poly_core import (
     gauss_exact_div,
     parse_point,
     parse_rational,
-    poly_exact_div,
     rational_circle_point,
     rational_point,
-    split_re_im,
     sylvester_matrix,
     sylvester_resultant,
 )
@@ -152,24 +150,6 @@ def test_text_term_order_is_graded_lex():
     assert p.to_text() == "1*y^3 + 1*x^2 + 1*x*y + 1"
 
 
-# -- exact division ------------------------------------------------------
-
-
-@given(polys, polys)
-@settings(max_examples=60)
-def test_exact_div_roundtrip(a, b):
-    if not b:
-        return
-    assert poly_exact_div(a * b, b) == a
-
-
-def test_exact_div_rejects_nondivisor():
-    x = Polynomial.variable("x", V2)
-    y = Polynomial.variable("y", V2)
-    with pytest.raises(ValueError):
-        poly_exact_div(x * x + y, x + 1)
-
-
 # -- determinants --------------------------------------------------------
 
 
@@ -189,48 +169,43 @@ def test_bareiss_singular_and_pivot_swap():
     assert bareiss_determinant([[0, 0], [0, 0]]) == 0
 
 
-def test_bareiss_polynomial_entries():
-    x = Polynomial.variable("x", V2)
-    y = Polynomial.variable("y", V2)
-    one = Polynomial.constant(1, V2)
-    det = bareiss_determinant([[x, y], [y, x]])
-    assert det == x * x - y * y
-    det3 = bareiss_determinant([[x, one, 0], [0, x, one], [one, 0, x]])
-    assert det3 == x**3 + 1
+def test_bareiss_rational_and_gaussian_entries():
+    half = Fraction(1, 2)
+    det = bareiss_determinant([[half, 1, 0], [0, half, 1], [1, 0, half]])
+    assert det == Fraction(9, 8)
+    i = GaussInt(0, 1)
+    assert bareiss_determinant([[i, 1, 0], [0, i, 1], [1, 0, i]]) == GaussInt(1, -1)
 
 
 # -- resultants ----------------------------------------------------------
 
 
 def test_sylvester_shape():
-    one = Polynomial.constant(1, V2)
-    p = UniPoly.from_dict("t", {2: one, 0: one})
-    q = UniPoly.from_dict("t", {3: one, 1: -one})
+    p = UniPoly.from_dict("t", {2: 1, 0: 1})
+    q = UniPoly.from_dict("t", {3: 1, 1: -1})
     m = sylvester_matrix(p, q)
     assert len(m) == 5 and all(len(r) == 5 for r in m)
-    assert m[0][0] == one and m[0][2] == one
+    assert m[0][0] == 1 and m[0][2] == 1
 
 
 def test_resultant_frozen_values():
-    one = Polynomial.constant(1, V2)
-    p = UniPoly.from_dict("t", {2: one, 0: one})
-    q = UniPoly.from_dict("t", {2: one, 0: -one})
-    assert sylvester_resultant(p, q) == Polynomial.constant(4, V2)
+    p = UniPoly.from_dict("t", {2: 1, 0: 1})
+    q = UniPoly.from_dict("t", {2: 1, 0: -1})
+    assert sylvester_resultant(p, q) == 4
 
-    x = Polynomial.variable("x", V2)
-    y = Polynomial.variable("y", V2)
-    a = UniPoly.from_dict("t", {1: one, 0: -x})
-    b = UniPoly.from_dict("t", {1: one, 0: -y})
-    assert sylvester_resultant(a, b) == x - y
+    # res(t - a, t - b) = a - b
+    a = UniPoly.from_dict("t", {1: 1, 0: -3})
+    b = UniPoly.from_dict("t", {1: 1, 0: -5})
+    assert sylvester_resultant(a, b) == -2
 
 
 def test_resultant_zero_iff_common_root():
-    one = Polynomial.constant(1, V2)
-    x = Polynomial.variable("x", V2)
-    # p = (t - x)(t - 1), q = (t - x)(t + 2) share the root t = x
-    p = UniPoly.from_dict("t", {2: one, 1: -x - 1, 0: x})
-    q = UniPoly.from_dict("t", {2: one, 1: -x + 2, 0: -2 * x})
-    assert sylvester_resultant(p, q) == Polynomial.zero(V2)
+    # p = (t - 3)(t - 1), q = (t - 3)(t + 2) share the root t = 3
+    p = UniPoly.from_dict("t", {2: 1, 1: -4, 0: 3})
+    q = UniPoly.from_dict("t", {2: 1, 1: -1, 0: -6})
+    assert sylvester_resultant(p, q) == 0
+    # (t - 2)(t + 2) shares no root with p
+    assert sylvester_resultant(p, UniPoly.from_dict("t", {2: 1, 0: -4})) != 0
 
 
 def test_resultant_matches_root_product():
@@ -270,18 +245,6 @@ def test_resultant_multiplicative_in_first_argument():
         assert sylvester_resultant(ab, q) == sylvester_resultant(
             a, q
         ) * sylvester_resultant(b, q)
-
-
-# -- gaussian split ------------------------------------------------------
-
-
-def test_split_re_im():
-    p = Polynomial(
-        V2, {(2, 0): GaussInt(1, 0), (1, 0): GaussInt(0, 2), (0, 0): GaussInt(3, -4)}
-    )
-    re_p, im_p = split_re_im(p)
-    assert re_p == Polynomial.from_text("1*x^2 + 3", V2)
-    assert im_p == Polynomial.from_text("2*x + -4", V2)
 
 
 def test_unipoly_basics():
