@@ -21,7 +21,8 @@ Unknown keys in a command's section are rejected.
 Exit codes are stable: 0 success, 2 validation or configuration failure
 (bad flags, malformed files, unsatisfiable layouts), 3 numeric failure
 (step underflow, exhausted step budgets, evaluation at exceptional points,
-non-finite field rows in the synthesis spot check).
+non-finite field rows in the synthesis spot check, a non-finite south spiral
+rate, a NaN or an infinity in any output).
 """
 
 from __future__ import annotations
@@ -31,12 +32,18 @@ import json
 import math
 import os
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import click
 import numpy as np
 
-from . import curves, field_synth, flow_sim, shrub_model
+from . import curves, field_synth, flow_sim
 from .poly_core import Polynomial
+
+# shrub_model, the largest module, is imported by the commands that read a
+# shrub (classify, synthesize), so that no other command pays to compile it
+if TYPE_CHECKING:
+    from . import shrub_model
 
 PLANE_VARS = ("x", "y")
 CURVE_FORMAT = "implicit-curve/1"
@@ -58,7 +65,12 @@ class NumericFailureError(click.ClickException):
 
 
 def _dump_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Strict JSON text: a NaN or an infinity is a numeric failure, since
+    standard JSON has no spelling for either."""
+    try:
+        return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise NumericFailureError(f"output holds a non-finite number: {exc}")
 
 
 def _config_hash(resolved: dict) -> str:
@@ -122,8 +134,9 @@ def _write_text(path, text: str, what: str) -> None:
         handle.write(text)
 
 
-def _emit_report(report: dict, report_path) -> None:
-    text = _dump_json(report)
+def _emit_report(text: str, report_path) -> None:
+    """Print or write report text. Commands dump the report before writing
+    any other file, so a report with a non-finite number leaves no file."""
     if report_path is None:
         click.echo(text, nl=False)
     else:
@@ -253,9 +266,7 @@ def implicitize_command(ctx, k, out, samples, check, report, config):
         out = f"hypocycloid-k{k}.curve.json"
         cfg["out"] = out
 
-    curve = curves.implicitize(k)
-    poly = curve.poly
-    _write_text(out, _dump_json(_curve_file_dict(k)), "curve file")
+    poly = curves.implicitize(k).poly
 
     # midpoint offsets keep the sweep off the cusp parameters themselves
     residuals = [
@@ -288,14 +299,18 @@ def implicitize_command(ctx, k, out, samples, check, report, config):
     }
     if check == "astroid":
         body["astroid_check"] = _astroid_grid_check(poly)
+    text = _dump_json(body)
+    _write_text(out, _dump_json(_curve_file_dict(k)), "curve file")
     click.echo(f"curve file: {out}")
-    _emit_report(body, report)
+    _emit_report(text, report)
 
 
 # -- classify --------------------------------------------------------------------
 
 
 def _load_shrub(path) -> shrub_model.ShrubGraph:
+    from . import shrub_model
+
     data = _load_json_file(path, "shrub file")
     try:
         return shrub_model.ShrubGraph.from_json(data)
@@ -312,6 +327,8 @@ def _puncture_dict(ref: shrub_model.PunctureRef) -> dict:
 def _orientation_report(shrub: shrub_model.ShrubGraph) -> dict:
     """Orientation certificate, augmenting odd cactuses with parity sprigs
     first when needed, plus the independent checker's verdict."""
+    from . import shrub_model
+
     augmented = bool(shrub_model.find_odd_cactuses(shrub))
     target = shrub
     aux_sprigs = ()
@@ -340,6 +357,8 @@ def _orientation_report(shrub: shrub_model.ShrubGraph) -> dict:
 def classify_command(ctx, shrub_file, report, config):
     """Report a shrub's structure: odd buds, odd cactuses, punctures,
     and an orientation certificate checked by an independent verifier."""
+    from . import shrub_model
+
     cfg = _resolve_config(ctx, ("report",))
     cfg["shrub_file"] = shrub_file
     report = cfg["report"]
@@ -400,7 +419,7 @@ def classify_command(ctx, shrub_file, report, config):
         "very_simple": shrub_model.is_very_simple(shrub),
         "orientation": _orientation_report(shrub),
     }
-    _emit_report(body, report)
+    _emit_report(_dump_json(body), report)
 
 
 # -- synthesize ------------------------------------------------------------------
@@ -483,6 +502,8 @@ def _factor_report(function: field_synth.SphereFunction) -> list:
 def synthesize_command(ctx, shrub_file, out, spot_checks, seed, report, config):
     """Lay a shrub out in the plane, compose its boundary function, and
     write the tangent field as a reloadable bundle."""
+    from . import shrub_model
+
     cfg = _resolve_config(ctx, ("out", "spot_checks", "seed", "report"))
     cfg["shrub_file"] = shrub_file
     out = cfg["out"]
@@ -516,7 +537,12 @@ def synthesize_command(ctx, shrub_file, out, spot_checks, seed, report, config):
             f"{tangency['nonfinite_rows']} of {spot_checks} spot-check field "
             "rows are not finite (the boundary function overflows doubles)"
         )
-    field_synth.save_bundle(out, function)
+    spiral_rate = 2.0 * field.g_value((0.0, 0.0, -1.0))
+    if not math.isfinite(spiral_rate):
+        raise NumericFailureError(
+            f"the south spiral rate is {spiral_rate} "
+            "(the boundary function overflows doubles at the south pole)"
+        )
 
     body = {
         "kind": "synthesize",
@@ -528,11 +554,13 @@ def synthesize_command(ctx, shrub_file, out, spot_checks, seed, report, config):
         "exceptional_points": [
             [float(c) for c in point] for point in function.exceptional_points()
         ],
-        "south_spiral_rate": 2.0 * field.g_value((0.0, 0.0, -1.0)),
+        "south_spiral_rate": spiral_rate,
         "tangency": tangency,
     }
+    text = _dump_json(body)
+    field_synth.save_bundle(out, function)
     click.echo(f"bundle: {out}")
-    _emit_report(body, report)
+    _emit_report(text, report)
 
 
 # -- simulate --------------------------------------------------------------------
@@ -833,17 +861,18 @@ def simulate_command(ctx, bundle, **_kwargs):
         raise ConfigurationError(str(exc))
 
     runs = []
+    writes = []
     for seed, csv_text, svg_text, run_report in results:
         csv_path = (
             cfg["out_csv"] if seeds is None else _derived_path(cfg["out_csv"], seed)
         )
-        _write_text(csv_path, csv_text, "trajectory")
+        writes.append((csv_path, csv_text, "trajectory"))
         files = {"trajectory_csv": csv_path}
         if svg_text is not None:
             plot_path = (
                 cfg["plot"] if seeds is None else _derived_path(cfg["plot"], seed)
             )
-            _write_text(plot_path, svg_text, "plot")
+            writes.append((plot_path, svg_text, "plot"))
             files["plot_svg"] = plot_path
         run_report["files"] = files
         runs.append(run_report)
@@ -856,6 +885,9 @@ def simulate_command(ctx, bundle, **_kwargs):
         "zero_samples": cfg["zero_samples"],
         "runs": runs,
     }
+    text = _dump_json(body)
+    for path, content, what in writes:
+        _write_text(path, content, what)
     for run in runs:
         tail = run["omega"]
         click.echo(
@@ -863,7 +895,7 @@ def simulate_command(ctx, bundle, **_kwargs):
             f"attraction {_float_fmt(tail['attraction'])}, "
             f"coverage {_float_fmt(tail['coverage'])}"
         )
-    _emit_report(body, cfg["report"])
+    _emit_report(text, cfg["report"])
 
 
 # -- report ----------------------------------------------------------------------

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from operator import add, mul
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -42,15 +43,11 @@ from .poly_core import (
     parse_rational,
     rational_point,
 )
-from .shrub_model import (
-    Attachment,
-    Junction,
-    LeafPlacement,
-    Piece,
-    ShrubGraph,
-    ShrubLayout,
-    layout_shrub,
-)
+
+# shrub_model is imported inside the functions that compose a layout: loading
+# a bundle and evaluating its field, all that `simulate` does, never runs it
+if TYPE_CHECKING:
+    from .shrub_model import LeafPlacement, ShrubGraph, ShrubLayout
 
 UNIT_NORM_TOLERANCE = 1e-12
 
@@ -494,6 +491,8 @@ def _leaf_factor(pid: int, placement: LeafPlacement) -> PolyFactor:
 
 
 def _compose_frame(layout: ShrubLayout) -> SphereFunction:
+    from .shrub_model import LeafPlacement
+
     factors = [
         PolyFactor(
             Polynomial.variable("z", SPHERE_VARS),
@@ -513,6 +512,8 @@ def _compose_frame(layout: ShrubLayout) -> SphereFunction:
 
 
 def _compose_punctured(layout: ShrubLayout) -> SphereFunction:
+    from .shrub_model import LeafPlacement
+
     if layout.junction_points[layout.base_bud] is not None:
         raise AssertionError("layout base bud is not at infinity")
     factors = []
@@ -557,6 +558,8 @@ def compose_shrub_function(layout: ShrubLayout) -> SphereFunction:
 
 def synthesize_field(shrub: ShrubGraph) -> VectorField:
     """Layout, compose, and build in one step."""
+    from .shrub_model import layout_shrub
+
     return build_field(compose_shrub_function(layout_shrub(shrub)))
 
 
@@ -572,6 +575,8 @@ def example_shrubs() -> dict[str, ShrubGraph]:
     lone-sprig   a single segment with two free ends
     spiked-leaf  a leaf with sprigs on two opposed cusps
     """
+    from .shrub_model import Attachment, Junction, Piece, ShrubGraph
+
     leaf = lambda: Piece("leaf", k=4)  # noqa: E731
     sprig = lambda: Piece("sprig")  # noqa: E731
     out = {}

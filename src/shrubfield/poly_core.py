@@ -1,8 +1,7 @@
 """Exact polynomial arithmetic: coefficients, sparse polynomials, resultants.
 
-Coefficient layer: arbitrary-precision Gaussian integers (`GaussInt`) and
-`Fraction` rationals, with exact-division helpers and the `"p/q"` text forms
-used by every JSON artifact.
+Coefficient layer: integers and `Fraction` rationals, with an exact-division
+helper and the `"p/q"` text forms used by every JSON artifact.
 
 Polynomial layer: sparse multivariate polynomials over those coefficients.
 A polynomial is a map from exponent vectors to coefficients; no floating
@@ -22,97 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
-@dataclass(frozen=True)
-class GaussInt:
-    """Gaussian integer re + im*i with arbitrary-precision components."""
-
-    re: int
-    im: int = 0
-
-    def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GaussInt(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GaussInt(self.re - other.re, self.im - other.im)
-
-    def __rsub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GaussInt(other.re - self.re, other.im - self.im)
-
-    def __mul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GaussInt(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return GaussInt(-self.re, -self.im)
-
-    def __bool__(self):
-        return self.re != 0 or self.im != 0
-
-    def __eq__(self, other):
-        if isinstance(other, GaussInt):
-            return self.re == other.re and self.im == other.im
-        if isinstance(other, int):
-            return self.im == 0 and self.re == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.re) if self.im == 0 else hash((self.re, self.im))
-
-    def conjugate(self) -> "GaussInt":
-        return GaussInt(self.re, -self.im)
-
-    def norm(self) -> int:
-        return self.re * self.re + self.im * self.im
-
-    def __repr__(self):
-        return f"GaussInt({self.re}, {self.im})"
-
-
-def _coerce(value):
-    if isinstance(value, GaussInt):
-        return value
-    if isinstance(value, int):
-        return GaussInt(value, 0)
-    return NotImplemented
-
-
-def gauss_exact_div(a: GaussInt, b: GaussInt) -> GaussInt:
-    """Divide a by b, requiring the quotient to be a Gaussian integer."""
-    if not b:
-        raise ZeroDivisionError("division by zero Gaussian integer")
-    num = a * b.conjugate()
-    n = b.norm()
-    qr, rr = divmod(num.re, n)
-    qi, ri = divmod(num.im, n)
-    if rr or ri:
-        raise ValueError(f"{a!r} is not divisible by {b!r}")
-    return GaussInt(qr, qi)
-
-
 def coeff_exact_div(a, b):
-    """Exact division in whichever coefficient domain a and b live in."""
-    if isinstance(a, GaussInt) or isinstance(b, GaussInt):
-        ga = a if isinstance(a, GaussInt) else GaussInt(a)
-        gb = b if isinstance(b, GaussInt) else GaussInt(b)
-        return gauss_exact_div(ga, gb)
+    """Exact quotient a / b: an int for integers that divide, else a Fraction."""
     if isinstance(a, Fraction) or isinstance(b, Fraction):
         return Fraction(a) / Fraction(b)
     q, r = divmod(a, b)
@@ -160,7 +70,7 @@ def rational_circle_point(t: Fraction) -> tuple[Fraction, Fraction]:
     return ((1 - t * t) / d, 2 * t / d)
 
 
-Coeff = int | Fraction | GaussInt
+Coeff = int | Fraction
 
 
 def _norm_coeff(c: Coeff) -> Coeff:
@@ -228,7 +138,7 @@ class Polynomial:
                     f"variable mismatch: {self.variables} vs {other.variables}"
                 )
             return other
-        if isinstance(other, (int, Fraction, GaussInt)):
+        if isinstance(other, (int, Fraction)):
             return Polynomial.constant(other, self.variables)
         return None
 
@@ -287,7 +197,7 @@ class Polynomial:
         return bool(self.terms)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, GaussInt)):
+        if isinstance(other, (int, Fraction)):
             other = Polynomial.constant(other, self.variables)
         if not isinstance(other, Polynomial):
             return NotImplemented
@@ -315,19 +225,14 @@ class Polynomial:
     def coeff_l1_norm(self) -> float:
         total = 0.0
         for c in self.terms.values():
-            if isinstance(c, GaussInt):
-                total += math.hypot(float(c.re), float(c.im))
-            else:
-                total += abs(float(c))
+            total += abs(float(c))
         return total
 
     def integer_content(self) -> int:
         """gcd of all integer coefficients (0 for the zero polynomial)."""
         g = 0
         for c in self.terms.values():
-            if isinstance(c, GaussInt):
-                g = math.gcd(g, math.gcd(abs(c.re), abs(c.im)))
-            elif isinstance(c, int):
+            if isinstance(c, int):
                 g = math.gcd(g, abs(c))
             else:
                 raise ValueError("integer content requires integer coefficients")
@@ -394,7 +299,7 @@ class Polynomial:
         parts = []
         for exps in sorted(self.terms, key=_grlex_key, reverse=True):
             c = self.terms[exps]
-            bits = [_format_coeff(c)]
+            bits = [format_rational(c)]
             for name, e in zip(self.variables, exps):
                 if e == 1:
                     bits.append(name)
@@ -412,7 +317,7 @@ class Polynomial:
         terms: dict[tuple[int, ...], Coeff] = {}
         for raw in text.split(" + "):
             bits = raw.strip().split("*")
-            c = _parse_coeff(bits[0])
+            c = _norm_coeff(parse_rational(bits[0]))
             exps = [0] * len(variables)
             for bit in bits[1:]:
                 if "^" in bit:
@@ -452,23 +357,6 @@ def _horner(terms, point, idx, nvars):
         acc = acc + val
         prev = e
     return acc * point[idx] ** prev if prev else acc
-
-
-_GAUSS_RE = _re.compile(r"^\((-?\d+),(-?\d+)\)$")
-
-
-def _format_coeff(c: Coeff) -> str:
-    if isinstance(c, GaussInt):
-        return f"({c.re},{c.im})"
-    return format_rational(c)
-
-
-def _parse_coeff(text: str) -> Coeff:
-    text = text.strip()
-    m = _GAUSS_RE.match(text)
-    if m:
-        return GaussInt(int(m.group(1)), int(m.group(2)))
-    return _norm_coeff(parse_rational(text))
 
 
 # -- univariate layer ------------------------------------------------------

@@ -8,17 +8,19 @@ import hashlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from shrubfield import field_synth
-from shrubfield.cli import _tangency_spot_check, main
+from shrubfield import field_synth, flow_sim
+from shrubfield.cli import NumericFailureError, _dump_json, _tangency_spot_check, main
 from shrubfield.field_synth import load_bundle
 from shrubfield.flow_sim import FlowError, IntegrateOptions, integrate
 from shrubfield.poly_core import Polynomial
+from shrubfield.shrub_model import random_very_simple_shrub
 
 
 @pytest.fixture(scope="module")
@@ -278,6 +280,30 @@ def test_overflowing_synthesis_is_a_numeric_failure(workdir, tmp_path, monkeypat
     assert not out.exists()
 
 
+@pytest.mark.parametrize("spot_checks", ["1", "2"])
+def test_overflow_at_the_south_pole_is_a_numeric_failure(tmp_path, capsys, spot_checks):
+    # the second shrub of this generator gives F(south pole) about 2e160: the
+    # few spot-check rows are finite, but G = F^2 at the pole is not
+    rng = random.Random(6)
+    random_very_simple_shrub(rng)
+    shrub = tmp_path / "big.json"
+    shrub.write_text(json.dumps(random_very_simple_shrub(rng).to_json()))
+    out, report = tmp_path / "big-bundle.json", tmp_path / "big-report.json"
+    args = ["synthesize", str(shrub), "--out", str(out), "--report", str(report)]
+    rc = main(args + ["--spot-checks", spot_checks, "--seed", "0"])
+    assert rc == 3
+    assert "south spiral rate" in capsys.readouterr().err
+    assert not out.exists() and not report.exists()
+
+
+def test_reports_are_strict_json():
+    assert _dump_json({"rate": 2.0}) == '{\n  "rate": 2.0\n}\n'
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(NumericFailureError) as info:
+            _dump_json({"rate": bad})
+        assert info.value.exit_code == 3
+
+
 def test_unorientable_shrub_cannot_be_synthesized(workdir, tmp_path):
     rc = main(
         [
@@ -500,6 +526,14 @@ def test_config_hash_tracks_the_resolved_values(workdir, tmp_path):
     assert body_a["config_sha256"] != body_b["config_sha256"]
 
 
+def test_nonfinite_simulate_report_writes_no_files(workdir, tmp_path, monkeypatch):
+    monkeypatch.setattr(flow_sim, "first_integral_drift", lambda *a, **k: math.nan)
+    rc, _ = _simulate(workdir, tmp_path, "--horizon", "2", name="nan")
+    assert rc == 3
+    assert not (tmp_path / "nan.csv").exists()
+    assert not (tmp_path / "nan.json").exists()
+
+
 def test_garbage_bundles_are_validation_failures(tmp_path):
     fake = tmp_path / "fake.json"
     fake.write_text(json.dumps({"format": "something-else"}))
@@ -559,11 +593,44 @@ def test_report_rejects_unrecognized_files(tmp_path):
     assert main(["report", str(stray)]) == 2
 
 
+def _fresh_interpreter_exit(code: str) -> int:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    return subprocess.run([sys.executable, "-c", code], env=env).returncode
+
+
 def test_cli_import_leaves_the_process_pool_unloaded():
     # only `simulate --seeds` needs the pool; it is imported on that branch
     code = (
         "import sys, shrubfield.cli; "
         "sys.exit('concurrent.futures.process' in sys.modules)"
     )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    assert _fresh_interpreter_exit(code) == 0
+
+
+def test_field_synth_import_leaves_shrub_model_unloaded():
+    # shrub_model is needed to compose a layout, not to load or evaluate a field
+    code = (
+        "import sys, shrubfield.field_synth; "
+        "sys.exit('shrubfield.shrub_model' in sys.modules)"
+    )
+    assert _fresh_interpreter_exit(code) == 0
+
+
+def test_simulate_leaves_shrub_model_unloaded(workdir, tmp_path):
+    args = [
+        "simulate",
+        str(workdir / "bundle.json"),
+        "--horizon",
+        "2",
+        "--out-csv",
+        str(tmp_path / "guard.csv"),
+        "--report",
+        str(tmp_path / "guard.json"),
+    ]
+    code = (
+        "import sys; from shrubfield import cli; "
+        f"rc = cli.main({args!r}); "
+        "sys.exit(rc or 'shrubfield.shrub_model' in sys.modules)"
+    )
+    assert _fresh_interpreter_exit(code) == 0
+    assert (tmp_path / "guard.json").exists()

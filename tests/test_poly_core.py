@@ -13,13 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shrubfield.poly_core import (
-    GaussInt,
     Polynomial,
     UniPoly,
     bareiss_determinant,
     coeff_exact_div,
     format_rational,
-    gauss_exact_div,
     parse_point,
     parse_rational,
     rational_circle_point,
@@ -139,10 +137,15 @@ def test_text_roundtrip(p):
 
 
 def test_text_with_gaussian_and_fraction():
-    p = Polynomial(V2, {(1, 0): GaussInt(0, 2), (0, 0): Fraction(-1, 2)})
+    # coefficients are integers and rationals; the former Gaussian "(re,im)"
+    # form is refused
+    p = Polynomial(V2, {(1, 0): -2, (0, 1): Fraction(3, 4), (0, 0): Fraction(-1, 2)})
     text = p.to_text()
-    assert text == "(0,2)*x + -1/2"
+    assert text == "-2*x + 3/4*y + -1/2"
     assert Polynomial.from_text(text, V2) == p
+    assert Polynomial.from_text("4/2*x", V2).terms == {(1, 0): 2}
+    with pytest.raises(ValueError):
+        Polynomial.from_text("(0,2)*x", V2)
 
 
 def test_text_term_order_is_graded_lex():
@@ -173,8 +176,11 @@ def test_bareiss_rational_and_gaussian_entries():
     half = Fraction(1, 2)
     det = bareiss_determinant([[half, 1, 0], [0, half, 1], [1, 0, half]])
     assert det == Fraction(9, 8)
-    i = GaussInt(0, 1)
-    assert bareiss_determinant([[i, 1, 0], [0, i, 1], [1, 0, i]]) == GaussInt(1, -1)
+    # integer entries, as in every resultant implicitize takes, stay
+    # integers through the exact divisions; the second needs a pivot swap
+    det = bareiss_determinant([[2, 1, 0], [0, 2, 1], [1, 0, 2]])
+    assert det == 9 and isinstance(det, int)
+    assert bareiss_determinant([[0, 3, 1], [2, 1, 0], [1, 0, 5]]) == -31
 
 
 # -- resultants ----------------------------------------------------------
@@ -257,48 +263,15 @@ def test_unipoly_basics():
 
 # -- coefficient layer ----------------------------------------------------
 
-gauss = st.builds(
-    GaussInt,
-    st.integers(min_value=-50, max_value=50),
-    st.integers(min_value=-50, max_value=50),
-)
-
-
-@given(gauss, gauss)
-def test_gauss_mul_matches_complex(a, b):
-    c = a * b
-    assert complex(c.re, c.im) == complex(a.re, a.im) * complex(b.re, b.im)
-
-
-@given(gauss, gauss)
-def test_gauss_exact_div_roundtrip(a, b):
-    if not b:
-        return
-    q = gauss_exact_div(a * b, b)
-    assert q == a
-
-
-def test_gauss_div_rejects_inexact():
-    with pytest.raises(ValueError):
-        gauss_exact_div(GaussInt(1, 0), GaussInt(2, 0))
-    with pytest.raises(ZeroDivisionError):
-        gauss_exact_div(GaussInt(1, 0), GaussInt(0, 0))
-
-
-def test_gauss_int_interop():
-    assert GaussInt(3, 0) == 3
-    assert GaussInt(3, 1) != 3
-    assert hash(GaussInt(7, 0)) == hash(7)
-    assert 2 * GaussInt(1, 1) == GaussInt(2, 2)
-    assert GaussInt(1, 1) + 1 == GaussInt(2, 1)
-    assert 1 - GaussInt(0, 1) == GaussInt(1, -1)
-
-
 def test_coeff_exact_div_dispatch():
     assert coeff_exact_div(6, 3) == 2
     assert coeff_exact_div(1, 2) == Fraction(1, 2)
     assert coeff_exact_div(Fraction(1, 3), Fraction(2, 3)) == Fraction(1, 2)
-    assert coeff_exact_div(GaussInt(0, 2), GaussInt(1, 1)) == GaussInt(1, 1)
+    assert coeff_exact_div(-7, 2) == Fraction(-7, 2)
+    assert isinstance(coeff_exact_div(-6, 3), int)
+    assert coeff_exact_div(Fraction(4), 2) == 2
+    with pytest.raises(ZeroDivisionError):
+        coeff_exact_div(1, 0)
 
 
 @given(st.fractions(max_denominator=10**6))
