@@ -22,7 +22,7 @@ Exit codes are stable: 0 success, 2 validation or configuration failure
 (bad flags, malformed files, unsatisfiable layouts), 3 numeric failure
 (step underflow, exhausted step budgets, evaluation at exceptional points,
 non-finite field rows in the synthesis spot check, a non-finite south spiral
-rate, a NaN or an infinity in any output).
+rate, a NaN or an infinity in any output, a failed classify self-check).
 """
 
 from __future__ import annotations
@@ -56,7 +56,8 @@ class ConfigurationError(click.ClickException):
 
 
 class NumericFailureError(click.ClickException):
-    """Numeric failure during integration or evaluation."""
+    """Numeric failure during integration or evaluation, or a failed
+    self-check."""
 
     exit_code = 3
 
@@ -356,7 +357,9 @@ def _orientation_report(shrub: shrub_model.ShrubGraph) -> dict:
 @click.pass_context
 def classify_command(ctx, shrub_file, report, config):
     """Report a shrub's structure: odd buds, odd cactuses, punctures,
-    and an orientation certificate checked by an independent verifier."""
+    and an orientation certificate checked by an independent verifier.
+    Exits 3 when the handshake identity fails or the degree-parity recount
+    of odd buds plus odd cactuses disagrees with the classification."""
     from . import shrub_model
 
     cfg = _resolve_config(ctx, ("report",))
@@ -380,6 +383,20 @@ def classify_command(ctx, shrub_file, report, config):
         if shrub.pieces[attach.piece].is_leaf
     )
     edge_count = len(shrub.sprig_ids()) + leaf_contacts
+    if sum_orders != 2 * edge_count:
+        raise NumericFailureError(
+            f"handshake check failed: sum of star orders {sum_orders} "
+            f"!= twice the edge count {2 * edge_count}"
+        )
+    odd_cactuses = sum(1 for c in cactus_list if c.odd)
+    odd_objects = len(classification.odd_buds) + odd_cactuses
+    # degree-parity recount that shares no classification code with the above
+    recount = shrub_model.odd_object_recount(shrub)
+    if recount != odd_objects:
+        raise NumericFailureError(
+            f"odd-object recount {recount} != {odd_objects} odd buds "
+            "plus odd cactuses"
+        )
 
     body = {
         "kind": "classify",
@@ -409,7 +426,11 @@ def classify_command(ctx, shrub_file, report, config):
             }
             for c in cactus_list
         ],
-        "odd_cactuses": sum(1 for c in cactus_list if c.odd),
+        "odd_cactuses": odd_cactuses,
+        "odd_object_recount": {
+            "odd_buds_plus_odd_cactuses": odd_objects,
+            "recount": recount,
+        },
         "parity": {
             "sum_of_star_orders": sum_orders,
             "twice_edge_count": 2 * edge_count,
@@ -923,6 +944,8 @@ def _render_implicitize(body: dict) -> list:
 
 def _render_classify(body: dict) -> list:
     parity = body["parity"]
+    recount = body["odd_object_recount"]
+    recount_agrees = recount["recount"] == recount["odd_buds_plus_odd_cactuses"]
     orientation = body["orientation"]
     lines = [
         f"pieces: {len(body['pieces']['leaves'])} leaves, "
@@ -932,6 +955,9 @@ def _render_classify(body: dict) -> list:
         f"parity: sum of star orders {parity['sum_of_star_orders']} vs "
         f"twice edges {parity['twice_edge_count']} "
         + ("(consistent)" if parity["consistent"] else "(BROKEN)"),
+        f"odd-object recount: {recount['recount']} vs "
+        f"{recount['odd_buds_plus_odd_cactuses']} odd buds plus odd cactuses "
+        + ("(match)" if recount_agrees else "(MISMATCH)"),
         f"punctures: {body['punctures']}",
         f"very simple: {'yes' if body['very_simple'] else 'no'}",
     ]

@@ -13,7 +13,7 @@ coordinates (x, y, z) with the unit-sphere constraint applied by callers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -65,17 +65,6 @@ def param_point(k: int, theta: float) -> tuple[float, float]:
     )
 
 
-def param_velocity(k: int, theta: float) -> tuple[float, float]:
-    """Parameter derivative of the curve; vanishes exactly at the cusps."""
-    if k < 3:
-        raise ValueError("cusp count must be at least 3")
-    n = k - 1
-    return (
-        -n * math.sin(theta) - n * math.sin(n * theta),
-        n * math.cos(theta) - n * math.cos(n * theta),
-    )
-
-
 def cusp_angles(k: int) -> list[float]:
     if k < 3:
         raise ValueError("cusp count must be at least 3")
@@ -89,20 +78,6 @@ def cusps(k: int) -> list[tuple[float, float]]:
     return [
         (k * math.cos(a), k * math.sin(a)) for a in cusp_angles(k)
     ]
-
-
-def axis_cusps(k: int) -> list[tuple[Fraction, Fraction]]:
-    """The four rational cusps (+-k, 0), (0, +-k); requires k divisible by 4.
-
-    These are the only cusps with rational coordinates (cos(2pi j/k) is
-    rational only for angles that are multiples of a quarter turn), so exact
-    junction placement is restricted to them.
-    """
-    if k % 4:
-        raise ValueError("rational cusps exist only when 4 divides k")
-    kf = Fraction(k)
-    z = Fraction(0)
-    return [(kf, z), (z, kf), (-kf, z), (z, -kf)]
 
 
 # -- affine maps --------------------------------------------------------------
@@ -147,57 +122,7 @@ class AffineMap:
         return AffineMap(inv, ioff)
 
 
-# -- specs and implicit curves ------------------------------------------------
-
-
-@dataclass(frozen=True)
-class HypocycloidSpec:
-    """A k-cusped hypocycloid deformed by a rational affine map."""
-
-    k: int
-    affine: AffineMap = field(default_factory=AffineMap.identity)
-
-    def __post_init__(self):
-        if self.k < 3:
-            raise ValueError("cusp count must be at least 3")
-        if self.affine.determinant() == 0:
-            raise ValueError("affine matrix is singular")
-
-    def point(self, theta: float) -> tuple[float, float]:
-        x, y = param_point(self.k, theta)
-        fx, fy = self.affine.apply((Fraction(0), Fraction(0)))
-        (a, b), (c, d) = self.affine.matrix
-        return (float(a) * x + float(b) * y + float(fx),
-                float(c) * x + float(d) * y + float(fy))
-
-
-@dataclass(frozen=True)
-class SegmentSpec:
-    """A straight plane segment between two distinct rational endpoints."""
-
-    start: tuple[Fraction, Fraction]
-    end: tuple[Fraction, Fraction]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "start", tuple(Fraction(v) for v in self.start)
-        )
-        object.__setattr__(self, "end", tuple(Fraction(v) for v in self.end))
-        if self.start == self.end:
-            raise ValueError("segment endpoints must be distinct")
-
-    def point(self, t: float):
-        s, e = self.start, self.end
-        return (
-            (1 - t) * float(s[0]) + t * float(e[0]),
-            (1 - t) * float(s[1]) + t * float(e[1]),
-        )
-
-    def midpoint(self) -> tuple[Fraction, Fraction]:
-        return (
-            (self.start[0] + self.end[0]) / 2,
-            (self.start[1] + self.end[1]) / 2,
-        )
+# -- implicit curves ----------------------------------------------------------
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,6 @@ metric.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -712,10 +711,6 @@ class OmegaEstimate:
                 for w in self.series
             ],
         }
-
-
-def omega_json(estimate: OmegaEstimate) -> str:
-    return json.dumps(estimate.as_dict(), sort_keys=True, indent=2) + "\n"
 
 
 def _thin(points: np.ndarray) -> np.ndarray:

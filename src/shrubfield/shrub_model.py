@@ -5,11 +5,11 @@ disks, and sprigs, which are arcs) glued at junctions. The bipartite
 piece/junction incidence graph must be a tree; this is the combinatorial
 shadow of simple connectedness. On top of the incidence structure this
 module computes: star orders and odd buds, cactuses and their attachment
-parity, the puncture set a field synthesis must avoid, rigid/bland piece
-classification, forced orientations with their chain certificates, skeleton
-decompositions into stems, exact piecewise twist maps of the plane, and a
-fully rational geometric layout (frame mode for pure cactuses, punctured
-mode for shrubs with sprigs).
+parity, an independent degree-parity recount of the odd objects, the
+puncture set a field synthesis must avoid, rigid/bland piece classification,
+forced orientations with their chain certificates, and a fully rational
+geometric layout (frame mode for pure cactuses, punctured mode for shrubs
+with sprigs).
 """
 from __future__ import annotations
 
@@ -1147,224 +1147,7 @@ def verify_certificate(shrub: ShrubGraph, cert: OrientationCertificate):
     return (not failures, tuple(failures))
 
 
-# -- skeleton ---------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Stem:
-    pieces: tuple  # ordered piece ids
-    start_bud: int  # junction where the stem meets the earlier union (None for first)
-
-
-@dataclass
-class Skeleton:
-    stems: tuple
-
-
-def _piece_paths_from(shrub: ShrubGraph, start_piece: int, blocked):
-    """All simple piece paths starting at a piece, avoiding blocked pieces."""
-    best = []
-
-    def walk(path, used_buds):
-        best.append(tuple(path))
-        cur = path[-1]
-        for j in shrub.junctions:
-            if j.bud in used_buds:
-                continue
-            ids = [a.piece for a in j.at]
-            if cur not in ids:
-                continue
-            for nxt in ids:
-                if nxt == cur or nxt in blocked or nxt in path:
-                    continue
-                walk(path + [nxt], used_buds | {j.bud})
-
-    walk([start_piece], set())
-    return best
-
-
-def skeleton_decompose(shrub: ShrubGraph) -> Skeleton:
-    """Ordered stems, longest piece path first, lexicographic tie-break.
-
-    Every later stem starts at the unique junction where its component hangs
-    off the already-covered union, so consecutive prefixes intersect the new
-    stem at exactly one endpoint.
-    """
-    require_valid(shrub)
-    remaining = set(range(len(shrub.pieces)))
-    if not remaining:
-        return Skeleton(stems=())
-    covered = set()
-    stems = []
-    first = None
-    for pid in sorted(remaining):
-        for path in _piece_paths_from(shrub, pid, blocked=set()):
-            key = (-len(path), path)
-            if first is None or key < first[0]:
-                first = (key, path)
-    stems.append(Stem(pieces=first[1], start_bud=None))
-    covered |= set(first[1])
-    remaining -= covered
-
-    while remaining:
-        candidates = []
-        for j in shrub.junctions:
-            ids = [a.piece for a in j.at]
-            if not any(p in covered for p in ids):
-                continue
-            for p in ids:
-                if p in remaining:
-                    for path in _piece_paths_from(
-                        shrub, p, blocked=covered
-                    ):
-                        candidates.append(((-len(path), path, j.bud), path, j.bud))
-        if not candidates:
-            raise ShrubError("disconnected remainder during skeleton build")
-        candidates.sort(key=lambda c: c[0])
-        _, path, bud = candidates[0]
-        stems.append(Stem(pieces=path, start_bud=bud))
-        covered |= set(path)
-        remaining -= set(path)
-    return Skeleton(stems=tuple(stems))
-
-
-def check_skeleton(shrub: ShrubGraph, skel: Skeleton):
-    """Prefix rule: each stem meets the union of earlier stems at exactly
-    one junction, and that junction touches the stem's first piece."""
-    failures = []
-    covered = set()
-    for i, stem in enumerate(skel.stems):
-        if i == 0:
-            covered |= set(stem.pieces)
-            continue
-        meet = set()
-        for j in shrub.junctions:
-            ids = [a.piece for a in j.at]
-            if any(p in covered for p in ids) and any(
-                p in stem.pieces for p in ids
-            ):
-                meet.add(j.bud)
-        if meet != {stem.start_bud}:
-            failures.append(
-                f"stem {i} meets earlier stems at {sorted(meet)}, "
-                f"declared {stem.start_bud}"
-            )
-        covered |= set(stem.pieces)
-    return (not failures, tuple(failures))
-
-
-# -- twist maps --------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TwistMap:
-    """Piecewise-affine rotation-by-2*pi*delta of a middle annulus sector.
-
-    In turn coordinates on [-1/2, 1/2], the map fixes [-1/2, -1/4] and
-    [1/4, 1/2], translates [-1/4 + 2|delta|, 1/4 - 2|delta|] by delta, and
-    interpolates affinely on the two remaining wedges. Its plane version
-    rotates each circle about the origin by the angle the turn map
-    prescribes. The exact inverse is the mirrored piecewise map; composing
-    with the opposite twist is NOT the identity on the wedges.
-    """
-
-    delta: Fraction
-
-    def __post_init__(self):
-        d = Fraction(self.delta)
-        object.__setattr__(self, "delta", d)
-        if not (-Fraction(1, 8) < d < Fraction(1, 8)):
-            raise ValueError("twist angle must lie in (-1/8, 1/8) turns")
-
-    def _pieces(self):
-        d = self.delta
-        m = 2 * abs(d)
-        q = Fraction(1, 4)
-        if m == 0:
-            return [(-Fraction(1, 2), Fraction(1, 2), Fraction(1), Fraction(0))]
-        # (lo, hi, slope, offset) with tau(x) = slope*x + offset on [lo, hi]
-        return [
-            (-Fraction(1, 2), -q, Fraction(1), Fraction(0)),
-            (-q, -q + m, (m + d) / m, (-q) * (1 - (m + d) / m)),
-            (-q + m, q - m, Fraction(1), d),
-            (q - m, q, (m - d) / m, q * (1 - (m - d) / m)),
-            (q, Fraction(1, 2), Fraction(1), Fraction(0)),
-        ]
-
-    def tau(self, theta: Fraction) -> Fraction:
-        x = _wrap_turn(Fraction(theta))
-        for lo, hi, slope, offset in self._pieces():
-            if lo <= x <= hi:
-                return slope * x + offset
-        raise AssertionError("turn out of range after wrapping")
-
-    def tau_inverse(self, theta: Fraction) -> Fraction:
-        y = _wrap_turn(Fraction(theta))
-        for lo, hi, slope, offset in self._pieces():
-            ylo, yhi = slope * lo + offset, slope * hi + offset
-            if ylo <= y <= yhi:
-                return (y - offset) / slope
-        raise AssertionError("turn out of range after wrapping")
-
-    def inverse(self) -> "ExactInverseTwist":
-        return ExactInverseTwist(self)
-
-    def apply(self, point) -> tuple:
-        x, y = float(point[0]), float(point[1])
-        r = math.hypot(x, y)
-        if r == 0.0:
-            return (0.0, 0.0)
-        theta = Fraction(math.atan2(y, x) / (2 * math.pi)).limit_denominator(
-            10**12
-        )
-        t = float(self.tau(theta)) * 2 * math.pi
-        return (r * math.cos(t), r * math.sin(t))
-
-    def apply_exact(self, r: Fraction, theta_turns: Fraction):
-        return (Fraction(r), self.tau(theta_turns))
-
-
-@dataclass(frozen=True)
-class ExactInverseTwist:
-    forward: TwistMap
-
-    def tau(self, theta: Fraction) -> Fraction:
-        return self.forward.tau_inverse(theta)
-
-    def apply(self, point) -> tuple:
-        x, y = float(point[0]), float(point[1])
-        r = math.hypot(x, y)
-        if r == 0.0:
-            return (0.0, 0.0)
-        theta = Fraction(math.atan2(y, x) / (2 * math.pi)).limit_denominator(
-            10**12
-        )
-        t = float(self.tau(theta)) * 2 * math.pi
-        return (r * math.cos(t), r * math.sin(t))
-
-
-def _wrap_turn(x: Fraction) -> Fraction:
-    if -Fraction(1, 2) <= x <= Fraction(1, 2):
-        return x
-    x = x - Fraction(math.floor(x + Fraction(1, 2)))
-    if x < -Fraction(1, 2) or x > Fraction(1, 2):
-        raise AssertionError("turn wrapping failed")
-    return x
-
-
-def twist_map(delta) -> TwistMap:
-    return TwistMap(delta=Fraction(delta))
-
-
 # -- random generation ---------------------------------------------------------------
-
-
-def random_multigraph(rng: random.Random):
-    """A small multigraph (loops allowed) for the handshake parity check."""
-    n = rng.randint(1, 20)
-    m = rng.randint(0, 30)
-    edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(m)]
-    return n, edges
 
 
 def random_very_simple_shrub(rng: random.Random, max_pieces: int = 9) -> ShrubGraph:
@@ -1521,10 +1304,6 @@ class ShrubLayout:
     original: ShrubGraph = None
     certificate: OrientationCertificate = None
     punctures: tuple = ()  # bud ids (in the augmented shrub) removed from analyticity
-
-
-def _rot90(v):
-    return (-v[1], v[0])
 
 
 def _cmul(a, b):

@@ -4,6 +4,7 @@ Everything goes through ``main(argv)`` exactly as the console script would,
 asserting on exit codes and on the files the commands leave behind.
 """
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -15,7 +16,7 @@ import sys
 import numpy as np
 import pytest
 
-from shrubfield import field_synth, flow_sim
+from shrubfield import field_synth, flow_sim, shrub_model
 from shrubfield.cli import NumericFailureError, _dump_json, _tangency_spot_check, main
 from shrubfield.field_synth import load_bundle
 from shrubfield.flow_sim import FlowError, IntegrateOptions, integrate
@@ -194,6 +195,54 @@ def test_unorientable_shrub_still_gets_a_classify_report(workdir):
     orientation = body["orientation"]
     assert orientation["orientable"] is False
     assert orientation["certificate"]["failures"]
+
+
+def test_example_shrub_reports_carry_an_agreeing_recount(tmp_path, capsys):
+    for name, shrub in field_synth.example_shrubs().items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(shrub.to_json()))
+        report = tmp_path / f"classify-{name}.json"
+        assert main(["classify", str(path), "--report", str(report)]) == 0
+        body = _read_json(report)
+        classified = len(body["odd_buds"]) + body["odd_cactuses"]
+        assert body["odd_object_recount"] == {
+            "odd_buds_plus_odd_cactuses": classified,
+            "recount": classified,
+        }, name
+        capsys.readouterr()
+        assert main(["report", str(report)]) == 0
+        assert f"odd-object recount: {classified} vs {classified} " in (
+            capsys.readouterr().out
+        )
+
+
+def test_recount_disagreement_exits_3_without_a_report(workdir, tmp_path, monkeypatch):
+    recount = shrub_model.odd_object_recount
+    monkeypatch.setattr(
+        shrub_model, "odd_object_recount", lambda shrub: recount(shrub) + 1
+    )
+    report = tmp_path / "classify.json"
+    rc = main(["classify", str(workdir / "prickly.json"), "--report", str(report)])
+    assert rc == 3
+    assert not report.exists()
+
+
+def test_broken_handshake_exits_3_without_a_report(workdir, tmp_path, monkeypatch):
+    classify_buds = shrub_model.classify_buds
+
+    def one_order_too_many(shrub):
+        cls = classify_buds(shrub)
+        first = min(cls.buds)
+        cls.buds[first] = dataclasses.replace(
+            cls.buds[first], order=cls.buds[first].order + 1
+        )
+        return cls
+
+    monkeypatch.setattr(shrub_model, "classify_buds", one_order_too_many)
+    report = tmp_path / "classify.json"
+    rc = main(["classify", str(workdir / "arc.json"), "--report", str(report)])
+    assert rc == 3
+    assert not report.exists()
 
 
 def test_malformed_shrub_files_are_validation_failures(tmp_path):

@@ -11,11 +11,8 @@ from shrubfield import curves
 from shrubfield.curves import (
     AffineMap,
     DomainError,
-    HypocycloidSpec,
     ImplicitCurve,
-    SegmentSpec,
     apply_affine,
-    axis_cusps,
     cusp_angles,
     cusps,
     implicit_metadata,
@@ -23,7 +20,6 @@ from shrubfield.curves import (
     lift_to_sphere,
     normalized_residual,
     param_point,
-    param_velocity,
     plane_to_sphere,
     segment_sphere_function,
     sphere_arc,
@@ -69,33 +65,6 @@ def test_even_k_cusps_come_in_opposed_pairs():
         for j in range(k // 2):
             ox, oy = pts[j + k // 2]
             assert (-pts[j][0], -pts[j][1]) == pytest.approx((ox, oy), abs=1e-12)
-
-
-def test_axis_cusps_exact():
-    assert axis_cusps(8) == [
-        (Fraction(8), Fraction(0)),
-        (Fraction(0), Fraction(8)),
-        (Fraction(-8), Fraction(0)),
-        (Fraction(0), Fraction(-8)),
-    ]
-    with pytest.raises(ValueError):
-        axis_cusps(6)
-
-
-def test_velocity_vanishes_only_at_cusps():
-    # |velocity|^2 = (k-1)^2 * (2 - 2cos(k theta)) up to rounding, so the
-    # zeros on [0, 2pi) are exactly the cusp angles.
-    for k in (3, 5, 8):
-        n = k - 1
-        for i in range(200):
-            th = 2 * math.pi * i / 200
-            vx, vy = param_velocity(k, th)
-            speed2 = vx * vx + vy * vy
-            expected = n * n * (2 - 2 * math.cos(k * th))
-            assert speed2 == pytest.approx(expected, abs=1e-9)
-        for a in cusp_angles(k):
-            vx, vy = param_velocity(k, a)
-            assert math.hypot(vx, vy) < 1e-12
 
 
 def test_param_rejects_small_k():
@@ -234,8 +203,6 @@ def test_singular_affine_rejected():
     m = AffineMap.from_columns((1, 2), (2, 4))
     with pytest.raises(ValueError):
         m.inverse()
-    with pytest.raises(ValueError):
-        HypocycloidSpec(k=4, affine=m)
 
 
 def test_apply_affine_translation_moves_zero_set():
@@ -264,24 +231,6 @@ def test_apply_affine_scaling():
     small = apply_affine(f4, half)
     assert small.poly.evaluate((Fraction(2), Fraction(0))) == 0
     assert small.poly.evaluate((Fraction(4), Fraction(0))) != 0
-
-
-def test_hypocycloid_spec_point_composes_affine():
-    aff = AffineMap.from_columns((0, 1), (-1, 0), offset=(1, 1))  # rotate+shift
-    spec = HypocycloidSpec(k=5, affine=aff)
-    th = 0.77
-    x, y = param_point(5, th)
-    sx, sy = spec.point(th)
-    assert (sx, sy) == pytest.approx((-y + 1, x + 1), abs=1e-12)
-
-
-def test_segment_spec_validation_and_midpoint():
-    s = SegmentSpec(start=(0, 0), end=(1, 2))
-    assert s.midpoint() == (Fraction(1, 2), Fraction(1))
-    assert s.point(0.0) == (0.0, 0.0)
-    assert s.point(1.0) == (1.0, 2.0)
-    with pytest.raises(ValueError):
-        SegmentSpec(start=(1, 1), end=(1, 1))
 
 
 # -- stereographic transfer ------------------------------------------------------

@@ -18,7 +18,6 @@ from shrubfield.flow_sim import (
     first_integral_drift,
     integrate,
     omega_estimate,
-    omega_json,
     sample_zero_set,
     seed_orbit,
     trajectory_csv,
@@ -545,18 +544,6 @@ def test_window_fraction_bounds_are_enforced():
         omega_estimate(equator_run(), zero_for("equator", 200), 0.0)
     with pytest.raises(ValueError, match="window fraction"):
         omega_estimate(equator_run(), zero_for("equator", 200), 1.5)
-
-
-def test_omega_json_round_trips_deterministically():
-    import json
-
-    est = omega_estimate(equator_run(), zero_for("equator", 200))
-    text = omega_json(est)
-    again = omega_json(est)
-    assert text == again
-    data = json.loads(text)
-    assert data["symmetric"] == est.symmetric
-    assert len(data["series"]) == len(est.series)
 
 
 # -- seeding ------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Shrub incidence, classification, orientation, skeleton, twist, layout."""
+"""Shrub incidence, classification, orientation, and layout."""
 import json
 import random
 from fractions import Fraction
@@ -17,7 +17,6 @@ from shrubfield.shrub_model import (
     ShrubGraph,
     augment_with_parity_sprigs,
     cactuses,
-    check_skeleton,
     classify_buds,
     classify_piece,
     find_odd_cactuses,
@@ -26,11 +25,8 @@ from shrubfield.shrub_model import (
     odd_object_recount,
     orient_all,
     parity_check,
-    random_multigraph,
     random_very_simple_shrub,
     required_puncture_set,
-    skeleton_decompose,
-    twist_map,
     validate,
     verify_certificate,
 )
@@ -227,15 +223,6 @@ def test_leaf_adjacency_merges_cactuses():
     assert len(cs) == 1
     assert cs[0].leaves == (0, 1)
     assert cs[0].attachments == 1 and cs[0].odd
-
-
-def test_handshake_identity_on_random_multigraphs():
-    rng = random.Random(20260817)
-    for _ in range(1000):
-        n, edges = random_multigraph(rng)
-        total, even = parity_check(edges, vertex_count=n)
-        assert even
-        assert total == 2 * len(edges)
 
 
 def test_parity_check_counts_loops_twice():
@@ -454,105 +441,6 @@ def test_certificate_serializes_to_json():
     obj = cert.to_json()
     text = json.dumps(obj, sort_keys=True)
     assert json.loads(text)["orientable"] is True
-
-
-# -- skeleton ------------------------------------------------------------------------
-
-
-def test_skeleton_takes_the_longest_path_first():
-    sh = shrub(
-        [leaf(), leaf(), leaf(), leaf()],
-        [
-            [Attachment(0, 0), Attachment(1, 2)],
-            [Attachment(1, 0), Attachment(2, 2)],
-            [Attachment(1, 1), Attachment(3, 0)],
-        ],
-    )
-    skel = skeleton_decompose(sh)
-    assert skel.stems[0].pieces == (0, 1, 2)
-    assert skel.stems[0].start_bud is None
-    assert skel.stems[1].pieces == (3,)
-    assert skel.stems[1].start_bud == 2
-    ok, fails = check_skeleton(sh, skel)
-    assert ok, fails
-
-
-def test_skeleton_single_piece():
-    skel = skeleton_decompose(ShrubGraph([leaf()], []))
-    assert skel.stems == (type(skel.stems[0])(pieces=(0,), start_bud=None),)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(min_value=0, max_value=2**32 - 1))
-def test_skeleton_prefixes_meet_at_one_junction(seed):
-    rng = random.Random(seed)
-    sh = random_very_simple_shrub(rng, max_pieces=8)
-    skel = skeleton_decompose(sh)
-    assert sorted(p for stem in skel.stems for p in stem.pieces) == list(
-        range(len(sh.pieces))
-    )
-    ok, fails = check_skeleton(sh, skel)
-    assert ok, fails
-
-
-# -- twist maps ----------------------------------------------------------------------
-
-
-def test_zero_twist_is_the_identity():
-    tm = twist_map(0)
-    for x in [F(-1, 2), F(-1, 3), F(0), F(1, 5), F(1, 2)]:
-        assert tm.tau(x) == x
-
-
-def test_twist_translates_the_middle_and_fixes_the_ends():
-    tm = twist_map(F(1, 16))
-    assert tm.tau(F(0)) == F(1, 16)
-    assert tm.tau(F(1, 16)) == F(2, 16)
-    assert tm.tau(F(-3, 8)) == F(-3, 8)
-    assert tm.tau(F(3, 8)) == F(3, 8)
-    assert tm.tau(F(1, 4)) == F(1, 4)
-    assert tm.tau(F(-1, 4)) == F(-1, 4)
-
-
-def test_twist_angle_outside_interval_is_rejected():
-    with pytest.raises(ValueError):
-        twist_map(F(1, 8))
-    with pytest.raises(ValueError):
-        twist_map(F(-1, 8))
-
-
-@settings(max_examples=120, deadline=None)
-@given(
-    st.fractions(min_value=F(-1, 2), max_value=F(1, 2)),
-    st.fractions(min_value=F(-15, 128), max_value=F(15, 128)),
-)
-def test_twist_inverse_round_trips_exactly(x, delta):
-    tm = twist_map(delta)
-    inv = tm.inverse()
-    assert inv.tau(tm.tau(x)) == x
-    y = tm.tau(x)
-    assert tm.tau(inv.tau(y)) == y
-
-
-def test_opposite_twist_is_not_the_inverse_on_a_wedge():
-    d = F(1, 16)
-    x = F(7, 32)  # inside the interpolation wedge
-    y = twist_map(d).tau(x)
-    assert twist_map(-d).tau(y) != x
-    assert twist_map(d).inverse().tau(y) == x
-
-
-def test_twist_plane_map_rotates_points():
-    import math
-
-    tm = twist_map(F(1, 16))
-    px, py = tm.apply((1.0, 0.0))
-    angle = 2 * math.pi / 16
-    assert abs(px - math.cos(angle)) < 1e-9
-    assert abs(py - math.sin(angle)) < 1e-9
-    # radius is preserved
-    qx, qy = tm.apply((0.3, 0.4))
-    assert abs(math.hypot(qx, qy) - 0.5) < 1e-9
 
 
 # -- layout --------------------------------------------------------------------------
