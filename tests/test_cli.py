@@ -173,7 +173,8 @@ def test_arc_punctures_both_endpoints(workdir):
         {"kind": "bud", "bud": 0},
         {"kind": "bud", "bud": 1},
     ]
-    assert body["parity"]["consistent"] is True
+    parity = body["parity"]
+    assert parity["sum_of_star_orders"] == parity["twice_edge_count"]
 
 
 def test_prickly_cactus_needs_two_punctures(workdir):
@@ -454,6 +455,25 @@ def test_seed_batches_write_per_seed_files(workdir, tmp_path):
     assert len(starts) == 3
 
 
+def test_seed_batches_equal_one_seed_runs(workdir, tmp_path):
+    # the seeds of a batch share one field and one zero-set sample
+    common = ("--horizon", "6", "--unit-speed", "--zero-samples", "200")
+    rc, batch = _simulate(
+        workdir, tmp_path, *common, "--seed", "4", "--seeds", "3", name="batch"
+    )
+    assert rc == 0
+    for run, seed in zip(batch["runs"], (4, 5, 6), strict=True):
+        rc, single = _simulate(
+            workdir, tmp_path, *common, "--seed", str(seed), name=f"single{seed}"
+        )
+        assert rc == 0
+        (alone,) = single["runs"]
+        del run["files"], alone["files"]
+        assert run == alone
+        batch_csv = tmp_path / f"batch-seed{seed}.csv"
+        assert batch_csv.read_bytes() == (tmp_path / f"single{seed}.csv").read_bytes()
+
+
 def test_unit_speed_estimate_matches_raw_speed_within_factor_two(workdir, tmp_path):
     # the raw field fades quadratically at the boundary, so its orbit needs a
     # far longer time horizon to settle than the unit-speed arc length one
@@ -647,13 +667,28 @@ def _fresh_interpreter_exit(code: str) -> int:
     return subprocess.run([sys.executable, "-c", code], env=env).returncode
 
 
-def test_cli_import_leaves_the_process_pool_unloaded():
-    # only `simulate --seeds` needs the pool; it is imported on that branch
+def test_cli_import_leaves_the_process_pool_unloaded(workdir, tmp_path):
+    # `simulate --seeds` runs its seeds in this process, one after another
+    args = [
+        "simulate",
+        str(workdir / "bundle.json"),
+        "--horizon",
+        "2",
+        "--seeds",
+        "2",
+        "--out-csv",
+        str(tmp_path / "pool.csv"),
+        "--report",
+        str(tmp_path / "pool.json"),
+    ]
     code = (
-        "import sys, shrubfield.cli; "
-        "sys.exit('concurrent.futures.process' in sys.modules)"
+        "import sys; from shrubfield import cli; "
+        f"rc = cli.main({args!r}); "
+        "sys.exit(rc or any(name in sys.modules "
+        "for name in ('concurrent.futures', 'multiprocessing')))"
     )
     assert _fresh_interpreter_exit(code) == 0
+    assert (tmp_path / "pool.json").exists()
 
 
 def test_field_synth_import_leaves_shrub_model_unloaded():
