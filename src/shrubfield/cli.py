@@ -89,14 +89,19 @@ def _load_json_file(path, what: str):
         raise ConfigurationError(f"{what} {path!r} is not valid JSON: {exc}")
 
 
-def _resolve_config(ctx: click.Context, managed: tuple) -> dict:
+def _resolve_config(ctx: click.Context) -> dict:
     """Merge defaults, the command's config-file section, and explicit flags.
 
-    `managed` lists the parameter names owned by the configuration system;
+    Every option of the command except ``--config`` is a configuration key;
     the returned dict maps each to its effective value and is what gets
     hashed into reports.
     """
     command = ctx.command.name
+    managed = [
+        p.name
+        for p in ctx.command.params
+        if isinstance(p, click.Option) and p.name != "config"
+    ]
     resolved = {name: ctx.params[name] for name in managed}
     config_path = ctx.params.get("config")
     if config_path is not None:
@@ -248,7 +253,7 @@ def implicitize_command(ctx, k, out, samples, check, report, config):
     normalized value of the polynomial along it, plus the normalized gradient
     at every cusp and a nonvanishing check at the origin.
     """
-    cfg = _resolve_config(ctx, ("k", "out", "samples", "check", "report"))
+    cfg = _resolve_config(ctx)
     k = cfg["k"]
     samples = cfg["samples"]
     check = cfg["check"]
@@ -362,7 +367,7 @@ def classify_command(ctx, shrub_file, report, config):
     of odd buds plus odd cactuses disagrees with the classification."""
     from . import shrub_model
 
-    cfg = _resolve_config(ctx, ("report",))
+    cfg = _resolve_config(ctx)
     cfg["shrub_file"] = shrub_file
     report = cfg["report"]
     shrub = _load_shrub(shrub_file)
@@ -524,7 +529,7 @@ def synthesize_command(ctx, shrub_file, out, spot_checks, seed, report, config):
     write the tangent field as a reloadable bundle."""
     from . import shrub_model
 
-    cfg = _resolve_config(ctx, ("out", "spot_checks", "seed", "report"))
+    cfg = _resolve_config(ctx)
     cfg["shrub_file"] = shrub_file
     out = cfg["out"]
     spot_checks = cfg["spot_checks"]
@@ -609,28 +614,6 @@ def _parse_start(value):
 def _derived_path(base: str, seed: int) -> str:
     stem, ext = os.path.splitext(base)
     return f"{stem}-seed{seed}{ext}"
-
-
-_SIMULATE_KEYS = (
-    "horizon",
-    "rtol",
-    "atol",
-    "unit_speed",
-    "fixed_step",
-    "max_step",
-    "min_step",
-    "max_steps",
-    "start",
-    "seed",
-    "seed_radius",
-    "zero_samples",
-    "window_fraction",
-    "guard",
-    "seeds",
-    "out_csv",
-    "plot",
-    "report",
-)
 
 
 def _validate_simulate_config(cfg: dict) -> None:
@@ -834,7 +817,7 @@ def _run_orbit(
 def simulate_command(ctx, bundle, **_kwargs):
     """Integrate one or more orbits of a field bundle and report the
     estimated limit set, first-integral drift, and winding."""
-    cfg = _resolve_config(ctx, _SIMULATE_KEYS)
+    cfg = _resolve_config(ctx)
     cfg["bundle"] = bundle
     _validate_simulate_config(cfg)
     _require_writable(cfg["out_csv"], "trajectory")
@@ -924,7 +907,6 @@ def _render_implicitize(body: dict) -> list:
 def _render_classify(body: dict) -> list:
     parity = body["parity"]
     recount = body["odd_object_recount"]
-    recount_agrees = recount["recount"] == recount["odd_buds_plus_odd_cactuses"]
     orientation = body["orientation"]
     lines = [
         f"pieces: {len(body['pieces']['leaves'])} leaves, "
@@ -934,8 +916,7 @@ def _render_classify(body: dict) -> list:
         f"parity: sum of star orders {parity['sum_of_star_orders']} vs "
         f"twice edges {parity['twice_edge_count']} (consistent)",
         f"odd-object recount: {recount['recount']} vs "
-        f"{recount['odd_buds_plus_odd_cactuses']} odd buds plus odd cactuses "
-        + ("(match)" if recount_agrees else "(MISMATCH)"),
+        f"{recount['odd_buds_plus_odd_cactuses']} odd buds plus odd cactuses (match)",
         f"punctures: {body['punctures']}",
         f"very simple: {'yes' if body['very_simple'] else 'no'}",
     ]

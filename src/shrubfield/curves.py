@@ -374,7 +374,8 @@ def lift_to_sphere(p: Polynomial, n: int) -> ImplicitCurve:
 
 @dataclass(frozen=True)
 class SphereArcFunction:
-    """Nonnegative closed-form function vanishing exactly on a sphere arc.
+    """Nonnegative closed-form function vanishing exactly on a sphere arc;
+    the boundary factor of a segment.
 
     The arc is the piece of the circle (sphere intersect plane {u.n = d})
     on the side {u.m <= e}; with A(u) = u.n - d and B(u) = u.m - e the
@@ -383,11 +384,18 @@ class SphereArcFunction:
     root loses smoothness. Coefficients are exact rationals.
     """
 
+    kind = "arc"
+
     n: tuple
     d: Fraction
     m: tuple
     e: Fraction
     endpoints: tuple  # the two exceptional sphere points, exact
+    label: str = ""
+
+    @property
+    def exceptional_points(self) -> tuple:
+        return self.endpoints
 
     @cached_property
     def _float_coefficients(self) -> tuple:
@@ -399,48 +407,33 @@ class SphereArcFunction:
         )
 
     def value_and_gradient(self, x, y, z) -> tuple:
-        """Value and gradient in component form (see `component_sqrt`).
+        """(F, dF/dx, dF/dy, dF/dz) in component form (see `component_sqrt`).
 
-        Returns (value, (gx, gy, gz)); the gradient is None when the point,
-        or any point of a batch, is an arc endpoint, where it does not exist.
+        Raises DomainError when the point, or any point of a batch, is an
+        arc endpoint, where the gradient does not exist.
         """
         (n0, n1, n2), d, (m0, m1, m2), e = self._float_coefficients
         a = x * n0 + y * n1 + z * n2 - d
         b = x * m0 + y * m1 + z * m2 - e
         r = component_sqrt(a * a + b * b)
-        s = r + b
-        value = a * a + s * s
         if component_any(r == 0.0):
-            return value, None
-        gradient = tuple(
-            2.0 * a * ni + 2.0 * s * ((a * ni + b * mi) / r + mi)
-            for ni, mi in ((n0, m0), (n1, m1), (n2, m2))
+            raise DomainError("arc factor gradient at an endpoint")
+        s = r + b
+        return (
+            a * a + s * s,
+            *(
+                2.0 * a * ni + 2.0 * s * ((a * ni + b * mi) / r + mi)
+                for ni, mi in ((n0, m0), (n1, m1), (n2, m2))
+            ),
         )
-        return value, gradient
 
-    def value(self, u) -> float:
-        x, y, z = (float(c) for c in u)
-        return self.value_and_gradient(x, y, z)[0]
-
-    def gradient(self, u) -> tuple[float, float, float]:
-        x, y, z = (float(c) for c in u)
-        gradient = self.value_and_gradient(x, y, z)[1]
-        if gradient is None:
-            raise DomainError("arc function gradient at an endpoint")
-        return gradient
-
-    def value_exact(self, u, sq=None):
+    def value_exact(self, point):
         """Exact rational value when sqrt(A^2+B^2) happens to be rational
-        (endpoints and sanity checks); raises otherwise."""
+        (endpoints and sanity checks); raises ValueError otherwise."""
+        u = tuple(Fraction(c) for c in point)
         a = u[0] * self.n[0] + u[1] * self.n[1] + u[2] * self.n[2] - self.d
         b = u[0] * self.m[0] + u[1] * self.m[1] + u[2] * self.m[2] - self.e
-        s2 = a * a + b * b
-        if sq is None:
-            root = _rational_sqrt(s2)
-        else:
-            if sq * sq != s2:
-                raise ValueError("wrong square root hint")
-            root = sq
+        root = _rational_sqrt(a * a + b * b)
         return a * a + (root + b) * (root + b)
 
 
@@ -483,7 +476,7 @@ def _cross(a, b):
     )
 
 
-def sphere_arc(q1, q2, q3) -> SphereArcFunction:
+def sphere_arc(q1, q2, q3, label: str = "") -> SphereArcFunction:
     """Arc function through rational sphere points q1 -> q2 passing q3.
 
     q1 and q2 are the endpoints; q3 is any interior point of the intended arc
@@ -514,7 +507,7 @@ def sphere_arc(q1, q2, q3) -> SphereArcFunction:
     if b3 > 0:
         m = tuple(-v for v in m)
         e = -e
-    return SphereArcFunction(n=n, d=d, m=m, e=e, endpoints=(q1, q2))
+    return SphereArcFunction(n=n, d=d, m=m, e=e, endpoints=(q1, q2), label=label)
 
 
 def segment_sphere_function() -> SphereArcFunction:

@@ -27,7 +27,6 @@ from .curves import (
     HOMOGENEOUS_VARS,
     SPHERE_VARS,
     AffineMap,
-    DomainError,
     SphereArcFunction,
     component_any,
     component_sqrt,
@@ -156,22 +155,6 @@ class PolyFactor:
             partials = [_sparse_dot(row, partials) for row in self._chain]
         return (value, *partials)
 
-    def value_and_gradient_many(
-        self, pts: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        return _batch(self.value_and_gradient, pts)
-
-    def value_many(self, pts: np.ndarray) -> np.ndarray:
-        return self.value_and_gradient_many(pts)[0]
-
-    def value(self, u) -> float:
-        x, y, z = (float(c) for c in u)
-        return self.value_and_gradient(x, y, z)[0]
-
-    def gradient(self, u) -> np.ndarray:
-        x, y, z = (float(c) for c in u)
-        return np.array(self.value_and_gradient(x, y, z)[1:])
-
     def value_exact(self, point):
         u = tuple(Fraction(c) for c in point)
         mapped = tuple(
@@ -179,44 +162,6 @@ class PolyFactor:
             for row, bi in zip(self.matrix, self.shift)
         )
         return self.poly.evaluate(mapped)
-
-
-class ArcFactor:
-    """Arc-function factor; analytic except at the two arc endpoints. Its
-    formula is the arc function's own component-form kernel."""
-
-    kind = "arc"
-
-    def __init__(self, arc: SphereArcFunction, label: str = ""):
-        self.arc = arc
-        self.label = label
-
-    @property
-    def exceptional_points(self) -> tuple:
-        return self.arc.endpoints
-
-    def value_and_gradient(self, x, y, z) -> tuple:
-        value, gradient = self.arc.value_and_gradient(x, y, z)
-        if gradient is None:
-            raise DomainError("arc factor gradient at an endpoint")
-        return (value, *gradient)
-
-    def value_and_gradient_many(
-        self, pts: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        return _batch(self.value_and_gradient, pts)
-
-    def value_many(self, pts: np.ndarray) -> np.ndarray:
-        return self.arc.value_and_gradient(*_columns(pts))[0]
-
-    def value(self, u) -> float:
-        return self.arc.value(u)
-
-    def gradient(self, u) -> np.ndarray:
-        return np.array(self.arc.gradient(u))
-
-    def value_exact(self, point):
-        return self.arc.value_exact(tuple(Fraction(c) for c in point))
 
 
 def _sparse(entries) -> tuple:
@@ -233,20 +178,6 @@ def _sparse_dot(weights, values, start=0.0):
     """
     coefficients, indices = weights
     return reduce(add, map(mul, coefficients, map(values.__getitem__, indices)), start)
-
-
-def _columns(pts: np.ndarray) -> tuple:
-    """The x, y and z columns of an (m, 3) batch, each contiguous."""
-    return tuple(np.ascontiguousarray(np.asarray(pts, dtype=float).T))
-
-
-def _batch(kernel, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Run a component-form (value, gx, gy, gz) kernel on an (m, 3) batch;
-    constant columns are broadcast to m rows."""
-    out = np.empty((4, len(pts)))
-    for row, column in zip(out, kernel(*_columns(pts))):
-        row[...] = column
-    return out[0], out[1:].T
 
 
 class SphereFunction:
@@ -268,24 +199,12 @@ class SphereFunction:
                     out.append(p)
         return tuple(out)
 
-    def value(self, u) -> float:
-        out = 1.0
-        for factor in self.factors:
-            out *= factor.value(u)
-        return out
-
     def value_exact(self, point):
         """Exact rational product; raises ValueError when an arc factor's
         square root is irrational at the point."""
         out = Fraction(1)
         for factor in self.factors:
             out *= factor.value_exact(point)
-        return out
-
-    def value_many(self, pts: np.ndarray) -> np.ndarray:
-        out = np.ones(pts.shape[0])
-        for factor in self.factors:
-            out *= factor.value_many(pts)
         return out
 
     def value_and_gradient(self, x, y, z) -> tuple:
@@ -305,12 +224,6 @@ class SphereFunction:
             gz = gz * v + f * hz
             f = f * v
         return f, gx, gy, gz
-
-    def value_and_gradient_many(
-        self, pts: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Product and its gradient at an (m, 3) batch."""
-        return _batch(self.value_and_gradient, pts)
 
 
 # -- the induced tangent field ---------------------------------------------
@@ -335,12 +248,9 @@ class VectorField:
     def g_value(self, u) -> float:
         """G = F^2 at the radial projection of u."""
         v = np.asarray(u, dtype=float)
-        v = v / np.linalg.norm(v)
-        value = self.function.value(v)
+        x, y, z = (v / np.linalg.norm(v)).tolist()
+        value = self.function.value_and_gradient(x, y, z)[0]
         return value * value
-
-    def evaluate(self, u) -> np.ndarray:
-        return self.evaluate_many(np.asarray(u, dtype=float)[None, :])[0]
 
     def evaluate_many(self, pts) -> np.ndarray:
         """Field vectors at an (m, 3) batch of unit points.
@@ -353,7 +263,7 @@ class VectorField:
             raise ValueError("expected an (m, 3) array of sphere points")
         if pts.shape[0] == 1:
             return np.array([self._rows(*pts[0].tolist())])
-        return np.stack(self._rows(*_columns(pts)), axis=1)
+        return np.stack(self._rows(*np.ascontiguousarray(pts.T)), axis=1)
 
     def _rows(self, x, y, z) -> tuple:
         """(f1, f2, f3) in component form, after the unit-norm guard."""
@@ -410,7 +320,7 @@ def jacobian_at_south_pole(field: VectorField, h: float = 1e-5) -> SouthPoleFocu
     try:
         f_south = float(field.function.value_exact(south))
     except ValueError:
-        f_south = field.function.value((0.0, 0.0, -1.0))
+        f_south = field.function.value_and_gradient(0.0, 0.0, -1.0)[0]
     if f_south == 0.0:
         raise ValueError(
             "boundary function vanishes at the south pole; "
@@ -419,14 +329,10 @@ def jacobian_at_south_pole(field: VectorField, h: float = 1e-5) -> SouthPoleFocu
     g_south = f_south * f_south
 
     def chart_field(a: float, b: float) -> np.ndarray:
-        s = a * a + b * b
-        d = 1.0 + s
-        p = np.array([2.0 * a / d, 2.0 * b / d, (s - 1.0) / d])
-        f = field.evaluate(p)
-        w = 1.0 - p[2]
-        return np.array(
-            [f[0] / w + p[0] * f[2] / (w * w), f[1] / w + p[1] * f[2] / (w * w)]
-        )
+        x, y, z = plane_to_sphere((a, b))
+        f1, f2, f3 = field.evaluate_many([(x, y, z)])[0]
+        w = 1.0 - z
+        return np.array([f1 / w + x * f3 / (w * w), f2 / w + y * f3 / (w * w)])
 
     col0 = (chart_field(h, 0.0) - chart_field(-h, 0.0)) / (2.0 * h)
     col1 = (chart_field(0.0, h) - chart_field(0.0, -h)) / (2.0 * h)
@@ -522,12 +428,14 @@ def _compose_punctured(layout: ShrubLayout) -> SphereFunction:
         if isinstance(placement, LeafPlacement):
             factors.append(_leaf_factor(pid, placement))
     for index, segment in enumerate(layout.maximal_segments):
-        arc = sphere_arc(
-            _chart_image(segment.start),
-            _chart_image(segment.end),
-            _chart_image(_segment_interior_point(segment)),
+        factors.append(
+            sphere_arc(
+                _chart_image(segment.start),
+                _chart_image(segment.end),
+                _chart_image(_segment_interior_point(segment)),
+                label=f"segment:{index}",
+            )
         )
-        factors.append(ArcFactor(arc, label=f"segment:{index}"))
     punctures = tuple(
         _chart_image(layout.junction_points[bud]) for bud in layout.punctures
     )
@@ -630,17 +538,16 @@ def bundle_dict(function: SphereFunction) -> dict:
             if factor.source is not None:
                 entry["source"] = factor.source
             factors.append(entry)
-        elif isinstance(factor, ArcFactor):
-            arc = factor.arc
+        elif isinstance(factor, SphereArcFunction):
             factors.append(
                 {
                     "kind": "arc",
                     "label": factor.label,
-                    "circle_normal": [int(c) for c in arc.n],
-                    "circle_offset": format_rational(arc.d),
-                    "side_normal": [int(c) for c in arc.m],
-                    "side_offset": format_rational(arc.e),
-                    "endpoints": [rational_point(p) for p in arc.endpoints],
+                    "circle_normal": [int(c) for c in factor.n],
+                    "circle_offset": format_rational(factor.d),
+                    "side_normal": [int(c) for c in factor.m],
+                    "side_offset": format_rational(factor.e),
+                    "endpoints": [rational_point(p) for p in factor.endpoints],
                 }
             )
         else:
@@ -687,14 +594,16 @@ def function_from_bundle(data: dict) -> SphereFunction:
                 )
             )
         elif item["kind"] == "arc":
-            arc = SphereArcFunction(
-                n=tuple(int(c) for c in item["circle_normal"]),
-                d=parse_rational(item["circle_offset"]),
-                m=tuple(int(c) for c in item["side_normal"]),
-                e=parse_rational(item["side_offset"]),
-                endpoints=tuple(parse_point(p) for p in item["endpoints"]),
+            factors.append(
+                SphereArcFunction(
+                    n=tuple(int(c) for c in item["circle_normal"]),
+                    d=parse_rational(item["circle_offset"]),
+                    m=tuple(int(c) for c in item["side_normal"]),
+                    e=parse_rational(item["side_offset"]),
+                    endpoints=tuple(parse_point(p) for p in item["endpoints"]),
+                    label=item.get("label", ""),
+                )
             )
-            factors.append(ArcFactor(arc, label=item.get("label", "")))
         else:
             raise ValueError(f"unknown factor kind {item['kind']!r}")
     return SphereFunction(

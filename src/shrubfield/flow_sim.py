@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .curves import DomainError, param_point
+from .curves import DomainError, param_point, plane_to_sphere
 from .field_synth import SphereFunction, VectorField
 from .poly_core import parse_rational
 
@@ -197,10 +197,11 @@ def _angle_increment(u, unew) -> float:
 
 def _log_abs_function(function: SphereFunction, states: np.ndarray):
     out = np.zeros(states.shape[0])
+    columns = np.ascontiguousarray(states.T)
     for factor in function.factors:
-        vals = factor.value_many(states)
+        value = factor.value_and_gradient(*columns)[0]
         with np.errstate(divide="ignore"):
-            out += np.log(np.abs(vals))
+            out += np.log(np.abs(value))
     return out
 
 
@@ -414,104 +415,6 @@ def first_integral_drift(
     return float(np.max(np.abs(np.expm1(logw[mask] - logw[0]))))
 
 
-# -- meridian frames ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MeridianFrame:
-    """Angle branch on the sphere cut along a single meridian.
-
-    The branch takes values in [azimuth, azimuth + 2 pi). Off the cut it is
-    smooth, and J(u) = rho(u) exp(-2 Theta(u)) is constant along each piece
-    of an orbit between crossings; log J is the defined form wherever the
-    squared boundary function is positive.
-    """
-
-    azimuth: float = -math.pi
-
-    def theta_branch_many(self, states: np.ndarray) -> np.ndarray:
-        alpha = np.arctan2(states[:, 1], states[:, 0])
-        return self.azimuth + np.mod(alpha - self.azimuth, TWO_PI)
-
-    def on_cut_many(self, states: np.ndarray) -> np.ndarray:
-        alpha = np.arctan2(states[:, 1], states[:, 0])
-        return np.mod(alpha - self.azimuth, TWO_PI) == 0.0
-
-
-@dataclass(frozen=True)
-class MeridianSegment:
-    """One crossing-free piece of an orbit, as sample range [start, stop)."""
-
-    start: int
-    stop: int
-    loop_count: int
-    max_variation: float
-    consistency_residual: float
-
-
-@dataclass(frozen=True)
-class MeridianReport:
-    segments: tuple
-    jump_log_factors: tuple
-    on_cut_samples: tuple
-
-
-def check_meridian_integral(
-    traj: Trajectory, frame: MeridianFrame
-) -> MeridianReport:
-    """Constancy report for the cut-branch integral J along an orbit.
-
-    The trajectory is split at meridian crossings (where the continuous
-    winding angle and the frame's branch differ by a new multiple of
-    2 pi). Within each segment the report gives the largest relative
-    variation of J and the residual of the identity
-    log J = log w + 4 pi k, with k the segment's loop count; between
-    consecutive segments J jumps by a factor exp(+-4 pi) per full loop.
-    """
-    if len(traj) == 0:
-        raise FlowError("empty trajectory")
-    branch = frame.theta_branch_many(traj.states)
-    k = np.rint((traj.theta - branch) / TWO_PI).astype(int)
-    on_cut = np.flatnonzero(frame.on_cut_many(traj.states))
-
-    cuts = np.flatnonzero(np.diff(k) != 0) + 1
-    bounds = [0, *cuts.tolist(), len(traj)]
-    log_j = traj.logrho - 2.0 * branch
-    logw = traj.logw
-
-    segments = []
-    refs = []
-    for s, e in zip(bounds[:-1], bounds[1:]):
-        seg_cut = [i for i in on_cut.tolist() if s <= i < e]
-        if len(seg_cut) == e - s:
-            raise FlowError(
-                "segment lies entirely on the cut meridian", traj.states[s]
-            )
-        finite = np.isfinite(log_j[s:e])
-        if not finite.any():
-            # orbit resting on the poles axis; J is identically zero there
-            segments.append(MeridianSegment(s, e, int(k[s]), 0.0, 0.0))
-            refs.append(-math.inf)
-            continue
-        vals = log_j[s:e][finite]
-        ref = float(vals[0])
-        variation = float(np.max(np.abs(np.expm1(vals - ref))))
-        expected = logw[s:e][finite] + 2.0 * TWO_PI * k[s]
-        residual = float(np.max(np.abs(vals - expected)))
-        segments.append(
-            MeridianSegment(s, e, int(k[s]), variation, residual)
-        )
-        refs.append(ref)
-    jumps = tuple(
-        float(b - a) for a, b in zip(refs[:-1], refs[1:])
-    )
-    return MeridianReport(
-        segments=tuple(segments),
-        jump_log_factors=jumps,
-        on_cut_samples=tuple(int(i) for i in on_cut.tolist()),
-    )
-
-
 # -- winding ------------------------------------------------------------------
 
 
@@ -552,10 +455,7 @@ def _hypocycloid_piece(source: dict):
 
     def on_sphere(t: float) -> np.ndarray:
         px, py = param_point(k, t)
-        u = a * px + b * py + e
-        v = c * px + d * py + f
-        s = u * u + v * v
-        p = np.array([2.0 * u, 2.0 * v, s - 1.0]) / (s + 1.0)
+        p = np.array(plane_to_sphere((a * px + b * py + e, c * px + d * py + f)))
         return p / np.linalg.norm(p)
 
     probe = np.array([on_sphere(t) for t in np.linspace(0.0, TWO_PI, 64 * k)])
@@ -630,7 +530,7 @@ def sample_zero_set(function: SphereFunction, count: int) -> np.ndarray:
     pieces = []
     for factor in function.factors:
         if factor.kind == "arc":
-            pieces.append(_arc_piece(factor.arc))
+            pieces.append(_arc_piece(factor))
             continue
         source = factor.source
         if source is None:
@@ -760,11 +660,8 @@ def seed_orbit(field: VectorField, radius: float, seed: int) -> np.ndarray:
         raise ValueError("seed radius must stay inside the tenth-size chart disk")
     rng = np.random.default_rng(seed)
     psi = float(rng.uniform(0.0, TWO_PI))
-    a = radius * math.cos(psi)
-    b = radius * math.sin(psi)
-    s = a * a + b * b
-    p = np.array([2.0 * a, 2.0 * b, s - 1.0]) / (s + 1.0)
+    p = np.array(plane_to_sphere((radius * math.cos(psi), radius * math.sin(psi))))
     p = p / np.linalg.norm(p)
-    if radius > 0.0 and field.function.value_many(p[None, :])[0] == 0.0:
+    if radius > 0.0 and field.function.value_and_gradient(*p.tolist())[0] == 0.0:
         raise FlowError("seed landed on the boundary", p)
     return p

@@ -25,7 +25,6 @@ from shrubfield.curves import (
     sphere_arc,
 )
 from shrubfield.field_synth import (
-    ArcFactor,
     PolyFactor,
     SphereFunction,
     VectorField,
@@ -66,6 +65,21 @@ def unit_points(count, seed=0):
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)
 
 
+def value(fn, u) -> float:
+    """F of a factor or of a product at one point, through its kernel."""
+    return fn.value_and_gradient(*(float(c) for c in u))[0]
+
+
+def gradient(fn, u) -> tuple:
+    """(dF/dx, dF/dy, dF/dz) of a factor or of a product at one point."""
+    return fn.value_and_gradient(*(float(c) for c in u))[1:]
+
+
+def row(field, u) -> np.ndarray:
+    """The field vector at one point."""
+    return field.evaluate_many([u])[0]
+
+
 def normalized_tangency(field, pts):
     """max |f(u).u| / |f(u)| over the batch, zero rows skipped.
 
@@ -101,7 +115,7 @@ def test_poly_factor_value_matches_exact_evaluation():
     ]
     for p in pts:
         exact = factor.value_exact(p)
-        assert factor.value(tuple(float(c) for c in p)) == pytest.approx(
+        assert value(factor, p) == pytest.approx(
             float(exact), rel=1e-14
         )
 
@@ -120,50 +134,64 @@ def test_poly_factor_rejects_zero_polynomial():
 def test_poly_factor_gradient_matches_finite_differences():
     factor = PolyFactor(Z * Z * Z - 2 * X * Y + Y)
     u = np.array([0.3, -0.5, 0.7])
-    grad = factor.gradient(u)
+    grad = gradient(factor, u)
     h = 1e-6
     for i in range(3):
         step = np.zeros(3)
         step[i] = h
-        fd = (factor.value(u + step) - factor.value(u - step)) / (2 * h)
+        fd = (value(factor, u + step) - value(factor, u - step)) / (2 * h)
         assert grad[i] == pytest.approx(fd, abs=1e-7)
 
 
 def test_arc_factor_vanishes_exactly_on_its_arc():
-    factor = ArcFactor(segment_sphere_function())
-    # the zero set is the lower meridian {y = 0, z <= 0}
-    for t in np.linspace(0.0, math.pi, 9):
+    factor = segment_sphere_function()
+    # the zero set is the lower meridian {y = 0, z <= 0}; the kernel refuses
+    # the endpoints, where the exact value is checked instead
+    for t in np.linspace(0.0, math.pi, 9)[1:-1]:
         u = np.array([math.cos(t), 0.0, -abs(math.sin(t))])
-        assert factor.value(u) == pytest.approx(0.0, abs=1e-30)
+        assert value(factor, u) == pytest.approx(0.0, abs=1e-30)
+    for q in factor.endpoints:
+        assert factor.value_exact(q) == 0
     # off-arc points are strictly positive
-    assert factor.value(np.array([0.0, 0.0, 1.0])) > 1.0
-    assert factor.value(np.array([0.0, 1.0, 0.0])) > 0.5
+    assert value(factor, [0.0, 0.0, 1.0]) > 1.0
+    assert value(factor, [0.0, 1.0, 0.0]) > 0.5
 
 
 def test_arc_factor_gradient_raises_at_endpoints():
-    factor = ArcFactor(segment_sphere_function())
+    factor = segment_sphere_function()
     with pytest.raises(DomainError):
-        factor.gradient(np.array([1.0, 0.0, 0.0]))
+        gradient(factor, [1.0, 0.0, 0.0])
     with pytest.raises(DomainError):
-        factor.value_and_gradient_many(np.array([[-1.0, 0.0, 0.0]]))
+        factor.value_and_gradient(*np.array([[-1.0, 0.0, 0.0]]).T)
+
+
+def test_one_endpoint_in_a_batch_refuses_the_batch():
+    factor = segment_sphere_function()
+    pts = unit_points(20, seed=2)
+    factor.value_and_gradient(*pts.T)
+    pts[7] = (-1.0, 0.0, 0.0)
+    with pytest.raises(DomainError):
+        factor.value_and_gradient(*pts.T)
+    with pytest.raises(DomainError):
+        build_field(SphereFunction(factors=[factor])).evaluate_many(pts)
 
 
 def test_arc_factor_gradient_matches_finite_differences():
-    factor = ArcFactor(segment_sphere_function())
+    factor = segment_sphere_function()
     u = np.array([0.1, 0.4, 0.6])
-    grad = factor.value_and_gradient_many(u[None, :])[1][0]
+    grad = gradient(factor, u)
     h = 1e-6
     for i in range(3):
         step = np.zeros(3)
         step[i] = h
-        fd = (factor.value(u + step) - factor.value(u - step)) / (2 * h)
+        fd = (value(factor, u + step) - value(factor, u - step)) / (2 * h)
         assert grad[i] == pytest.approx(fd, abs=1e-6)
 
 
 def test_arc_factor_exceptional_points_are_the_endpoints():
     arc = segment_sphere_function()
-    factor = ArcFactor(arc)
-    assert factor.exceptional_points == arc.endpoints
+    assert arc.kind == "arc"
+    assert arc.exceptional_points == arc.endpoints
     assert PolyFactor(Z).exceptional_points == ()
 
 
@@ -230,10 +258,8 @@ def test_leaf_factor_gradient_is_the_chain_rule():
         for point in _rational_sphere_points()[::7]:
             exact = [float(p.evaluate(point)) for p in partials]
             scale = max(abs(g) for g in exact)
-            _, grad = factor.value_and_gradient_many(
-                np.array([[float(c) for c in point]])
-            )
-            assert np.allclose(grad[0], exact, rtol=0, atol=1e-11 * scale), name
+            grad = gradient(factor, point)
+            assert np.allclose(grad, exact, rtol=0, atol=1e-11 * scale), name
 
 
 def _condition(factor, point) -> float:
@@ -247,8 +273,8 @@ def _condition(factor, point) -> float:
         abs(c) * math.prod(abs(v) ** e for v, e in zip(mapped, exps))
         for exps, c in factor.poly.terms.items()
     )
-    value = abs(factor.value_exact(point))
-    return math.inf if value == 0 else float(size / value)
+    magnitude = abs(factor.value_exact(point))
+    return math.inf if magnitude == 0 else float(size / magnitude)
 
 
 def test_poly_factors_match_exact_values_at_rational_points():
@@ -264,10 +290,10 @@ def test_poly_factors_match_exact_values_at_rational_points():
         exact = np.array([float(factor.value_exact(p)) for p in points])
         floats = np.array([[float(c) for c in p] for p in points])
         # one point at a time on Python floats, and the whole batch on columns
-        single = np.array([factor.value(u) for u in floats])
-        batch = factor.value_many(floats)
-        for value in (single, batch):
-            assert np.all(np.abs(value - exact) <= 1e-12 * np.abs(exact)), name
+        single = np.array([value(factor, u) for u in floats])
+        batch = factor.value_and_gradient(*floats.T)[0]
+        for got in (single, batch):
+            assert np.all(np.abs(got - exact) <= 1e-12 * np.abs(exact)), name
         south = int(np.sum(floats[:, 2] < 0))
         assert min(south, len(points) - south) >= 5, (name, south, len(points))
 
@@ -278,26 +304,25 @@ def test_poly_factors_match_exact_values_at_rational_points():
 def test_product_value_and_gradient_match_closed_form():
     fn = SphereFunction(factors=[PolyFactor(Z), PolyFactor(X)])
     pts = unit_points(50, seed=3)
-    vals, grads = fn.value_and_gradient_many(pts)
+    vals, *grads = fn.value_and_gradient(*pts.T)
     x, z = pts[:, 0], pts[:, 2]
     assert np.allclose(vals, x * z, atol=1e-15)
-    expect = np.stack([z, np.zeros(len(pts)), x], axis=1)
+    expect = [z, np.zeros(len(pts)), x]
     assert np.allclose(grads, expect, atol=1e-14)
 
 
 def test_product_gradient_survives_a_zero_factor():
     fn = SphereFunction(factors=[PolyFactor(Z), PolyFactor(X)])
-    vals, grads = fn.value_and_gradient_many(np.array([[1.0, 0.0, 0.0]]))
-    assert vals[0] == 0.0
-    assert np.allclose(grads[0], [0.0, 0.0, 1.0], atol=1e-15)
+    assert value(fn, [1.0, 0.0, 0.0]) == 0.0
+    assert np.allclose(gradient(fn, [1.0, 0.0, 0.0]), [0.0, 0.0, 1.0], atol=1e-15)
 
 
 def test_empty_product_is_the_constant_one():
     fn = SphereFunction()
     pts = unit_points(10)
-    vals, grads = fn.value_and_gradient_many(pts)
+    vals, *grads = fn.value_and_gradient(*pts.T)
     assert np.all(vals == 1.0)
-    assert np.all(grads == 0.0)
+    assert np.all(np.array(grads) == 0.0)
     assert fn.value_exact(SOUTH) == 1
 
 
@@ -309,7 +334,7 @@ def test_value_exact_multiplies_factors():
 
 def test_exceptional_points_union_without_duplicates():
     arc = segment_sphere_function()
-    fn = SphereFunction(factors=[ArcFactor(arc), ArcFactor(arc), PolyFactor(Z)])
+    fn = SphereFunction(factors=[arc, arc, PolyFactor(Z)])
     assert fn.exceptional_points() == arc.endpoints
 
 
@@ -324,26 +349,26 @@ def test_constant_function_field_has_closed_form():
         expect = np.array(
             [2 * z * (y - x), -2 * z * (x + y), 2 * (x * x + y * y)]
         )
-        assert np.allclose(field.evaluate(u), expect, atol=1e-14)
+        assert np.allclose(row(field, u), expect, atol=1e-14)
 
 
 def test_poles_are_rest_points_of_the_constant_field():
     field = build_field(SphereFunction())
-    assert np.all(field.evaluate((0.0, 0.0, 1.0)) == 0.0)
-    assert np.all(field.evaluate((0.0, 0.0, -1.0)) == 0.0)
+    assert np.all(row(field, (0.0, 0.0, 1.0)) == 0.0)
+    assert np.all(row(field, (0.0, 0.0, -1.0)) == 0.0)
 
 
 def test_equator_field_frozen_value():
     field = field_for("equator")
     s = math.sqrt(2) / 2
-    f = field.evaluate((s, 0.0, -s))
+    f = row(field, (s, 0.0, -s))
     assert np.allclose(f, [0.5, 0.0, 0.5], atol=1e-13)
 
 
 def test_equator_field_vanishes_on_its_zero_circle():
     field = field_for("equator")
     for t in np.linspace(0.0, 2 * math.pi, 17):
-        f = field.evaluate((math.cos(t), math.sin(t), 0.0))
+        f = row(field, (math.cos(t), math.sin(t), 0.0))
         assert np.allclose(f, 0.0, atol=1e-15)
 
 
@@ -364,9 +389,9 @@ def test_scaling_covariance_of_the_boundary_function():
 def test_unit_norm_guard_rejects_off_sphere_points():
     field = build_field(SphereFunction())
     with pytest.raises(ValueError, match="unit sphere"):
-        field.evaluate((1.1, 0.0, 0.0))
+        row(field, (1.1, 0.0, 0.0))
     with pytest.raises(ValueError):
-        field.evaluate((0.5, 0.5, 0.5))
+        row(field, (0.5, 0.5, 0.5))
     with pytest.raises(ValueError, match="unit sphere"):
         field.evaluate_many(np.array([[0.0, 0.0, 1.0], [1.1, 0.0, 0.0]]))
 
@@ -404,7 +429,7 @@ def test_tangency_is_an_identity_of_the_formulas(raw):
     u = v / n
     field = field_for("spiked-leaf")
     try:
-        f = field.evaluate(u)
+        f = row(field, u)
     except DomainError:
         return  # landed exactly on an arc endpoint, where evaluation refuses
     scale = np.max(np.abs(f))
@@ -481,9 +506,9 @@ def test_frame_composition_vanishes_on_the_placed_leaf_boundary():
         px, py = inner.affine.apply((float(raw[0]), float(raw[1])))
         s = px * px + py * py
         u = np.array([2 * px, 2 * py, s - 1]) / (s + 1)
-        val = fn.value(u)
+        val = value(fn, u)
         # scale-free residual: factor values are compared to their own size
-        ref = abs(fn.value(np.array([0.0, 0.0, -1.0])))
+        ref = abs(value(fn, [0.0, 0.0, -1.0]))
         worst = max(worst, abs(val) / ref)
     assert worst < 1e-8
 
@@ -494,7 +519,7 @@ def test_punctured_composition_of_the_lone_sprig():
     assert [f.label for f in fn.factors] == ["segment:0"]
     assert fn.metadata["mode"] == "punctured"
     # the ray's arc runs from the tip image up to the top of the sphere
-    assert set(fn.punctures) == set(fn.factors[0].arc.endpoints)
+    assert set(fn.punctures) == set(fn.factors[0].endpoints)
     assert NORTH in fn.punctures
     assert fn.value_exact(NORTH) == 0
 
@@ -502,7 +527,7 @@ def test_punctured_composition_of_the_lone_sprig():
 def test_field_evaluation_refuses_exact_punctures():
     field = field_for("lone-sprig")
     with pytest.raises(DomainError):
-        field.evaluate((0.0, 0.0, 1.0))
+        row(field, (0.0, 0.0, 1.0))
     with pytest.raises(DomainError):
         field.evaluate_many(np.array([[0.0, 0.0, -1.0], [0.0, 0.0, 1.0]]))
 
@@ -516,7 +541,7 @@ def test_punctured_composition_of_the_spiked_leaf():
     # the arc radicand is irrational at the south pole, so exactness is
     # available factor by factor, not for the product
     assert fn.factors[0].value_exact(SOUTH) != 0
-    assert fn.value(np.array([0.0, 0.0, -1.0])) != 0.0
+    assert value(fn, [0.0, 0.0, -1.0]) != 0.0
 
 
 def test_punctured_composition_keeps_auxiliary_whiskers():
@@ -537,7 +562,7 @@ def test_punctured_composition_keeps_auxiliary_whiskers():
         "segment:1",
         "segment:2",
     ]
-    arcs = [f.arc for f in fn.factors if f.kind == "arc"]
+    arcs = [f for f in fn.factors if f.kind == "arc"]
     # the whole skeleton is collinear here, so all three arcs share a circle
     normals = {a.n for a in arcs}
     assert len(normals) == 1
@@ -560,13 +585,13 @@ def test_punctured_composition_vanishes_on_sampled_boundary():
         p for p in lay.placements.values() if isinstance(p, LeafPlacement)
     )
     worst = 0.0
-    ref = abs(fn.value(np.array([0.0, 0.0, -1.0])))
+    ref = abs(value(fn, [0.0, 0.0, -1.0]))
     for t in np.linspace(0.05, 2 * math.pi - 0.05, 40):
         raw = param_point(leaf.k_layout, t)
         px, py = leaf.affine.apply((float(raw[0]), float(raw[1])))
         s = px * px + py * py
         u = np.array([2 * px, 2 * py, s - 1]) / (s + 1)
-        worst = max(worst, abs(fn.value(u)) / ref)
+        worst = max(worst, abs(value(fn, u)) / ref)
     # plus interior points of each maximal segment, mapped to the sphere
     for seg in lay.maximal_segments:
         a = seg.end if seg.start is None else seg.start
@@ -581,7 +606,7 @@ def test_punctured_composition_vanishes_on_sampled_boundary():
             else:
                 p = (a[0] + t, a[1])
             u = tuple(float(c) for c in plane_to_sphere(p))
-            worst = max(worst, abs(fn.value(np.array(u))) / ref)
+            worst = max(worst, abs(value(fn, u)) / ref)
     assert worst < 1e-8
 
 
@@ -643,8 +668,22 @@ def test_bundle_preserves_values():
     fn = compose_shrub_function(layout_shrub(example_shrubs()["spiked-leaf"]))
     back = function_from_bundle(json.loads(bundle_text(fn)))
     pts = unit_points(40, seed=31)
-    assert np.array_equal(fn.value_many(pts), back.value_many(pts))
+    for before, after in zip(
+        fn.value_and_gradient(*pts.T), back.value_and_gradient(*pts.T)
+    ):
+        assert np.array_equal(before, after)
     assert back.punctures == fn.punctures
+
+
+def test_arc_labels_survive_a_bundle_round_trip():
+    fn = compose_shrub_function(layout_shrub(example_shrubs()["spiked-leaf"]))
+    back = function_from_bundle(json.loads(bundle_text(fn)))
+    assert [f.label for f in back.factors] == ["leaf:0", "segment:0"]
+    assert back.factors[1] == fn.factors[1]
+    arc = sphere_arc((1, 0, 0), (-1, 0, 0), (0, 0, -1), label="meridian")
+    back = function_from_bundle(bundle_dict(SphereFunction(factors=[arc])))
+    assert back.factors == (arc,)
+    assert back.factors[0].label == "meridian"
 
 
 def test_bundle_format_and_metadata_survive():

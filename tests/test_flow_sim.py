@@ -6,15 +6,13 @@ import numpy as np
 import pytest
 
 from shrubfield.curves import sphere_arc
-from shrubfield.field_synth import ArcFactor, SphereFunction, example_field
+from shrubfield.field_synth import SphereFunction, example_field
 from shrubfield.flow_sim import (
     FlowError,
     _allocate,
     _pairwise_min_angle,
     IntegrateOptions,
-    MeridianFrame,
     Trajectory,
-    check_meridian_integral,
     first_integral_drift,
     integrate,
     omega_estimate,
@@ -227,7 +225,7 @@ def _seven_stage_orbit(field, start, h, count):
     b5 = [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0]
 
     def deriv(u):
-        return field.evaluate(u / np.linalg.norm(u))
+        return field.evaluate_many([u / np.linalg.norm(u)])[0]
 
     u = np.asarray(start, dtype=float)
     states = [u]
@@ -322,62 +320,6 @@ def test_halving_the_step_cuts_the_drift_at_least_fourfold():
     assert drifts[0] / drifts[1] >= 4.0
 
 
-# -- meridian frames ----------------------------------------------------------
-
-
-def test_meridian_integral_is_constant_between_crossings():
-    report = check_meridian_integral(equator_run(), MeridianFrame())
-    assert len(report.segments) > 3
-    assert max(s.max_variation for s in report.segments) < 1e-6
-
-
-def test_meridian_integral_consistency_with_the_first_integral():
-    report = check_meridian_integral(equator_run(), MeridianFrame())
-    assert max(s.consistency_residual for s in report.segments) < 1e-9
-
-
-def test_meridian_integral_jumps_by_a_full_loop_factor():
-    # theta loses 2 pi per loop while the branch resets, so consecutive
-    # segments differ by exp(-4 pi)
-    report = check_meridian_integral(equator_run(), MeridianFrame())
-    assert len(report.jump_log_factors) >= 3
-    for jump in report.jump_log_factors:
-        assert abs(jump + 4.0 * math.pi) < 1e-6
-
-
-def test_frame_missed_by_the_orbit_gives_a_single_segment():
-    p = np.array([math.cos(0.3), math.sin(0.3), 0.0])
-    traj = constant_trajectory(p)
-    frame = MeridianFrame(azimuth=-math.pi)
-    report = check_meridian_integral(traj, frame)
-    assert len(report.segments) == 1
-    assert report.segments[0].max_variation == 0.0
-    assert report.on_cut_samples == ()
-
-
-def test_sample_exactly_on_the_cut_is_flagged():
-    angles = (0.1, 0.2, 0.3)
-    states = np.array([[math.cos(a), math.sin(a), 0.0] for a in angles])
-    traj = Trajectory(
-        times=np.arange(3.0),
-        states=states,
-        theta=np.array([math.atan2(s[1], s[0]) for s in states]),
-        logrho=np.full(3, -2.0),
-        steps=np.zeros(3),
-        errors=np.zeros(3),
-        diagnostics={},
-    )
-    cut = math.atan2(states[1, 1], states[1, 0])
-    report = check_meridian_integral(traj, MeridianFrame(azimuth=cut))
-    assert 1 in report.on_cut_samples
-
-
-def test_orbit_resting_on_the_cut_is_an_error():
-    traj = constant_trajectory((1.0, 0.0, 0.0))
-    with pytest.raises(FlowError, match="cut meridian"):
-        check_meridian_integral(traj, MeridianFrame(azimuth=0.0))
-
-
 # -- winding ------------------------------------------------------------------
 
 
@@ -423,15 +365,19 @@ def test_equator_sample_of_four_is_the_cardinal_points():
 
 def test_segment_function_samples_the_lower_meridian():
     arc = sphere_arc((1, 0, 0), (-1, 0, 0), (0, 0, -1))
-    fn = SphereFunction(
-        factors=[ArcFactor(arc, label="segment")], punctures=arc.endpoints
-    )
+    fn = SphereFunction(factors=[arc], punctures=arc.endpoints)
     pts = sample_zero_set(fn, 41)
     assert np.all(pts[:, 1] == 0.0)
     assert np.all(pts[:, 2] <= 0.0)
     assert any(np.allclose(p, [1, 0, 0]) for p in pts)
     assert any(np.allclose(p, [-1, 0, 0]) for p in pts)
-    assert float(np.max(np.abs(fn.value_many(pts)))) == 0.0
+    # the kernel refuses a sample that is exactly an endpoint; its exact
+    # value is checked instead
+    endpoints = [tuple(float(c) for c in q) for q in arc.endpoints]
+    ends = np.array([tuple(p) in endpoints for p in pts.tolist()])
+    assert ends.any()
+    assert all(fn.value_exact(p) == 0 for p in pts[ends])
+    assert float(np.max(np.abs(fn.value_and_gradient(*pts[~ends].T)[0]))) == 0.0
 
 
 def test_puncture_appears_among_arc_samples():
@@ -447,7 +393,7 @@ def test_hypocycloid_samples_sit_on_the_boundary():
     for factor in fn.factors:
         if factor.kind != "poly" or factor.source["piece"] != "hypocycloid":
             continue
-        vals = np.abs(factor.value_many(pts))
+        vals = np.abs(factor.value_and_gradient(*pts.T)[0])
         scale = 1.0 + float(factor.poly.coeff_l1_norm())
         worst = max(worst, float(np.min(vals)) / scale)
     # every leaf piece received samples where its own factor vanishes
