@@ -379,7 +379,10 @@ def classify_command(ctx, shrub_file, report, config):
 
     classification = shrub_model.classify_buds(shrub)
     cactus_list = shrub_model.cactuses(shrub)
-    punctures = shrub_model.required_puncture_set(shrub)
+    try:
+        punctures = shrub_model.required_puncture_set(shrub)
+    except shrub_model.ShrubError as exc:
+        raise ConfigurationError(f"shrub rejected: {exc}")
     sum_orders = sum(info.order for info in classification.buds.values())
     leaf_contacts = sum(
         1
@@ -617,6 +620,9 @@ def _derived_path(base: str, seed: int) -> str:
 
 
 def _validate_simulate_config(cfg: dict) -> None:
+    for name, value in cfg.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigurationError(f"{name} must be finite")
     if not (isinstance(cfg["horizon"], (int, float)) and cfg["horizon"] > 0):
         raise ConfigurationError("horizon must be positive")
     for name in ("rtol", "atol"):

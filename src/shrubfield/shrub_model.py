@@ -161,9 +161,6 @@ class ShrubGraph:
     def junction(self, bud: int) -> Junction:
         return self._by_bud[bud]
 
-    def junctions_of_piece(self, pid: int):
-        return [j for j in self.junctions if any(a.piece == pid for a in j.at)]
-
     def pieces_at(self, bud: int):
         return [a.piece for a in self._by_bud[bud].at]
 
@@ -179,6 +176,20 @@ class ShrubGraph:
                 if a.piece == pid and a.site == site:
                     return j.bud
         raise ShrubError(f"sprig {pid} end {site} has no junction")
+
+    def sprig_ends(self, pid: int):
+        return self.sprig_end_bud(pid, "end0"), self.sprig_end_bud(pid, "end1")
+
+    def far_end(self, pid: int, bud: int) -> int:
+        """The bud at the other end of a sprig from `bud`."""
+        b0, b1 = self.sprig_ends(pid)
+        return b1 if b0 == bud else b0
+
+    def cusp_buds(self, pid: int):
+        """Sorted (cusp, bud) pairs of the junctions on a leaf."""
+        return sorted(
+            (a.site, j.bud) for j in self.junctions for a in j.at if a.piece == pid
+        )
 
 
 def _site_from_json(site):
@@ -503,12 +514,7 @@ class PunctureRef:
 def _free_axis_cusp(shrub: ShrubGraph, leaf: int):
     """Lowest quarter-turn cusp of the leaf not already used by a junction."""
     k = shrub.pieces[leaf].k
-    used = {
-        a.site
-        for j in shrub.junctions
-        for a in j.at
-        if a.piece == leaf
-    }
+    used = {cusp for cusp, _ in shrub.cusp_buds(leaf)}
     step = max(1, k // 4)
     slots = sorted({0, step, 2 * step, 3 * step} & set(range(k)))
     for cusp in slots:
@@ -522,15 +528,22 @@ def _free_axis_cusp(shrub: ShrubGraph, leaf: int):
 
 def required_puncture_set(shrub: ShrubGraph):
     """Points a synthesized field may not be analytic at: odd buds plus one
-    representative cusp per odd cactus (lowest leaf, lowest free cusp)."""
+    representative cusp per odd cactus (the lowest free cusp of its lowest
+    leaf that has one). Raises ShrubError for an odd cactus with no free
+    cusp at all."""
     cls = classify_buds(shrub)
     refs = [PunctureRef(kind="bud", bud=b) for b in cls.odd_buds]
     for c in find_odd_cactuses(shrub):
-        leaf = c.leaves[0]
-        cusp = _free_axis_cusp(shrub, leaf)
-        if cusp is None:
-            cusp = 0
-        refs.append(PunctureRef(kind="cactus_cusp", leaf=leaf, cusp=cusp))
+        for leaf in c.leaves:
+            cusp = _free_axis_cusp(shrub, leaf)
+            if cusp is not None:
+                refs.append(PunctureRef(kind="cactus_cusp", leaf=leaf, cusp=cusp))
+                break
+        else:
+            raise ShrubError(
+                f"odd cactus of leaves {list(c.leaves)} has no free cusp "
+                "for its puncture"
+            )
     return refs
 
 
@@ -677,17 +690,9 @@ class _Rigidity:
         rigid = sum(1 for p in others if self.piece_rigid(bud, p))
         return rigid % 2 == 1
 
-    def sprig_endpoint_buds(self, pid: int):
-        return (
-            self.shrub.sprig_end_bud(pid, "end0"),
-            self.shrub.sprig_end_bud(pid, "end1"),
-        )
-
     def dangling(self, pid: int, at_bud: int) -> bool:
         """Sprig whose far endpoint (away from at_bud) is no guarded node."""
-        b0, b1 = self.sprig_endpoint_buds(pid)
-        far = b1 if b0 == at_bud else b0
-        return not self.in_pa[far]
+        return not self.in_pa[self.shrub.far_end(pid, at_bud)]
 
 
 def orient_all(shrub: ShrubGraph) -> OrientationCertificate:
@@ -723,19 +728,13 @@ def orient_all(shrub: ShrubGraph) -> OrientationCertificate:
     piece_orients = {}
     for pid, piece in enumerate(shrub.pieces):
         if piece.is_sprig:
-            b0, b1 = rig.sprig_endpoint_buds(pid)
+            b0, b1 = shrub.sprig_ends(pid)
             if rig.in_pa[b0] and rig.in_pa[b1]:
                 piece_orients[pid] = (b0, b1)
             continue
-        juncs = sorted(
-            (a.site, j.bud)
-            for j in shrub.junctions
-            for a in j.at
-            if a.piece == pid
-        )
         rigid = [
             bud
-            for _, bud in juncs
+            for _, bud in shrub.cusp_buds(pid)
             if rig.in_pa[bud] and rig.node_rigid_for_piece(pid, bud)
         ]
         if not rigid:
@@ -828,8 +827,7 @@ def orient_all(shrub: ShrubGraph) -> OrientationCertificate:
 
     assignments = {}
     for pid in shrub.sprig_ids():
-        b0, b1 = rig.sprig_endpoint_buds(pid)
-        guarded = [b for b in (b0, b1) if rig.in_pa[b]]
+        guarded = [b for b in shrub.sprig_ends(pid) if rig.in_pa[b]]
         if not guarded:
             assignments[pid] = SprigAssignment(alternative="i")
             continue
@@ -1241,12 +1239,7 @@ def random_very_simple_shrub(rng: random.Random, max_pieces: int = 9) -> ShrubGr
 
 
 def _free_cusp_any(shrub: ShrubGraph, leaf: int, pending):
-    used = {
-        a.site
-        for j in shrub.junctions
-        for a in j.at
-        if a.piece == leaf
-    }
+    used = {cusp for cusp, _ in shrub.cusp_buds(leaf)}
     used |= {cusp for lf, cusp, _ in pending if lf == leaf}
     for cusp in range(shrub.pieces[leaf].k):
         if cusp not in used:
@@ -1369,34 +1362,76 @@ _RAY_DIR = (Fraction(1), Fraction(0))
 def _layout_frame(shrub: ShrubGraph) -> ShrubLayout:
     if find_odd_cactuses(shrub):
         raise LayoutError("sprig-free shrub with an odd cactus should not exist")
-    counts = {
-        pid: len(shrub.junctions_of_piece(pid)) for pid in shrub.leaf_ids()
-    }
+    counts = {pid: len(shrub.cusp_buds(pid)) for pid in shrub.leaf_ids()}
     root = max(counts, key=lambda pid: (counts[pid], -pid))
-    for attempt in range(7):
-        shrink = Fraction(1, 2**attempt)
-        try:
-            return _try_layout_frame(shrub, root, shrink)
-        except _Collision:
-            continue
-    raise LayoutError("frame layout found no collision-free scale", detail=root)
+    return _first_fit(
+        lambda shrink, _salt: _try_layout_frame(shrub, root, shrink),
+        "frame layout found no collision-free scale",
+        detail=root,
+    )
 
 
 class _Collision(Exception):
     pass
 
 
+def _first_fit(attempt, failure, detail=None):
+    """The first `attempt(shrink, salt)` that raises no _Collision, over the
+    scales shrink = 1, 1/2, ..., 1/64 and salt = 0, 1, ..., 6."""
+    for salt in range(7):
+        try:
+            return attempt(Fraction(1, 2**salt), salt)
+        except _Collision:
+            continue
+    raise LayoutError(failure, detail=detail)
+
+
+def _leaf_buds(shrub: ShrubGraph, pid: int):
+    """The junction buds of a leaf in cusp order; there are four exact
+    quarter-turn slots, so a leaf takes four junctions at most."""
+    buds = [bud for _, bud in shrub.cusp_buds(pid)]
+    if len(buds) > 4:
+        raise LayoutError(
+            "leaf carries more junctions than exact cusp slots", detail=pid
+        )
+    return buds
+
+
+def _place_leaf(shrub, pid, entry_bud, entry, direction, radius, slots):
+    """A leaf with its entry cusp at `entry` and its body along +direction.
+
+    `slots` maps every junction bud of the leaf to its quarter-turn cusp
+    slot, in increasing slot order. Returns the placement and a
+    (bud, point, outward unit) triple for every other junction, in slot
+    order.
+    """
+    center = (entry[0] + radius * direction[0], entry[1] + radius * direction[1])
+    k_layout = _leaf_k_layout(shrub.pieces[pid].k)
+    aff = _leaf_affine(center, radius, k_layout, slots[entry_bud], _neg(direction))
+    placement = LeafPlacement(
+        piece=pid,
+        frame=False,
+        k_layout=k_layout,
+        affine=aff,
+        center=center,
+        radius=radius,
+    )
+    exits = []
+    for bud, slot in slots.items():
+        point = aff.apply(_axis_cusp_raw(k_layout, slot))
+        if bud == entry_bud:
+            if point != entry:
+                raise AssertionError("entry cusp landed off the junction")
+            continue
+        exits.append((bud, point, _unit_from_center(center, point, radius)))
+    return placement, exits
+
+
 def _try_layout_frame(shrub, root, shrink) -> ShrubLayout:
     placements = {root: LeafPlacement(piece=root, frame=True)}
     junction_points = {}
-    balls = {}  # piece -> (center, radius) for inner leaves
-    frame_tangent = set()  # leaves allowed to touch the unit circle
-
-    root_juncs = sorted(
-        (next(a.site for a in j.at if a.piece == root), j.bud)
-        for j in shrub.junctions_of_piece(root)
-    )
-    n = max(1, len(root_juncs))
+    root_buds = [bud for _, bud in shrub.cusp_buds(root)]
+    n = max(1, len(root_buds))
     s0 = min(Fraction(1, 4), Fraction(1, 2 * n)) * shrink
 
     def circle_direction(i):
@@ -1406,58 +1441,39 @@ def _try_layout_frame(shrub, root, shrink) -> ShrubLayout:
         t = Fraction(math.tan(angle)).limit_denominator(64)
         return rational_circle_point(t)
 
-    def place_leaf(pid, q, direction, radius, parent_bud):
-        """Leaf with its entry cusp at q, body along +direction."""
-        center = (q[0] + radius * direction[0], q[1] + radius * direction[1])
-        k_layout = _leaf_k_layout(shrub.pieces[pid].k)
-        aff = _leaf_affine(center, radius, k_layout, 0, _neg(direction))
-        placements[pid] = LeafPlacement(
-            piece=pid,
-            frame=False,
-            k_layout=k_layout,
-            affine=aff,
-            center=center,
-            radius=radius,
+    def place(pid, entry_bud, entry, direction, radius):
+        # consecutive slots, starting with the entry cusp at slot 0
+        order = _leaf_buds(shrub, pid)
+        i = order.index(entry_bud)
+        slots = {bud: slot for slot, bud in enumerate(order[i:] + order[:i])}
+        placements[pid], exits = _place_leaf(
+            shrub, pid, entry_bud, entry, direction, radius, slots
         )
-        balls[pid] = (center, radius)
-        juncs = sorted(
-            (next(a.site for a in j.at if a.piece == pid), j.bud)
-            for j in shrub.junctions_of_piece(pid)
-        )
-        if len(juncs) > 4:
-            raise LayoutError(
-                "leaf carries more junctions than exact cusp slots",
-                detail=pid,
-            )
-        order = [bud for _, bud in juncs]
-        if parent_bud is not None:
-            i = order.index(parent_bud)
-            order = order[i:] + order[:i]
-        for slot, bud in enumerate(order):
-            raw = _axis_cusp_raw(k_layout, slot)
-            point = aff.apply(raw)
-            if bud == parent_bud:
-                if point != q:
-                    raise AssertionError("entry cusp landed off the junction")
-                continue
+        for bud, point, out_dir in exits:
             junction_points[bud] = point
-            out_dir = _unit_from_center(center, point, radius)
             for other in shrub.pieces_at(bud):
-                if other == pid:
-                    continue
-                place_leaf(other, point, out_dir, radius / 4, bud)
+                if other != pid:
+                    place(other, bud, point, out_dir, radius / 4)
 
-    for i, (_, bud) in enumerate(root_juncs):
+    for i, bud in enumerate(root_buds):
         q = circle_direction(i)
         junction_points[bud] = q
-        inward = _neg(q)
         for pid in shrub.pieces_at(bud):
-            if pid == root:
-                continue
-            frame_tangent.add(pid)
-            place_leaf(pid, q, inward, s0, bud)
+            if pid != root:
+                place(pid, bud, q, _neg(q), s0)
 
-    _check_frame_collisions(shrub, balls, frame_tangent)
+    # inner leaves stay inside the unit circle, and those glued to the frame
+    # touch it exactly at their entry junction
+    tangent = {pid for bud in root_buds for pid in shrub.pieces_at(bud)}
+    inner = {pid: p for pid, p in placements.items() if pid != root}
+    for pid, p in inner.items():
+        norm2 = p.center[0] ** 2 + p.center[1] ** 2
+        if pid in tangent:
+            if norm2 != (1 - p.radius) ** 2:
+                raise AssertionError("frame child is not tangent to the circle")
+        elif norm2 >= (1 - p.radius) ** 2:
+            raise _Collision
+    _check_collisions(shrub, inner, junction_points)
     return ShrubLayout(
         mode="frame",
         placements=placements,
@@ -1478,39 +1494,6 @@ def _unit_from_center(center, point, radius):
         (point[0] - center[0]) / radius,
         (point[1] - center[1]) / radius,
     )
-
-
-def _check_frame_collisions(shrub, balls, frame_tangent):
-    """Exact disjointness of the bounding balls, except declared tangencies."""
-    ids = sorted(balls)
-    adjacency = set()
-    for j in shrub.junctions:
-        ps = [a.piece for a in j.at]
-        for a in ps:
-            for b in ps:
-                if a < b:
-                    adjacency.add((a, b))
-    for i, a in enumerate(ids):
-        ca, ra = balls[a]
-        norm2 = ca[0] ** 2 + ca[1] ** 2
-        lim_frame = (1 - ra) ** 2
-        if a in frame_tangent:
-            # tangent to the unit circle exactly at its entry junction
-            if norm2 != lim_frame:
-                raise AssertionError("frame child is not tangent to the circle")
-        elif norm2 >= lim_frame:
-            raise _Collision
-        if norm2 <= ra * ra:
-            raise _Collision  # the origin (south pole) must stay outside
-        for b in ids[i + 1:]:
-            cb, rb = balls[b]
-            d2 = (ca[0] - cb[0]) ** 2 + (ca[1] - cb[1]) ** 2
-            lim = (ra + rb) ** 2
-            if (a, b) in adjacency:
-                if d2 != lim:
-                    raise AssertionError("adjacent leaves are not tangent")
-            elif d2 <= lim:
-                raise _Collision
 
 
 # punctured mode ----------------------------------------------------------------
@@ -1577,20 +1560,15 @@ def _layout_punctured(shrub: ShrubGraph, cert) -> ShrubLayout:
     else:
         base_bud = aug.sprig_end_bud(aux_ids[0], "end1")
 
-    for attempt in range(7):
-        shrink = Fraction(1, 2**attempt)
-        try:
-            return _try_layout_punctured(
-                shrub, aug, cert, base_bud, aux_ids, aux_buds, shrink, attempt
-            )
-        except _Collision:
-            continue
-    raise LayoutError("punctured layout found no collision-free scale")
+    return _first_fit(
+        lambda shrink, salt: _try_layout_punctured(
+            shrub, aug, cert, base_bud, aux_ids, aux_buds, shrink, salt
+        ),
+        "punctured layout found no collision-free scale",
+    )
 
 
-def _try_layout_punctured(
-    shrub, aug, cert, base_bud, aux_ids, aux_buds, shrink, salt=0
-):
+def _try_layout_punctured(shrub, aug, cert, base_bud, aux_ids, aux_buds, shrink, salt):
     placements = {}
     # None is the point at infinity; only the base bud lives there
     junction_points = {base_bud: None}
@@ -1704,69 +1682,43 @@ def _try_layout_punctured(
         for pid in others:
             place_piece(pid, bud, point, dirs[pid], depth)
 
+    def place_sprig(pid, near_bud, near, far, direction, depth):
+        """The sprig from `near` (None at infinity) to `far`, then every
+        piece at its far end."""
+        far_bud = aug.far_end(pid, near_bud)
+        forward = aug.sprig_end_bud(pid, "end0") == near_bud
+        placements[pid] = SprigPlacement(
+            piece=pid,
+            start=near if forward else far,
+            end=far if forward else near,
+            aux=pid in aux_ids,
+        )
+        junction_points[far_bud] = far
+        visit_junction(far_bud, pid, direction, depth)
+
     def place_piece(pid, from_bud, point, direction, depth):
-        piece = aug.pieces[pid]
-        if piece.is_sprig:
+        if aug.pieces[pid].is_sprig:
             length = base_len / (4**depth)
             far = (
                 point[0] + length * direction[0],
                 point[1] + length * direction[1],
             )
-            b0 = aug.sprig_end_bud(pid, "end0")
-            b1 = aug.sprig_end_bud(pid, "end1")
-            far_bud = b1 if b0 == from_bud else b0
-            placements[pid] = SprigPlacement(
-                piece=pid,
-                start=point if b0 == from_bud else far,
-                end=far if b0 == from_bud else point,
-                aux=pid in aux_ids,
-            )
-            junction_points[far_bud] = far
-            visit_junction(far_bud, pid, direction, depth + 1)
+            place_sprig(pid, from_bud, point, far, direction, depth + 1)
             return
-        # leaf: entry cusp at `point`, body along +direction
-        radius = base_len / 2 / (4**depth)
-        center = (
-            point[0] + radius * direction[0],
-            point[1] + radius * direction[1],
+        slots = _embed_leaf_slots(
+            _leaf_buds(aug, pid), from_bud, cert.piece_orientations.get(pid)
         )
-        k_layout = _leaf_k_layout(piece.k)
-        juncs = sorted(
-            (next(a.site for a in jj.at if a.piece == pid), jj.bud)
-            for jj in aug.junctions_of_piece(pid)
-        )
-        if len(juncs) > 4:
-            raise LayoutError(
-                "leaf carries more junctions than exact cusp slots", detail=pid
-            )
-        order = [b for _, b in juncs]
-        slot_map = _embed_leaf_slots(
-            order, from_bud, cert.piece_orientations.get(pid)
-        )
-        if slot_map is None:
+        if slots is None:
             raise LayoutError(
                 "leaf junction order cannot respect its opposed pairs",
                 detail=pid,
             )
-        entry_slot = slot_map[from_bud]
-        aff = _leaf_affine(center, radius, k_layout, entry_slot, _neg(direction))
-        placements[pid] = LeafPlacement(
-            piece=pid,
-            frame=False,
-            k_layout=k_layout,
-            affine=aff,
-            center=center,
-            radius=radius,
+        radius = base_len / 2 / (4**depth)
+        placements[pid], exits = _place_leaf(
+            aug, pid, from_bud, point, direction, radius, slots
         )
-        for bud, slot in slot_map.items():
-            raw = _axis_cusp_raw(k_layout, slot)
-            cusp_point = aff.apply(raw)
-            if bud == from_bud:
-                if cusp_point != point:
-                    raise AssertionError("entry cusp landed off the junction")
-                continue
+        for bud, cusp_point, out_dir in exits:
             junction_points[bud] = cusp_point
-            out_dir = _unit_from_center(center, cusp_point, radius)
             visit_junction(bud, pid, out_dir, depth + 1)
 
     # every sprig at the base becomes a horizontal ray running to +infinity;
@@ -1774,16 +1726,7 @@ def _try_layout_punctured(
     # origin stays clear, and components stay inside small anchor clusters
     for idx, pid in enumerate(sorted(aug.pieces_at(base_bud))):
         anchor = (Fraction(2), Fraction(4 * idx + 2))
-        b0 = aug.sprig_end_bud(pid, "end0")
-        far_bud = aug.sprig_end_bud(pid, "end1") if b0 == base_bud else b0
-        placements[pid] = SprigPlacement(
-            piece=pid,
-            start=None if b0 == base_bud else anchor,
-            end=anchor if b0 == base_bud else None,
-            aux=pid in aux_ids,
-        )
-        junction_points[far_bud] = anchor
-        visit_junction(far_bud, pid, _neg(_RAY_DIR), 1)
+        place_sprig(pid, base_bud, None, anchor, _neg(_RAY_DIR), 1)
 
     if len(junction_points) != len(aug.junctions):
         raise LayoutError("layout did not reach every junction")
@@ -1791,7 +1734,7 @@ def _try_layout_punctured(
     segments = _collect_maximal_segments(
         aug, cert, placements, junction_points, aux_ids
     )
-    _check_punctured_collisions(aug, placements, junction_points)
+    _check_collisions(aug, placements, junction_points)
     # every odd bud of the augmented shrub ends an arc (the auxiliary stub
     # tips included), and each auxiliary junction cuts its chain in two
     punctures = tuple(sorted(set(classify_buds(aug).odd_buds) | set(aux_buds)))
@@ -1817,11 +1760,10 @@ def _embed_leaf_slots(order, entry_bud, orientation):
     """Assign quarter-turn cusp slots to the leaf's junctions.
 
     Preserves the cyclic cusp order and puts opposed oriented pairs on
-    opposite slots. Returns bud -> slot, or None when no rotation works.
+    opposite slots. Returns bud -> slot in increasing slot order, or None
+    when no rotation works.
     """
     n = len(order)
-    if n > 4:
-        return None
     pairs = []
     if orientation:
         half = len(orientation) // 2
@@ -1856,13 +1798,6 @@ def _collect_maximal_segments(aug, cert, placements, junction_points, aux_ids):
     chain at the junction and emitted as separate one-sprig segments. An
     endpoint of None is the base bud at infinity."""
     segments = []
-
-    def tip_point(pid, node_bud):
-        b0 = aug.sprig_end_bud(pid, "end0")
-        b1 = aug.sprig_end_bud(pid, "end1")
-        far = b1 if b0 == node_bud else b0
-        return junction_points[far], far
-
     for chain in cert.chains:
         els = [e.split(":") for e in chain.elements]
         first_node = int(els[0][1])
@@ -1873,7 +1808,7 @@ def _collect_maximal_segments(aug, cert, placements, junction_points, aux_ids):
         if s0 in aux_ids:
             start = junction_points[first_node]
         else:
-            start, _ = tip_point(s0, first_node)  # the free tip is an odd bud
+            start = junction_points[aug.far_end(s0, first_node)]  # an odd bud
             pieces.append(("sprig", s0))
             waypoints.append(start)
         waypoints.append(junction_points[first_node])
@@ -1889,20 +1824,18 @@ def _collect_maximal_segments(aug, cert, placements, junction_points, aux_ids):
         if s1 in aux_ids:
             end = junction_points[last_node]
         else:
-            end, _ = tip_point(s1, last_node)
+            end = junction_points[aug.far_end(s1, last_node)]
             pieces.append(("sprig", s1))
             waypoints.append(end)
-        start_pt = start if s0 not in aux_ids else junction_points[first_node]
-        end_pt = end
         for w in waypoints:
             if w is None:
                 continue
-            if not _collinear_run(start_pt, end_pt, w):
+            if not _collinear_run(start, end, w):
                 raise AssertionError("chain waypoints are not collinear")
         segments.append(
             MaximalSegment(
-                start=start_pt,
-                end=end_pt,
+                start=start,
+                end=end,
                 start_puncture=True,
                 end_puncture=True,
                 pieces=tuple(pieces),
@@ -1914,8 +1847,7 @@ def _collect_maximal_segments(aug, cert, placements, junction_points, aux_ids):
     }
     for pid, assign in cert.sprig_assignments.items():
         if assign.alternative == "i" and pid not in aux_ids:
-            b0 = aug.sprig_end_bud(pid, "end0")
-            b1 = aug.sprig_end_bud(pid, "end1")
+            b0, b1 = aug.sprig_ends(pid)
             segments.append(
                 MaximalSegment(
                     start=junction_points[b0],
@@ -1929,10 +1861,11 @@ def _collect_maximal_segments(aug, cert, placements, junction_points, aux_ids):
     # auxiliary stubs stay in the drawn boundary as their own segments from
     # the cutting junction to the free tip
     for pid in aux_ids:
+        b0, b1 = aug.sprig_ends(pid)
         segments.append(
             MaximalSegment(
-                start=junction_points[aug.sprig_end_bud(pid, "end0")],
-                end=junction_points[aug.sprig_end_bud(pid, "end1")],
+                start=junction_points[b0],
+                end=junction_points[b1],
                 start_puncture=True,
                 end_puncture=True,
                 pieces=(("sprig", pid),),
@@ -1960,16 +1893,17 @@ def _collinear_run(start, end, w):
     return _collinear(start, end, w)
 
 
-def _check_punctured_collisions(aug, placements, junction_points):
+def _check_collisions(shrub, placements, junction_points):
     """Exact pairwise separation of leaf balls, sprig segments, and rays,
-    plus clearance of the chart origin from every drawn piece."""
-    adjacency = set()
-    for j in aug.junctions:
-        ps = [a.piece for a in j.at]
-        for a in ps:
-            for b in ps:
-                if a < b:
-                    adjacency.add((a, b))
+    plus clearance of the chart origin from every drawn piece. Two pieces
+    that share a junction may meet at its point only: leaves as tangent
+    balls, sprigs as spans leaving it."""
+    shared_bud = {}  # (a, b) with a < b -> the junction both pieces touch
+    for j in shrub.junctions:
+        for a in j.at:
+            for b in j.at:
+                if a.piece < b.piece:
+                    shared_bud[(a.piece, b.piece)] = j.bud
     items = sorted(placements)
     origin = (Fraction(0), Fraction(0))
     for pid in items:
@@ -1983,7 +1917,8 @@ def _check_punctured_collisions(aug, placements, junction_points):
         pa = placements[a]
         for b in items[i + 1:]:
             pb = placements[b]
-            adjacent = (a, b) in adjacency
+            adjacent = (a, b) in shared_bud
+            shared = junction_points[shared_bud[(a, b)]] if adjacent else None
             if isinstance(pa, LeafPlacement) and isinstance(pb, LeafPlacement):
                 d2 = _dist2(pa.center, pb.center)
                 lim = (pa.radius + pb.radius) ** 2
@@ -1994,41 +1929,19 @@ def _check_punctured_collisions(aug, placements, junction_points):
                     raise _Collision
             elif isinstance(pa, LeafPlacement) or isinstance(pb, LeafPlacement):
                 leaf, seg = (pa, pb) if isinstance(pa, LeafPlacement) else (pb, pa)
-                if adjacent:
-                    # the sprig leaves the tangency cusp pointing outward
-                    shared = _shared_junction_point(
-                        aug, leaf.piece, seg.piece, junction_points
-                    )
-                    _require_span_outside_ball(
-                        _sprig_span(seg), leaf, allow_touch=shared
-                    )
-                else:
-                    _require_span_outside_ball(
-                        _sprig_span(seg), leaf, allow_touch=None
-                    )
+                # an adjacent sprig leaves the tangency cusp pointing outward
+                _require_span_outside_ball(_sprig_span(seg), leaf, allow_touch=shared)
             else:
                 sa, sb = _sprig_span(pa), _sprig_span(pb)
                 if not adjacent:
                     if _spans_intersect(sa, sb):
                         raise _Collision
-                else:
-                    shared = _shared_junction_point(
-                        aug, pa.piece, pb.piece, junction_points
-                    )
-                    if _spans_overlap_beyond_point(sa, sb, shared):
-                        raise _Collision
+                elif _spans_overlap_beyond_point(sa, sb, shared):
+                    raise _Collision
 
 
 def _dist2(a, b):
     return (a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2
-
-
-def _shared_junction_point(aug, pid_a, pid_b, junction_points):
-    for j in aug.junctions:
-        ids = [a.piece for a in j.at]
-        if pid_a in ids and pid_b in ids:
-            return junction_points[j.bud]
-    return None
 
 
 def _sprig_span(p):

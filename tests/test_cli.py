@@ -354,6 +354,65 @@ def test_reports_are_strict_json():
         assert info.value.exit_code == 3
 
 
+def _sprig_at(bud, leaf, cusp, sprig):
+    return {
+        "bud": bud,
+        "at": [{"piece": leaf, "site": cusp}, {"piece": sprig, "site": "end0"}],
+    }
+
+
+def test_odd_cactus_puncture_skips_a_leaf_with_every_cusp_taken(tmp_path):
+    # a k=3 leaf glued to a k=4 leaf, with sprigs on every free cusp of the
+    # first and on one of the second: the puncture goes on the second leaf
+    path = tmp_path / "full-leaf.json"
+    path.write_text(
+        json.dumps(
+            {
+                "pieces": [{"leaf": {"k": 3}}, {"leaf": {"k": 4}}]
+                + [{"sprig": {}}] * 3,
+                "junctions": [
+                    {
+                        "bud": 0,
+                        "at": [{"piece": 0, "site": 0}, {"piece": 1, "site": 0}],
+                    },
+                    _sprig_at(1, 0, 1, 2),
+                    _sprig_at(2, 0, 2, 3),
+                    _sprig_at(3, 1, 2, 4),
+                ],
+            }
+        )
+    )
+    report = tmp_path / "classify.json"
+    assert main(["classify", str(path), "--report", str(report)]) == 0
+    body = _read_json(report)
+    assert {"kind": "cactus_cusp", "leaf": 1, "cusp": 1} in body["punctures"]
+    assert body["orientation"]["verified"] is True
+    out, report = tmp_path / "bundle.json", tmp_path / "synthesize.json"
+    args = ["synthesize", str(path), "--out", str(out), "--report", str(report)]
+    assert main(args) == 0
+    assert _read_json(report)["tangency"]["nonfinite_rows"] == 0
+    assert out.exists()
+
+
+def test_odd_cactus_without_a_free_cusp_is_a_validation_failure(tmp_path, capsys):
+    path = tmp_path / "k3-three-sprigs.json"
+    path.write_text(
+        json.dumps(
+            {
+                "pieces": [{"leaf": {"k": 3}}] + [{"sprig": {}}] * 3,
+                "junctions": [_sprig_at(c, 0, c, c + 1) for c in range(3)],
+            }
+        )
+    )
+    report, out = tmp_path / "report.json", tmp_path / "bundle.json"
+    assert main(["classify", str(path), "--report", str(report)]) == 2
+    assert "no free cusp" in capsys.readouterr().err
+    args = ["synthesize", str(path), "--out", str(out), "--report", str(report)]
+    assert main(args) == 2
+    assert "no free cusp" in capsys.readouterr().err
+    assert not report.exists() and not out.exists()
+
+
 def test_unorientable_shrub_cannot_be_synthesized(workdir, tmp_path):
     rc = main(
         [
@@ -552,6 +611,32 @@ def test_nonpositive_horizon_is_a_validation_failure(workdir, tmp_path):
     assert rc == 2
     rc, _ = _simulate(workdir, tmp_path, "--horizon", "-3", name="negative")
     assert rc == 2
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--rtol", "inf"],
+        ["--atol", "inf"],
+        ["--max-step", "inf"],
+        ["--guard", "inf"],
+        ["--fixed-step", "inf"],
+        ["--min-step", "inf"],
+        ["--seed-radius", "inf"],
+        ["--horizon", "inf"],
+        ["--config", '{"simulate": {"rtol": Infinity}}'],
+    ],
+    ids=lambda extra: extra[0].lstrip("-"),
+)
+def test_nonfinite_settings_are_validation_failures(workdir, tmp_path, extra):
+    if extra[0] == "--config":
+        config = tmp_path / "config.json"
+        config.write_text(extra[1])
+        extra = ["--config", str(config)]
+    rc, _ = _simulate(workdir, tmp_path, "--horizon", "2", *extra, name="inf")
+    assert rc == 2
+    assert not (tmp_path / "inf.csv").exists()
+    assert not (tmp_path / "inf.json").exists()
 
 
 def test_config_file_supplies_and_flags_override(workdir, tmp_path):

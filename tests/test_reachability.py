@@ -1,6 +1,7 @@
-"""Guard against dead library code: every public module-level function or
-class of the package must be named by some other part of `src/` or
-`bench/`, so that a command, a pipeline stage or the benchmark reaches it."""
+"""Guard against dead library code: every module-level function or class
+of the package, private helpers included, must be named by some other part
+of `src/` or `bench/`, so that a command, a pipeline stage or the benchmark
+reaches it."""
 
 import ast
 from collections import Counter
@@ -9,7 +10,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "shrubfield"
 
-# public names that only the tests call, each with the reason it stays
+# names that only the tests call, each with the reason it stays
 ALLOWED = {
     "apply_affine": "the exact affine image of a plane curve; the tests use "
     "it as an oracle for the composed leaf factors",
@@ -61,7 +62,7 @@ def _statements():
             yield path, node
 
 
-def test_every_public_name_is_reached():
+def test_every_module_level_name_is_reached():
     statements = [(path, node, _names(node)) for path, node in _statements()]
     # how many top-level statements mention each name
     mentions = Counter(name for _, _, names in statements for name in names)
@@ -73,7 +74,7 @@ def test_every_public_name_is_reached():
         if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             continue
         defined.add(node.name)
-        if node.name.startswith("_") or node.name in ALLOWED or _is_command(node):
+        if node.name in ALLOWED or _is_command(node):
             continue
         # a mention inside the definition itself does not count
         if mentions[node.name] - (node.name in names) == 0:
