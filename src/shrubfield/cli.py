@@ -16,7 +16,8 @@ time or machine identity.
 Configuration comes from an optional single JSON file (``--config``) holding
 one object per command name, e.g. ``{"simulate": {"horizon": 40.0}}``.
 Command-line flags override file values, which override built-in defaults.
-Unknown keys in a command's section are rejected.
+A file value is read as the text its flag would take, so it meets the same
+type and range checks. Unknown keys in a command's section are rejected.
 
 Exit codes are stable: 0 success, 2 validation or configuration failure
 (bad flags, malformed files, unsatisfiable layouts), 3 numeric failure
@@ -90,42 +91,21 @@ def _load_json_file(path, what: str):
 
 
 def _resolve_config(ctx: click.Context) -> dict:
-    """Merge defaults, the command's config-file section, and explicit flags.
+    """The command's settings as click resolved them, plus its name.
 
-    Every option of the command except ``--config`` is a configuration key;
-    the returned dict maps each to its effective value and is what gets
-    hashed into reports.
+    Each setting comes from its flag, else from the config file, else from
+    its default, and always through the flag's type. The returned dict is
+    what gets hashed into reports. Before any input file is read, a float
+    setting must be finite and every output path must be writable.
     """
-    command = ctx.command.name
-    managed = [
-        p.name
-        for p in ctx.command.params
-        if isinstance(p, click.Option) and p.name != "config"
-    ]
-    resolved = {name: ctx.params[name] for name in managed}
-    config_path = ctx.params.get("config")
-    if config_path is not None:
-        data = _load_json_file(config_path, "config file")
-        if not isinstance(data, dict):
-            raise ConfigurationError("config file must hold a JSON object")
-        section = data.get(command, {})
-        if not isinstance(section, dict):
-            raise ConfigurationError(
-                f"config section {command!r} must be a JSON object"
-            )
-        unknown = sorted(set(section) - set(managed))
-        if unknown:
-            raise ConfigurationError(
-                f"unknown config key(s) in section {command!r}: "
-                + ", ".join(unknown)
-            )
-        from click.core import ParameterSource
-
-        for name, value in section.items():
-            if ctx.get_parameter_source(name) != ParameterSource.COMMANDLINE:
-                resolved[name] = value
-    resolved["command"] = command
-    return resolved
+    for param in ctx.command.params:
+        value = ctx.params.get(param.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigurationError(f"{param.name} must be finite")
+        if isinstance(param.type, click.Path) and not param.type.exists:
+            if value is not None:
+                _require_writable(value, param.opts[0])
+    return dict(ctx.params, command=ctx.command.name)
 
 
 def _require_writable(path, what: str) -> None:
@@ -158,10 +138,49 @@ def cli():
     """Hypocycloid boundary curves, shrub layouts, and sphere flows."""
 
 
+def _read_config_section(ctx: click.Context, _param, path) -> None:
+    """Make the command's section of the config file click's default map.
+
+    Each value becomes the text its flag would take (a list joined by
+    commas, null left unset), so it passes the same type, range and
+    conversion as the flag, and a flag still overrides it.
+    """
+    if path is None:
+        return
+    command = ctx.command.name
+    data = _load_json_file(path, "config file")
+    if not isinstance(data, dict):
+        raise ConfigurationError("config file must hold a JSON object")
+    section = data.get(command, {})
+    if not isinstance(section, dict):
+        raise ConfigurationError(f"config section {command!r} must be a JSON object")
+    options = {
+        p.name for p in ctx.command.params if isinstance(p, click.Option)
+    } - {"config"}
+    unknown = sorted(set(section) - options)
+    if unknown:
+        raise ConfigurationError(
+            f"unknown config key(s) in section {command!r}: " + ", ".join(unknown)
+        )
+    ctx.default_map = {
+        name: ",".join(map(str, value)) if isinstance(value, list) else str(value)
+        for name, value in section.items()
+        if value is not None
+    }
+
+
+# value types shared by several options
+_COUNT = click.IntRange(min=1)
+_SEED = click.IntRange(min=0)
+_POSITIVE = click.FloatRange(min=0.0, min_open=True)
+
 _CONFIG_OPTION = click.option(
     "--config",
     type=click.Path(exists=True, dir_okay=False),
     default=None,
+    is_eager=True,
+    expose_value=False,
+    callback=_read_config_section,
     help="JSON file with one settings object per command; flags override it.",
 )
 
@@ -223,7 +242,9 @@ def _astroid_grid_check(poly: Polynomial) -> dict:
 
 
 @cli.command("implicitize")
-@click.option("--k", type=int, required=True, help="Cusp count, at least 3.")
+@click.option(
+    "--k", type=click.IntRange(min=3), required=True, help="Cusp count, at least 3."
+)
 @click.option(
     "--out",
     type=click.Path(dir_okay=False),
@@ -232,7 +253,7 @@ def _astroid_grid_check(poly: Polynomial) -> dict:
 )
 @click.option(
     "--samples",
-    type=int,
+    type=_COUNT,
     default=1000,
     show_default=True,
     help="Parameter samples for the residual sweep.",
@@ -246,7 +267,7 @@ def _astroid_grid_check(poly: Polynomial) -> dict:
 @click.option("--report", type=click.Path(dir_okay=False), default=None)
 @_CONFIG_OPTION
 @click.pass_context
-def implicitize_command(ctx, k, out, samples, check, report, config):
+def implicitize_command(ctx, k, out, samples, check, report):
     """Write the exact implicit polynomial of the k-cusped hypocycloid.
 
     The residual report sweeps the parametric curve and records the largest
@@ -254,23 +275,13 @@ def implicitize_command(ctx, k, out, samples, check, report, config):
     at every cusp and a nonvanishing check at the origin.
     """
     cfg = _resolve_config(ctx)
-    k = cfg["k"]
-    samples = cfg["samples"]
-    check = cfg["check"]
-    out = cfg["out"]
-    report = cfg["report"]
-    if not isinstance(k, int) or k < 3:
-        raise click.BadParameter("cusp count must be at least 3", param_hint="--k")
-    if not isinstance(samples, int) or samples < 1:
-        raise click.BadParameter("need at least one sample", param_hint="--samples")
     if check is not None and k != 4:
         raise click.BadParameter(
             "the classical comparison form is the four-cusp astroid; use --k 4",
             param_hint="--check",
         )
     if out is None:
-        out = f"hypocycloid-k{k}.curve.json"
-        cfg["out"] = out
+        out = cfg["out"] = f"hypocycloid-k{k}.curve.json"
 
     poly = curves.implicitize(k).poly
 
@@ -360,7 +371,7 @@ def _orientation_report(shrub: shrub_model.ShrubGraph) -> dict:
 @click.option("--report", type=click.Path(dir_okay=False), default=None)
 @_CONFIG_OPTION
 @click.pass_context
-def classify_command(ctx, shrub_file, report, config):
+def classify_command(ctx, shrub_file, report):
     """Report a shrub's structure: odd buds, odd cactuses, punctures,
     and an orientation certificate checked by an independent verifier.
     Exits 3 when the handshake identity fails or the degree-parity recount
@@ -368,8 +379,6 @@ def classify_command(ctx, shrub_file, report, config):
     from . import shrub_model
 
     cfg = _resolve_config(ctx)
-    cfg["shrub_file"] = shrub_file
-    report = cfg["report"]
     shrub = _load_shrub(shrub_file)
     diagnostics = shrub_model.validate(shrub)
     if not diagnostics.ok:
@@ -518,31 +527,21 @@ def _factor_report(function: field_synth.SphereFunction) -> list:
 )
 @click.option(
     "--spot-checks",
-    type=int,
+    type=_COUNT,
     default=200,
     show_default=True,
     help="Random unit vectors for the tangency spot check.",
 )
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=_SEED, default=0, show_default=True)
 @click.option("--report", type=click.Path(dir_okay=False), default=None)
 @_CONFIG_OPTION
 @click.pass_context
-def synthesize_command(ctx, shrub_file, out, spot_checks, seed, report, config):
+def synthesize_command(ctx, shrub_file, out, spot_checks, seed, report):
     """Lay a shrub out in the plane, compose its boundary function, and
     write the tangent field as a reloadable bundle."""
     from . import shrub_model
 
     cfg = _resolve_config(ctx)
-    cfg["shrub_file"] = shrub_file
-    out = cfg["out"]
-    spot_checks = cfg["spot_checks"]
-    seed = cfg["seed"]
-    report = cfg["report"]
-    if not isinstance(spot_checks, int) or spot_checks < 1:
-        raise click.BadParameter(
-            "need at least one spot check", param_hint="--spot-checks"
-        )
-
     shrub = _load_shrub(shrub_file)
     diagnostics = shrub_model.validate(shrub)
     if not diagnostics.ok:
@@ -558,7 +557,6 @@ def synthesize_command(ctx, shrub_file, out, spot_checks, seed, report, config):
 
     function = field_synth.compose_shrub_function(layout)
     field = field_synth.build_field(function)
-    _require_writable(out, "bundle")
     tangency = _tangency_spot_check(field, spot_checks, seed)
     if tangency["nonfinite_rows"]:
         raise NumericFailureError(
@@ -597,13 +595,9 @@ def synthesize_command(ctx, shrub_file, out, spot_checks, seed, report, config):
 def _parse_start(value):
     if value is None:
         return None
-    if isinstance(value, str):
-        parts = value.split(",")
-    else:
-        parts = list(value)
     try:
-        coords = [float(c) for c in parts]
-    except (TypeError, ValueError):
+        coords = [float(c) for c in value.split(",")]
+    except ValueError:
         raise ConfigurationError(f"start point {value!r} is not three numbers")
     if len(coords) != 3:
         raise ConfigurationError("start point needs exactly three coordinates")
@@ -617,41 +611,6 @@ def _parse_start(value):
 def _derived_path(base: str, seed: int) -> str:
     stem, ext = os.path.splitext(base)
     return f"{stem}-seed{seed}{ext}"
-
-
-def _validate_simulate_config(cfg: dict) -> None:
-    for name, value in cfg.items():
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigurationError(f"{name} must be finite")
-    if not (isinstance(cfg["horizon"], (int, float)) and cfg["horizon"] > 0):
-        raise ConfigurationError("horizon must be positive")
-    for name in ("rtol", "atol"):
-        if not (isinstance(cfg[name], (int, float)) and cfg[name] > 0):
-            raise ConfigurationError(f"{name} must be positive")
-    for name in ("fixed_step", "max_step", "min_step"):
-        value = cfg[name]
-        if value is not None and not (
-            isinstance(value, (int, float)) and value > 0
-        ):
-            raise ConfigurationError(f"{name} must be positive when set")
-    if not (isinstance(cfg["max_steps"], int) and cfg["max_steps"] >= 1):
-        raise ConfigurationError("max_steps must be a positive integer")
-    if not (isinstance(cfg["zero_samples"], int) and cfg["zero_samples"] >= 1):
-        raise ConfigurationError("zero_samples must be a positive integer")
-    if not (
-        isinstance(cfg["window_fraction"], (int, float))
-        and 0.0 < cfg["window_fraction"] <= 1.0
-    ):
-        raise ConfigurationError("window_fraction must lie in (0, 1]")
-    if not (isinstance(cfg["guard"], (int, float)) and cfg["guard"] >= 0):
-        raise ConfigurationError("guard must be nonnegative")
-    if not (isinstance(cfg["seed"], int) and cfg["seed"] >= 0):
-        raise ConfigurationError("seed must be a nonnegative integer")
-    seeds = cfg["seeds"]
-    if seeds is not None and not (isinstance(seeds, int) and seeds >= 1):
-        raise ConfigurationError("seeds must be a positive integer when set")
-    if seeds is not None and cfg["start"] is not None:
-        raise ConfigurationError("an explicit start point conflicts with --seeds")
 
 
 def _float_fmt(value: float) -> str:
@@ -770,38 +729,52 @@ def _run_orbit(
 
 @cli.command("simulate")
 @click.argument("bundle", type=click.Path(exists=True, dir_okay=False))
-@click.option("--horizon", type=float, default=20.0, show_default=True)
-@click.option("--rtol", type=float, default=flow_sim.RTOL_DEFAULT, show_default=True)
-@click.option("--atol", type=float, default=flow_sim.ATOL_DEFAULT, show_default=True)
+@click.option("--horizon", type=_POSITIVE, default=20.0, show_default=True)
+@click.option(
+    "--rtol", type=_POSITIVE, default=flow_sim.RTOL_DEFAULT, show_default=True
+)
+@click.option(
+    "--atol", type=_POSITIVE, default=flow_sim.ATOL_DEFAULT, show_default=True
+)
 @click.option(
     "--unit-speed/--raw-speed",
     default=False,
     help="Follow the unit-speed direction field; horizons become arc length.",
 )
-@click.option("--fixed-step", type=float, default=None)
-@click.option("--max-step", type=float, default=None)
-@click.option("--min-step", type=float, default=None)
-@click.option("--max-steps", type=int, default=500_000, show_default=True)
+@click.option("--fixed-step", type=_POSITIVE, default=None)
+@click.option("--max-step", type=_POSITIVE, default=None)
+@click.option("--min-step", type=_POSITIVE, default=None)
+@click.option("--max-steps", type=_COUNT, default=500_000, show_default=True)
 @click.option(
     "--start",
     type=str,
     default=None,
     help="Explicit start point x,y,z (normalized onto the sphere).",
 )
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=_SEED, default=0, show_default=True)
 @click.option(
     "--seed-radius",
-    type=float,
+    type=click.FloatRange(min=0.0, max=0.1, max_open=True),
     default=0.05,
     show_default=True,
     help="Chart radius of the seeded start disk around the bottom of the sphere.",
 )
-@click.option("--zero-samples", type=int, default=1200, show_default=True)
-@click.option("--window-fraction", type=float, default=0.5, show_default=True)
-@click.option("--guard", type=float, default=flow_sim.GUARD_DEFAULT, show_default=True)
+@click.option("--zero-samples", type=_COUNT, default=1200, show_default=True)
+@click.option(
+    "--window-fraction",
+    type=click.FloatRange(min=0.0, max=1.0, min_open=True),
+    default=0.5,
+    show_default=True,
+)
+@click.option(
+    "--guard",
+    type=click.FloatRange(min=0.0),
+    default=flow_sim.GUARD_DEFAULT,
+    show_default=True,
+)
 @click.option(
     "--seeds",
-    type=int,
+    type=_COUNT,
     default=None,
     help="Run this many consecutive seeds one after another and merge the report.",
 )
@@ -824,11 +797,8 @@ def simulate_command(ctx, bundle, **_kwargs):
     """Integrate one or more orbits of a field bundle and report the
     estimated limit set, first-integral drift, and winding."""
     cfg = _resolve_config(ctx)
-    cfg["bundle"] = bundle
-    _validate_simulate_config(cfg)
-    _require_writable(cfg["out_csv"], "trajectory")
-    if cfg["plot"] is not None:
-        _require_writable(cfg["plot"], "plot")
+    if cfg["seeds"] is not None and cfg["start"] is not None:
+        raise ConfigurationError("an explicit start point conflicts with --seeds")
 
     data = _load_json_file(bundle, "bundle file")
     try:

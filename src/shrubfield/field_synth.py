@@ -396,36 +396,38 @@ def _leaf_factor(pid: int, placement: LeafPlacement) -> PolyFactor:
     return factor
 
 
-def _compose_frame(layout: ShrubLayout) -> SphereFunction:
+def compose_shrub_function(layout: ShrubLayout) -> SphereFunction:
+    """Boundary function for a drawn shrub.
+
+    Frame layouts start with a plain z factor (the outer disk boundary is
+    the equator). Every other placed leaf gives a leaf factor: the
+    homogenised canonical hypocycloid polynomial composed with the inverse
+    placement, never expanded. Each maximal segment of a punctured layout
+    gives one circular-arc factor; segments reaching the bud at infinity
+    close up at the top of the sphere, and the punctures are the images of
+    the non-analytic buds.
+    """
     from .shrub_model import LeafPlacement
 
-    factors = [
-        PolyFactor(
-            Polynomial.variable("z", SPHERE_VARS),
-            label="frame",
-            source={"piece": "equator"},
-        )
-    ]
+    if layout.mode == "frame":
+        factors = [
+            PolyFactor(
+                Polynomial.variable("z", SPHERE_VARS),
+                label="frame",
+                source={"piece": "equator"},
+            )
+        ]
+        metadata = {"mode": "frame", "frame_piece": layout.frame_piece}
+    elif layout.mode == "punctured":
+        if layout.junction_points[layout.base_bud] is not None:
+            raise AssertionError("layout base bud is not at infinity")
+        factors = []
+        metadata = {"mode": "punctured", "base_bud": layout.base_bud}
+    else:
+        raise ValueError(f"unknown layout mode {layout.mode!r}")
     for pid in sorted(layout.placements):
         placement = layout.placements[pid]
         if isinstance(placement, LeafPlacement) and not placement.frame:
-            factors.append(_leaf_factor(pid, placement))
-    return SphereFunction(
-        factors=factors,
-        punctures=(),
-        metadata={"mode": "frame", "frame_piece": layout.frame_piece},
-    )
-
-
-def _compose_punctured(layout: ShrubLayout) -> SphereFunction:
-    from .shrub_model import LeafPlacement
-
-    if layout.junction_points[layout.base_bud] is not None:
-        raise AssertionError("layout base bud is not at infinity")
-    factors = []
-    for pid in sorted(layout.placements):
-        placement = layout.placements[pid]
-        if isinstance(placement, LeafPlacement):
             factors.append(_leaf_factor(pid, placement))
     for index, segment in enumerate(layout.maximal_segments):
         factors.append(
@@ -439,29 +441,7 @@ def _compose_punctured(layout: ShrubLayout) -> SphereFunction:
     punctures = tuple(
         _chart_image(layout.junction_points[bud]) for bud in layout.punctures
     )
-    return SphereFunction(
-        factors=factors,
-        punctures=punctures,
-        metadata={"mode": "punctured", "base_bud": layout.base_bud},
-    )
-
-
-def compose_shrub_function(layout: ShrubLayout) -> SphereFunction:
-    """Boundary function for a drawn shrub.
-
-    Frame layouts give a plain z factor (the outer disk boundary is the
-    equator) plus one leaf factor per inner leaf: the homogenised canonical
-    hypocycloid polynomial composed with the inverse placement, never
-    expanded. Punctured layouts make a leaf factor of every placed leaf and
-    add one circular-arc factor per maximal segment; segments reaching the bud at infinity close up at
-    the top of the sphere, and the punctures are the images of the
-    non-analytic buds.
-    """
-    if layout.mode == "frame":
-        return _compose_frame(layout)
-    if layout.mode == "punctured":
-        return _compose_punctured(layout)
-    raise ValueError(f"unknown layout mode {layout.mode!r}")
+    return SphereFunction(factors=factors, punctures=punctures, metadata=metadata)
 
 
 def synthesize_field(shrub: ShrubGraph) -> VectorField:

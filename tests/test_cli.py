@@ -425,6 +425,28 @@ def test_unorientable_shrub_cannot_be_synthesized(workdir, tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--seed", "-1"],
+        ["--config", {"seed": -1}],
+        ["--config", {"seed": "abc"}],
+        ["--config", {"spot_checks": 2.5}],
+    ],
+    ids=["seed-flag", "seed-negative", "seed-text", "spot_checks-float"],
+)
+def test_synthesize_refuses_what_its_flags_refuse(workdir, tmp_path, extra):
+    # a config value goes through the same type and range as its flag
+    if extra[0] == "--config":
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"synthesize": extra[1]}))
+        extra = ["--config", str(config)]
+    out, report = tmp_path / "refused.json", tmp_path / "refused-report.json"
+    args = ["synthesize", str(workdir / "lone-leaf.json"), "--out", str(out)]
+    assert main(args + ["--report", str(report), *extra]) == 2
+    assert not out.exists() and not report.exists()
+
+
 # -- simulate --------------------------------------------------------------------
 
 
@@ -661,6 +683,65 @@ def test_config_file_supplies_and_flags_override(workdir, tmp_path):
     assert body["config"]["unit_speed"] is True
     assert main(["simulate", bundle, "--config", str(config), "--horizon", "9"]) == 0
     assert _read_json(tmp_path / "c.json")["config"]["horizon"] == 9.0
+
+
+@pytest.mark.parametrize(
+    "section",
+    [
+        {"seed_radius": "x"},
+        {"zero_samples": True},
+        {"zero_samples": 2.5},
+        {"seed": {"a": 1}},
+    ],
+    ids=["seed_radius-text", "zero_samples-bool", "zero_samples-float", "seed-object"],
+)
+def test_config_values_meet_their_flag_types(workdir, tmp_path, section):
+    # each value is read as the text its flag would take, never coerced
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"simulate": section}))
+    rc, _ = _simulate(
+        workdir, tmp_path, "--horizon", "2", "--config", str(config), name="typed"
+    )
+    assert rc == 2
+    assert not (tmp_path / "typed.csv").exists()
+    assert not (tmp_path / "typed.json").exists()
+
+
+def test_config_and_flags_write_the_same_report(workdir, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"simulate": {"horizon": 8, "unit_speed": True}}))
+    bundle = str(workdir / "bundle.json")
+    shared = [
+        "--zero-samples",
+        "300",
+        "--out-csv",
+        str(tmp_path / "same.csv"),
+        "--report",
+        str(tmp_path / "same.json"),
+    ]
+    assert main(["simulate", bundle, "--config", str(config), *shared]) == 0
+    from_config = (tmp_path / "same.json").read_bytes()
+    assert main(["simulate", bundle, "--horizon", "8", "--unit-speed", *shared]) == 0
+    assert (tmp_path / "same.json").read_bytes() == from_config
+
+
+@pytest.mark.parametrize("command", ["implicitize", "synthesize", "simulate"])
+def test_unwritable_report_is_refused_before_any_output(workdir, tmp_path, command):
+    out = tmp_path / "output"
+    args = {
+        "implicitize": ["implicitize", "--k", "3", "--out", str(out)],
+        "synthesize": ["synthesize", str(workdir / "lone-leaf.json"), "--out", str(out)],
+        "simulate": [
+            "simulate",
+            str(workdir / "bundle.json"),
+            "--horizon",
+            "2",
+            "--out-csv",
+            str(out),
+        ],
+    }[command]
+    assert main(args + ["--report", str(tmp_path / "missing" / "report.json")]) == 2
+    assert not out.exists()
 
 
 def test_unknown_config_keys_are_rejected(workdir, tmp_path):
