@@ -399,12 +399,8 @@ class SphereArcFunction:
 
     @cached_property
     def _float_coefficients(self) -> tuple:
-        return (
-            tuple(float(c) for c in self.n),
-            float(self.d),
-            tuple(float(c) for c in self.m),
-            float(self.e),
-        )
+        """(n0, n1, n2, d, m0, m1, m2, e) as floats."""
+        return tuple(float(c) for c in (*self.n, self.d, *self.m, self.e))
 
     def value_and_gradient(self, x, y, z) -> tuple:
         """(F, dF/dx, dF/dy, dF/dz) in component form (see `component_sqrt`).
@@ -412,19 +408,20 @@ class SphereArcFunction:
         Raises DomainError when the point, or any point of a batch, is an
         arc endpoint, where the gradient does not exist.
         """
-        (n0, n1, n2), d, (m0, m1, m2), e = self._float_coefficients
+        n0, n1, n2, d, m0, m1, m2, e = self._float_coefficients
         a = x * n0 + y * n1 + z * n2 - d
         b = x * m0 + y * m1 + z * m2 - e
         r = component_sqrt(a * a + b * b)
         if component_any(r == 0.0):
             raise DomainError("arc factor gradient at an endpoint")
         s = r + b
+        two_a = 2.0 * a
+        two_s = 2.0 * s
         return (
             a * a + s * s,
-            *(
-                2.0 * a * ni + 2.0 * s * ((a * ni + b * mi) / r + mi)
-                for ni, mi in ((n0, m0), (n1, m1), (n2, m2))
-            ),
+            two_a * n0 + two_s * ((a * n0 + b * m0) / r + m0),
+            two_a * n1 + two_s * ((a * n1 + b * m1) / r + m1),
+            two_a * n2 + two_s * ((a * n2 + b * m2) / r + m2),
         )
 
     def value_exact(self, point):

@@ -17,8 +17,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from operator import add, mul
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -91,11 +89,8 @@ class PolyFactor:
     expanded lift would need, and floats never see that expansion's
     cancellation.
 
-    One kernel in component form gives the value and the gradient
-    together: power tables of the mapped coordinates built by repeated
-    multiplication, the products of the monomials of P and of its partials,
-    one sum of coefficient times monomial per nonzero column (P and its
-    partials), and the chain rule B^T grad P.
+    The value and the gradient come from one straight-line kernel,
+    generated and compiled when the factor is built (see `_kernel_source`).
     """
 
     kind = "poly"
@@ -110,27 +105,9 @@ class PolyFactor:
         self.poly = poly
         self.label = label
         self.matrix, self.shift = _source_map(self.source)
-        # sparse rows of v = B u + b and of B^T; None for the identity map
-        self._map = self._chain = None
-        if expected == HOMOGENEOUS_VARS:
-            self._map = tuple(
-                (_sparse(row), float(bj)) for row, bj in zip(self.matrix, self.shift)
-            )
-            self._chain = tuple(_sparse(column) for column in zip(*self.matrix))
-        # rows: monomials of P and of its partials; columns: P, dP/dv_j
-        rows: dict[tuple, list] = {}
-        for exps, c in poly.terms.items():
-            rows.setdefault(exps, [0, 0, 0, 0])[0] += c
-            for j, e in enumerate(exps):
-                if e:
-                    lower = exps[:j] + (e - 1,) + exps[j + 1 :]
-                    rows.setdefault(lower, [0, 0, 0, 0])[j + 1] += e * c
-        monomials = sorted(rows)
-        self._exponents = tuple(monomials)
-        self._top = tuple(max(1, max(e[j] for e in monomials)) for j in range(3))
-        self._columns = tuple(
-            _sparse([rows[e][col] for e in monomials]) for col in range(4)
-        )
+        namespace = {"__builtins__": {}}
+        exec(_kernel_source(poly, self.matrix, self.shift), namespace)
+        self._kernel = namespace["kernel"]
 
     @property
     def exceptional_points(self) -> tuple:
@@ -139,21 +116,7 @@ class PolyFactor:
     def value_and_gradient(self, x, y, z) -> tuple:
         """(F, dF/dx, dF/dy, dF/dz) in component form: floats for one point,
         numpy columns for a batch."""
-        u = (x, y, z)
-        if self._map is not None:
-            u = tuple(_sparse_dot(row, u, shift) for row, shift in self._map)
-        tables = []
-        for v, top in zip(u, self._top):
-            powers = [1.0, v]
-            for _ in range(top - 1):
-                powers.append(powers[-1] * v)
-            tables.append(powers)
-        px, py, pz = tables
-        monomials = [px[i] * py[j] * pz[k] for i, j, k in self._exponents]
-        value, *partials = [_sparse_dot(c, monomials) for c in self._columns]
-        if self._chain is not None:
-            partials = [_sparse_dot(row, partials) for row in self._chain]
-        return (value, *partials)
+        return self._kernel(x, y, z)
 
     def value_exact(self, point):
         u = tuple(Fraction(c) for c in point)
@@ -164,20 +127,69 @@ class PolyFactor:
         return self.poly.evaluate(mapped)
 
 
-def _sparse(entries) -> tuple:
-    """(coefficients, indices) of the nonzero entries, as floats."""
-    return tuple(zip(*[(float(c), i) for i, c in enumerate(entries) if c])) or ((), ())
+def _kernel_source(poly: Polynomial, matrix: tuple, shift: tuple) -> str:
+    """Source of `kernel(x, y, z)`, which returns (F, dF/dx, dF/dy, dF/dz)
+    of P(B u + b) for floats and for numpy columns alike.
 
-
-def _sparse_dot(weights, values, start=0.0):
-    """start + sum of coefficient times value over a `_sparse` row, added
-    left to right; values are floats or numpy columns.
-
-    A left fold, not `sum`: from Python 3.12 `sum` compensates float sums,
-    so one point would no longer round like a numpy column.
+    Straight-line code, one fixed order of float operations:
+    - each mapped coordinate v_j = ((b_j + B_j0 x) + B_j1 y) + B_j2 z over
+      the nonzero entries (none for the identity map);
+    - powers by repeated multiplication, v^2 = v v, v^3 = v^2 v;
+    - each monomial of P and of its partials as (v0^i v1^j) v2^k, with the
+      literal 1.0 for a zeroth power;
+    - the columns P and dP/dv_j, then the chain rule B^T grad P, each a
+      sum from 0.0 adding one coefficient times value per statement.
+    A left fold, not `sum`, since from Python 3.12 `sum` compensates float
+    sums; one statement per term, since CPython refuses an expression
+    nested past 200 parentheses and a k = 12 leaf has 276 terms. The text
+    holds only names, operators and the `repr` of finite floats, so it
+    runs with empty builtins.
     """
-    coefficients, indices = weights
-    return reduce(add, map(mul, coefficients, map(values.__getitem__, indices)), start)
+    lines = ["def kernel(x, y, z):"]
+    coordinates = ("x", "y", "z")
+    identity = poly.variables == SPHERE_VARS
+    if not identity:
+        coordinates = ("v0", "v1", "v2")
+        for name, row, bj in zip(coordinates, matrix, shift):
+            terms = "".join(
+                f" + {float(c)!r} * {u}" for c, u in zip(row, "xyz") if c
+            )
+            lines.append(f"    {name} = {float(bj)!r}{terms}")
+    # rows: monomials of P and of its partials; columns: P, dP/dv_j
+    rows: dict[tuple, list] = {}
+    for exps, c in poly.terms.items():
+        rows.setdefault(exps, [0, 0, 0, 0])[0] += c
+        for j, e in enumerate(exps):
+            if e:
+                lower = exps[:j] + (e - 1,) + exps[j + 1 :]
+                rows.setdefault(lower, [0, 0, 0, 0])[j + 1] += e * c
+    monomials = sorted(rows)
+    powers = []
+    for j, name in enumerate(coordinates):
+        names = ["1.0", name]
+        for n in range(2, max(e[j] for e in monomials) + 1):
+            names.append(f"p{j}_{n}")
+            lines.append(f"    p{j}_{n} = {names[-2]} * {name}")
+        powers.append(names)
+    px, py, pz = powers
+    for index, (i, j, k) in enumerate(monomials):
+        lines.append(f"    m{index} = {px[i]} * {py[j]} * {pz[k]}")
+    for col in range(4):
+        lines.append(f"    c{col} = 0.0")
+        for index, exps in enumerate(monomials):
+            if rows[exps][col]:
+                coefficient = float(rows[exps][col])
+                lines.append(f"    c{col} = c{col} + {coefficient!r} * m{index}")
+    result = ("c0", "c1", "c2", "c3")
+    if not identity:
+        result = ("c0", "g0", "g1", "g2")
+        for j, column in enumerate(zip(*matrix)):
+            lines.append(f"    g{j} = 0.0")
+            for i, c in enumerate(column):
+                if c:
+                    lines.append(f"    g{j} = g{j} + {float(c)!r} * c{i + 1}")
+    lines.append(f"    return {', '.join(result)}")
+    return "\n".join(lines) + "\n"
 
 
 class SphereFunction:

@@ -350,25 +350,17 @@ def integrate(
 
 def trajectory_csv(traj: Trajectory) -> str:
     """CSV dump with columns t,x,y,z,theta,w,step,err (w may print inf)."""
+    columns = (
+        traj.times,
+        *traj.states.T,
+        traj.theta,
+        traj.w,
+        traj.steps,
+        traj.errors,
+    )
     lines = ["t,x,y,z,theta,w,step,err"]
-    w = traj.w
-    for i in range(len(traj)):
-        x, y, z = traj.states[i]
-        lines.append(
-            ",".join(
-                repr(float(v))
-                for v in (
-                    traj.times[i],
-                    x,
-                    y,
-                    z,
-                    traj.theta[i],
-                    w[i],
-                    traj.steps[i],
-                    traj.errors[i],
-                )
-            )
-        )
+    for values in zip(*(column.tolist() for column in columns)):
+        lines.append(",".join(map(repr, values)))
     return "\n".join(lines) + "\n"
 
 

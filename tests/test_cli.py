@@ -555,6 +555,61 @@ def test_seed_batches_equal_one_seed_runs(workdir, tmp_path):
         assert batch_csv.read_bytes() == (tmp_path / f"single{seed}.csv").read_bytes()
 
 
+# sha256 of the unit-speed `simulate` CSV and of its report, without the
+# fields that name paths, for each example bundle at seed 0 and its horizon
+# in the benchmark's orbit workloads; taken before the factor kernels were
+# generated, so a reordered float operation in the kernels, the field rows or
+# the integrator fails here
+EXAMPLE_ORBIT_SHA256 = {
+    "equator": (
+        45.0,
+        "8b3cef8578c56aa206f50ede8647fea2a91170ba0014536748b2afb12ce7d5ca",
+        "36f237cc53f9b088f9aaba17987303f1c003886d6fc70e792c6841c8ecc01aec",
+    ),
+    "framed-chain": (
+        3.0,
+        "6b05fcfc1e0f57616c042121e7058380619c1089b475fe9e279a4ce63acb843e",
+        "5f12322aca278d29c55b87f6f83878044ae47505065de03aa81fbd6d379e5e42",
+    ),
+    "framed-pair": (
+        5.0,
+        "c4b1cd8b772e127402163cf75017af2dad8be9251f09d0fd9261947259493521",
+        "af8cf907b8c61c3f5b4b1d0b0ecbd4ab49ebb59230c7ef2e6dae7d1b518dc041",
+    ),
+    "lone-sprig": (
+        8.0,
+        "67dd60ccb0be5f631293199ebfa5eb46598fe492bde3025f70749e778cf99fa8",
+        "37767c140ae03e5ffee76086ccf01f524ff61f648f3de0ec4e1e73d928937f27",
+    ),
+    "spiked-leaf": (
+        4.0,
+        "69ff1d95834f845c75196c982f553d7c47d2488a97135c8a3afa94fae9483083",
+        "c2f94dc3a1b4da34e4ed94d937ee3c0ec021cafb3ba47611fe3b36e63801058b",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXAMPLE_ORBIT_SHA256))
+def test_example_orbits_are_pinned(tmp_path, name):
+    horizon, csv_digest, report_digest = EXAMPLE_ORBIT_SHA256[name]
+    shrub = field_synth.example_shrubs()[name]
+    bundle = tmp_path / "bundle.json"
+    field_synth.save_bundle(
+        bundle, field_synth.compose_shrub_function(shrub_model.layout_shrub(shrub))
+    )
+    csv_path, report_path = tmp_path / "orbit.csv", tmp_path / "report.json"
+    args = ["simulate", str(bundle), "--horizon", repr(horizon), "--unit-speed"]
+    args += ["--seed", "0", "--out-csv", str(csv_path), "--report", str(report_path)]
+    assert main(args) == 0
+    assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == csv_digest
+    body = _read_json(report_path)
+    del body["bundle"], body["config_sha256"], body["runs"][0]["files"]
+    for key in ("bundle", "out_csv", "report"):
+        del body["config"][key]
+    text = _dump_json(body)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == report_digest
+
+
 def test_unit_speed_estimate_matches_raw_speed_within_factor_two(workdir, tmp_path):
     # the raw field fades quadratically at the boundary, so its orbit needs a
     # far longer time horizon to settle than the unit-speed arc length one

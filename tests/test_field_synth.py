@@ -1,8 +1,12 @@
 """Field layer tests: factors, products, the induced field, composition,
 reference shrubs, and serialized bundles."""
+import ast
 import hashlib
+import io
 import json
 import math
+import re
+import tokenize
 from fractions import Fraction
 
 import numpy as np
@@ -29,6 +33,7 @@ from shrubfield.field_synth import (
     SphereFunction,
     VectorField,
     BUNDLE_FORMAT,
+    _kernel_source,
     build_field,
     bundle_dict,
     bundle_text,
@@ -262,6 +267,30 @@ def test_leaf_factor_gradient_is_the_chain_rule():
             assert np.allclose(grad, exact, rtol=0, atol=1e-11 * scale), name
 
 
+def test_leaf_kernel_source_holds_only_names_and_float_literals():
+    # the generated kernel runs with empty builtins; its text must carry no
+    # string, call or bundle text, only its own names and finite floats
+    allowed_names = r"def|kernel|return|[xyz]|[vcg]\d|p\d_\d+|m\d+"
+    for name, factor in _leaf_factors():
+        source = _kernel_source(factor.poly, factor.matrix, factor.shift)
+        for token in tokenize.generate_tokens(io.StringIO(source).readline):
+            if token.type == tokenize.NAME:
+                assert re.fullmatch(allowed_names, token.string), (name, token)
+            elif token.type == tokenize.NUMBER:
+                literal = ast.literal_eval(token.string)
+                assert isinstance(literal, float) and math.isfinite(literal)
+            elif token.type == tokenize.OP:
+                assert token.string in ("(", ")", ",", ":", "=", "+", "-", "*")
+            else:
+                assert token.type in (
+                    tokenize.NEWLINE,
+                    tokenize.NL,
+                    tokenize.INDENT,
+                    tokenize.DEDENT,
+                    tokenize.ENDMARKER,
+                ), (name, token)
+
+
 def _condition(factor, point) -> float:
     """sum |c| |V^e| over |P(V)| at the mapped point V: the relative error
     an evaluation of P from its own coefficients can amplify."""
@@ -396,15 +425,24 @@ def test_unit_norm_guard_rejects_off_sphere_points():
         field.evaluate_many(np.array([[0.0, 0.0, 1.0], [1.1, 0.0, 0.0]]))
 
 
+def _leaf_with_sprig(k):
+    return ShrubGraph(
+        (Piece("leaf", k=k), Piece("sprig")),
+        (Junction(0, (Attachment(0, 0), Attachment(1, "end0"))),),
+    )
+
+
 def test_one_point_rows_equal_batched_rows():
-    # one row runs on Python floats, a batch on numpy columns
+    # one row runs on Python floats, a batch on numpy columns; the kernels
+    # do the same operations in the same order on both, so the bits agree
     pts = unit_points(200, seed=41)
-    for name in sorted(example_shrubs()):
-        field = field_for(name)
+    fields = {name: field_for(name) for name in sorted(example_shrubs())}
+    for k in (8, 12):
+        fields[f"leaf k={k} with a sprig"] = synthesize_field(_leaf_with_sprig(k))
+    for name, field in fields.items():
         batch = field.evaluate_many(pts)
         single = np.concatenate([field.evaluate_many(p[None, :]) for p in pts])
-        scale = np.max(np.abs(batch), axis=1, keepdims=True)
-        assert np.all(np.abs(single - batch) <= 1e-14 * scale), name
+        assert np.array_equal(single, batch, equal_nan=True), name
 
 
 def test_evaluate_many_demands_point_batches():
