@@ -189,7 +189,6 @@ _CONFIG_OPTION = click.option(
 
 
 def _curve_file_dict(k: int) -> dict:
-    curve = curves.implicitize(k)
     meta = curves.implicit_metadata(k)
     return {
         "format": CURVE_FORMAT,
@@ -198,7 +197,7 @@ def _curve_file_dict(k: int) -> dict:
         "degree": meta["degree"],
         "terms": meta["terms"],
         "integer_content": str(meta["integer_content"]),
-        "polynomial": curve.poly.to_text(),
+        "polynomial": curves.implicitize(k).to_text(),
     }
 
 
@@ -283,7 +282,7 @@ def implicitize_command(ctx, k, out, samples, check, report):
     if out is None:
         out = cfg["out"] = f"hypocycloid-k{k}.curve.json"
 
-    poly = curves.implicitize(k).poly
+    poly = curves.implicitize(k)
 
     # midpoint offsets keep the sweep off the cusp parameters themselves
     residuals = [
@@ -350,7 +349,7 @@ def _orientation_report(shrub: shrub_model.ShrubGraph) -> dict:
     target = shrub
     aux_sprigs = ()
     if augmented:
-        target, aux_sprigs, _, _ = shrub_model.augment_with_parity_sprigs(shrub)
+        target, aux_sprigs, _ = shrub_model.augment_with_parity_sprigs(shrub)
     try:
         cert = shrub_model.orient_all(target)
     except shrub_model.ShrubError as exc:
@@ -803,7 +802,7 @@ def simulate_command(ctx, bundle, **_kwargs):
     data = _load_json_file(bundle, "bundle file")
     try:
         function = field_synth.function_from_bundle(data)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise ConfigurationError(f"invalid bundle {bundle!r}: {exc}")
 
     seeds = cfg["seeds"]
@@ -961,12 +960,11 @@ _RENDERERS = {
 def report_command(report_file):
     """Render a report file produced by any other command as plain text."""
     body = _load_json_file(report_file, "report file")
-    if not isinstance(body, dict) or body.get("kind") not in _RENDERERS:
-        raise ConfigurationError(
-            f"{report_file!r} is not a recognized report file"
-        )
-    lines = [f"{body['kind']} report (config {body['config_sha256'][:12]})"]
-    lines.extend(_RENDERERS[body["kind"]](body))
+    try:
+        lines = [f"{body['kind']} report (config {body['config_sha256'][:12]})"]
+        lines.extend(_RENDERERS[body["kind"]](body))
+    except (KeyError, TypeError, ValueError):
+        raise ConfigurationError(f"{report_file!r} is not a recognized report file")
     click.echo("\n".join(lines))
 
 

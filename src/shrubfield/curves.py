@@ -122,34 +122,6 @@ class AffineMap:
         return AffineMap(inv, ioff)
 
 
-# -- implicit curves ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ImplicitCurve:
-    """Zero set of a polynomial, in the plane or on the sphere.
-
-    `exceptional_points` lists the finitely many points where an associated
-    analytic description breaks down (empty for polynomials, which are
-    analytic everywhere).
-    """
-
-    poly: Polynomial
-    domain: str  # "plane" | "sphere"
-    exceptional_points: tuple = ()
-
-    def __post_init__(self):
-        if self.domain not in ("plane", "sphere"):
-            raise ValueError(f"unknown domain {self.domain!r}")
-        expected = PLANE_VARS if self.domain == "plane" else SPHERE_VARS
-        if self.poly.variables != expected:
-            raise ValueError(
-                f"{self.domain} curve must use variables {expected}"
-            )
-        if not self.poly:
-            raise ValueError("implicit curve polynomial is zero")
-
-
 # -- exact implicitization -----------------------------------------------------
 
 
@@ -210,10 +182,10 @@ def _bounded_integers(coeffs: list[Fraction], k: int) -> list[int]:
     return [c.numerator for c in coeffs[:-1]]
 
 
-_implicit_cache: dict[int, "ImplicitCurve"] = {}
+_implicit_cache: dict[int, Polynomial] = {}
 
 
-def implicitize(k: int) -> ImplicitCurve:
+def implicitize(k: int) -> Polynomial:
     """Exact plane polynomial whose real zero set is the k-cusped hypocycloid.
 
     The parameter is eliminated by a Sylvester resultant R(x, y) with
@@ -252,7 +224,7 @@ def implicitize(k: int) -> ImplicitCurve:
         p1 = Polynomial(PLANE_VARS, real)
         p2 = Polynomial(PLANE_VARS, imag)
         f = p1 * p1 + p2 * p2
-        _implicit_cache[k] = ImplicitCurve(poly=f, domain="plane")
+        _implicit_cache[k] = f
         _metadata_cache[k] = {
             "k": k,
             "degree": f.total_degree(),
@@ -306,14 +278,14 @@ def homogenize(p: Polynomial) -> Polynomial:
 # -- affine deformation of implicit curves ------------------------------------
 
 
-def apply_affine(curve: ImplicitCurve, affine: AffineMap) -> ImplicitCurve:
+def apply_affine(poly: Polynomial, affine: AffineMap) -> Polynomial:
     """Implicit form of the image of a plane curve under an affine map.
 
     The zero set maps forward; the polynomial is composed with the inverse
     map and stays polynomial with rational coefficients.
     """
-    if curve.domain != "plane":
-        raise ValueError("affine deformation applies to plane curves")
+    if poly.variables != PLANE_VARS:
+        raise ValueError("affine deformation applies to plane polynomials")
     inv = affine.inverse()
     (a, b), (c, d) = inv.matrix
     e, f = inv.offset
@@ -323,9 +295,7 @@ def apply_affine(curve: ImplicitCurve, affine: AffineMap) -> ImplicitCurve:
         "x": a * x + b * y + Polynomial.constant(e, PLANE_VARS),
         "y": c * x + d * y + Polynomial.constant(f, PLANE_VARS),
     }
-    moved = curve.poly.substitute(sub)
-    moved_exc = tuple(affine.apply(p) for p in curve.exceptional_points)
-    return ImplicitCurve(poly=moved, domain="plane", exceptional_points=moved_exc)
+    return poly.substitute(sub)
 
 
 # -- stereographic transfer ----------------------------------------------------
@@ -346,7 +316,7 @@ def sphere_to_plane(point) -> tuple:
     return (x / (1 - z), y / (1 - z))
 
 
-def lift_to_sphere(p: Polynomial, n: int) -> ImplicitCurve:
+def lift_to_sphere(p: Polynomial, n: int) -> Polynomial:
     """Clear a plane polynomial to the sphere through the stereographic chart.
 
     Returns Q(x,y,z) = (1-z)^n * p(x/(1-z), y/(1-z)) expanded as a polynomial;
@@ -366,7 +336,7 @@ def lift_to_sphere(p: Polynomial, n: int) -> ImplicitCurve:
         term = Polynomial.constant(c, SPHERE_VARS)
         term = term * x**a * y**b * one_minus_z ** (n - a - b)
         out = out + term
-    return ImplicitCurve(poly=out, domain="sphere")
+    return out
 
 
 # -- sphere arc functions -------------------------------------------------------

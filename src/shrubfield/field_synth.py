@@ -398,7 +398,7 @@ def _leaf_factor(pid: int, placement: LeafPlacement) -> PolyFactor:
         "offset": rational_point(placement.affine.offset),
     }
     factor = PolyFactor(
-        homogenize(implicitize(placement.k_layout).poly),
+        homogenize(implicitize(placement.k_layout)),
         label=f"leaf:{pid}",
         source=source,
     )
@@ -567,6 +567,8 @@ def function_from_bundle(data: dict) -> SphereFunction:
     Version 1 bundles stored each leaf factor expanded in sphere variables;
     they are refused, since their floats cancel badly.
     """
+    if not isinstance(data, dict):
+        raise ValueError("a bundle must be a JSON object")
     if data.get("format") == "field-bundle/1":
         raise ValueError(
             "field-bundle/1 stores expanded leaf factors; "
@@ -586,6 +588,8 @@ def function_from_bundle(data: dict) -> SphereFunction:
                 )
             )
         elif item["kind"] == "arc":
+            if len(item["endpoints"]) != 2:
+                raise ValueError("an arc factor has two endpoints")
             factors.append(
                 SphereArcFunction(
                     n=tuple(int(c) for c in item["circle_normal"]),

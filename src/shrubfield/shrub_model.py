@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .curves import AffineMap
-from .poly_core import format_rational, parse_rational, rational_circle_point
+from .poly_core import rational_circle_point
 
 END_SITES = ("end0", "end1")
 
@@ -49,9 +49,6 @@ class Junction:
 class Piece:
     kind: str  # "leaf" | "sprig"
     k: int = 0
-    affine: AffineMap = None
-    start: tuple = None
-    end: tuple = None
 
     @property
     def is_leaf(self) -> bool:
@@ -100,52 +97,41 @@ class ShrubGraph:
 
     @classmethod
     def from_json(cls, text_or_obj) -> "ShrubGraph":
+        """Read a shrub file, which gives structure only: the layout derives
+        every coordinate. Any key, type or record outside that form raises
+        ShrubError."""
         obj = (
             json.loads(text_or_obj)
             if isinstance(text_or_obj, str)
             else text_or_obj
         )
+        _check_keys(obj, "shrub", (), ("pieces", "junctions"))
         pieces = []
-        for rec in obj.get("pieces", []):
-            if "leaf" in rec:
-                spec = rec["leaf"]
-                aff = _affine_from_json(spec.get("affine"))
-                pieces.append(Piece(kind="leaf", k=int(spec["k"]), affine=aff))
-            elif "sprig" in rec:
-                spec = rec["sprig"]
-                pieces.append(
-                    Piece(
-                        kind="sprig",
-                        start=_point_from_json(spec.get("from")),
-                        end=_point_from_json(spec.get("to")),
-                    )
-                )
+        for rec in _json_list(obj, "pieces"):
+            kind = next(iter(rec)) if isinstance(rec, dict) and len(rec) == 1 else None
+            if kind == "leaf":
+                _check_keys(rec["leaf"], "leaf", ("k",))
+                pieces.append(Piece(kind="leaf", k=_json_int(rec["leaf"]["k"], "k")))
+            elif kind == "sprig":
+                _check_keys(rec["sprig"], "sprig", ())
+                pieces.append(Piece(kind="sprig"))
             else:
-                raise ShrubError(f"unknown piece record {rec!r}")
+                raise ShrubError(f"piece record {rec!r} is not one leaf or sprig")
         junctions = []
-        for rec in obj.get("junctions", []):
-            at = tuple(
-                Attachment(int(a["piece"]), _site_from_json(a["site"]))
-                for a in rec.get("at", [])
-            )
-            junctions.append(Junction(bud=int(rec["bud"]), at=at))
+        for rec in _json_list(obj, "junctions"):
+            _check_keys(rec, "junction", ("bud",), ("at",))
+            at = []
+            for a in _json_list(rec, "at"):
+                _check_keys(a, "attachment", ("piece", "site"))
+                piece = _json_int(a["piece"], "piece")
+                at.append(Attachment(piece, _site_from_json(a["site"])))
+            junctions.append(Junction(bud=_json_int(rec["bud"], "bud"), at=tuple(at)))
         return cls(pieces, junctions)
 
     def to_json(self) -> dict:
-        pieces = []
-        for p in self.pieces:
-            if p.is_leaf:
-                rec = {"k": p.k}
-                if p.affine is not None:
-                    rec["affine"] = _affine_to_json(p.affine)
-                pieces.append({"leaf": rec})
-            else:
-                rec = {}
-                if p.start is not None:
-                    rec["from"] = _point_to_json(p.start)
-                if p.end is not None:
-                    rec["to"] = _point_to_json(p.end)
-                pieces.append({"sprig": rec})
+        pieces = [
+            {"leaf": {"k": p.k}} if p.is_leaf else {"sprig": {}} for p in self.pieces
+        ]
         junctions = [
             {
                 "bud": j.bud,
@@ -192,42 +178,37 @@ class ShrubGraph:
         )
 
 
-def _site_from_json(site):
-    if isinstance(site, str):
-        if site not in END_SITES:
-            raise ShrubError(f"unknown site {site!r}")
-        return site
-    return int(site)
+def _check_keys(obj, what, required, optional=()):
+    if not isinstance(obj, dict):
+        raise ShrubError(f"{what} must be a JSON object, not {obj!r}")
+    unknown = sorted(set(obj) - set(required) - set(optional))
+    if unknown:
+        raise ShrubError(f"{what} has unknown keys {unknown}")
+    missing = [key for key in required if key not in obj]
+    if missing:
+        raise ShrubError(f"{what} lacks {missing}")
 
 
-def _point_from_json(obj):
-    if obj is None:
-        return None
-    return tuple(
-        parse_rational(v) if isinstance(v, str) else Fraction(v) for v in obj
-    )
+def _json_list(obj, key):
+    value = obj.get(key, [])
+    if not isinstance(value, list):
+        raise ShrubError(f"{key} must be a JSON list, not {value!r}")
+    return value
 
 
-def _point_to_json(pt):
-    return [format_rational(Fraction(v)) for v in pt]
+def _json_int(value, what):
+    # bool is an int subclass, but true is not a count or an index
+    if type(value) is not int:
+        raise ShrubError(f"{what} must be an integer, not {value!r}")
+    return value
 
 
-def _affine_from_json(obj):
-    if obj is None:
-        return None
-    mat = [
-        [parse_rational(str(v)) if isinstance(v, str) else Fraction(v) for v in row]
-        for row in obj["matrix"]
-    ]
-    off = _point_from_json(obj.get("offset", [0, 0]))
-    return AffineMap(((mat[0][0], mat[0][1]), (mat[1][0], mat[1][1])), off)
-
-
-def _affine_to_json(aff: AffineMap):
-    return {
-        "matrix": [[format_rational(v) for v in row] for row in aff.matrix],
-        "offset": _point_to_json(aff.offset),
-    }
+def _site_from_json(value):
+    if isinstance(value, str):
+        if value not in END_SITES:
+            raise ShrubError(f"unknown site {value!r}")
+        return value
+    return _json_int(value, "site")
 
 
 # -- validation ----------------------------------------------------------------
@@ -240,8 +221,15 @@ class Diagnostics:
 
 
 def validate(shrub: ShrubGraph) -> Diagnostics:
-    """Structural checks: sites in range, tree incidence, leaf-pair bound."""
-    fails = []
+    """Structural checks: at least one piece, cusp counts, sites in range,
+    tree incidence, leaf-pair bound."""
+    fails = [
+        f"leaf {pid} has k = {p.k}; a leaf needs at least 3 cusps"
+        for pid, p in enumerate(shrub.pieces)
+        if p.is_leaf and p.k < 3
+    ]
+    if not shrub.pieces:
+        fails.append("shrub has no pieces")
     for j in shrub.junctions:
         seen_here = set()
         for a in j.at:
@@ -287,21 +275,20 @@ def validate(shrub: ShrubGraph) -> Diagnostics:
         for a in j.at:
             adj[("j", j.bud)].append(("p", a.piece))
             adj[("p", a.piece)].append(("j", j.bud))
-    if n_pieces:
-        seen = set()
-        stack = [("p", 0)]
-        while stack:
-            cur = stack.pop()
-            if cur in seen:
-                continue
-            seen.add(cur)
-            stack.extend(adj[cur])
-        if len(seen) != n_pieces + n_junctions:
-            fails.append("incidence graph is not connected")
-        if edges != n_pieces + n_junctions - 1:
-            fails.append(
-                "incidence graph has a cycle (gluing encloses a hole)"
-            )
+    seen = set()
+    stack = [("p", 0)]
+    while stack:
+        cur = stack.pop()
+        if cur in seen:
+            continue
+        seen.add(cur)
+        stack.extend(adj[cur])
+    if len(seen) != n_pieces + n_junctions:
+        fails.append("incidence graph is not connected")
+    if edges != n_pieces + n_junctions - 1:
+        fails.append(
+            "incidence graph has a cycle (gluing encloses a hole)"
+        )
     # two leaves may share at most one point; with tree incidence this is
     # implied, but recheck directly for defense in depth
     for i in shrub.leaf_ids():
@@ -345,10 +332,6 @@ class BudClassification:
     @property
     def odd_buds(self):
         return [b for b, info in sorted(self.buds.items()) if info.odd_bud]
-
-    @property
-    def nodes(self):
-        return [b for b, info in sorted(self.buds.items()) if info.node]
 
 
 def classify_buds(shrub: ShrubGraph) -> BudClassification:
@@ -1168,13 +1151,7 @@ def random_very_simple_shrub(rng: random.Random, max_pieces: int = 9) -> ShrubGr
         return pid
 
     def add_sprig():
-        pieces.append(
-            Piece(
-                kind="sprig",
-                start=(Fraction(0), Fraction(0)),
-                end=(Fraction(1), Fraction(0)),
-            )
-        )
+        pieces.append(Piece(kind="sprig"))
         pid = len(pieces) - 1
         open_slots.append((pid, "end1"))
         return pid, "end0"
@@ -1216,13 +1193,7 @@ def random_very_simple_shrub(rng: random.Random, max_pieces: int = 9) -> ShrubGr
                 break
         if spot is None:
             continue  # extremely unlikely with the spare-slot policy
-        pieces.append(
-            Piece(
-                kind="sprig",
-                start=(Fraction(0), Fraction(0)),
-                end=(Fraction(1), Fraction(0)),
-            )
-        )
+        pieces.append(Piece(kind="sprig"))
         extra.append((spot[0], spot[1], len(pieces) - 1))
     bud = len(junction_specs)
     for leaf, cusp, new_sprig in extra:
@@ -1272,15 +1243,12 @@ class SprigPlacement:
     piece: int
     start: tuple  # None marks the end at infinity (the ray runs toward +x)
     end: tuple
-    aux: bool = False
 
 
 @dataclass(frozen=True)
 class MaximalSegment:
     start: tuple  # None marks the end at infinity (the ray runs toward +x)
     end: tuple
-    start_puncture: bool
-    end_puncture: bool
     pieces: tuple  # constituent sprig ids and (leaf, entry bud, exit bud) diameters
 
 
@@ -1293,9 +1261,6 @@ class ShrubLayout:
     frame_piece: int = None
     maximal_segments: tuple = ()
     aux_sprigs: tuple = ()
-    shrub: ShrubGraph = None  # augmented shrub the placements refer to
-    original: ShrubGraph = None
-    certificate: OrientationCertificate = None
     punctures: tuple = ()  # bud ids (in the augmented shrub) removed from analyticity
 
 
@@ -1334,7 +1299,7 @@ def _axis_cusp_raw(k_layout: int, slot: int):
     return (Fraction(k_layout * u[0]), Fraction(k_layout * u[1]))
 
 
-def layout_shrub(shrub: ShrubGraph, cert: OrientationCertificate = None) -> ShrubLayout:
+def layout_shrub(shrub: ShrubGraph) -> ShrubLayout:
     """Exact-rational geometric realization of a shrub.
 
     Pure cactuses are drawn in frame mode: one designated leaf becomes the
@@ -1351,7 +1316,7 @@ def layout_shrub(shrub: ShrubGraph, cert: OrientationCertificate = None) -> Shru
     require_valid(shrub)
     if not shrub.sprig_ids():
         return _layout_frame(shrub)
-    return _layout_punctured(shrub, cert)
+    return _layout_punctured(shrub)
 
 
 # direction of every infinite ray; the base bud sits at +infinity on the
@@ -1479,8 +1444,6 @@ def _try_layout_frame(shrub, root, shrink) -> ShrubLayout:
         placements=placements,
         junction_points=junction_points,
         frame_piece=root,
-        shrub=shrub,
-        original=shrub,
         punctures=(),
     )
 
@@ -1502,26 +1465,19 @@ def _unit_from_center(center, point, radius):
 def augment_with_parity_sprigs(shrub: ShrubGraph):
     """Attach one auxiliary free sprig at each odd cactus representative.
 
-    Returns (augmented shrub, aux sprig ids, aux junction buds, puncture refs).
+    Returns (augmented shrub, aux sprig ids, aux junction buds).
     The augmented shrub has no odd cactuses, so it can be oriented.
     """
-    refs = required_puncture_set(shrub)
     pieces = list(shrub.pieces)
     # keep implicit tip junctions so bud ids stay stable across augmentation
     junctions = list(shrub.junctions)
     next_bud = max((j.bud for j in junctions), default=-1) + 1
     aux_ids = []
     aux_buds = []
-    for ref in refs:
+    for ref in required_puncture_set(shrub):
         if ref.kind != "cactus_cusp":
             continue
-        pieces.append(
-            Piece(
-                kind="sprig",
-                start=(Fraction(0), Fraction(0)),
-                end=(Fraction(1), Fraction(0)),
-            )
-        )
+        pieces.append(Piece(kind="sprig"))
         pid = len(pieces) - 1
         aux_ids.append(pid)
         junctions.append(
@@ -1535,13 +1491,12 @@ def augment_with_parity_sprigs(shrub: ShrubGraph):
         )
         aux_buds.append(next_bud)
         next_bud += 1
-    return ShrubGraph(pieces, junctions), tuple(aux_ids), tuple(aux_buds), refs
+    return ShrubGraph(pieces, junctions), tuple(aux_ids), tuple(aux_buds)
 
 
-def _layout_punctured(shrub: ShrubGraph, cert) -> ShrubLayout:
-    aug, aux_ids, aux_buds, refs = augment_with_parity_sprigs(shrub)
-    if cert is None:
-        cert = orient_all(aug)
+def _layout_punctured(shrub: ShrubGraph) -> ShrubLayout:
+    aug, aux_ids, aux_buds = augment_with_parity_sprigs(shrub)
+    cert = orient_all(aug)
     if not cert.orientable:
         raise LayoutError(
             "shrub is not orientable", detail=cert.failures
@@ -1562,13 +1517,13 @@ def _layout_punctured(shrub: ShrubGraph, cert) -> ShrubLayout:
 
     return _first_fit(
         lambda shrink, salt: _try_layout_punctured(
-            shrub, aug, cert, base_bud, aux_ids, aux_buds, shrink, salt
+            aug, cert, base_bud, aux_ids, aux_buds, shrink, salt
         ),
         "punctured layout found no collision-free scale",
     )
 
 
-def _try_layout_punctured(shrub, aug, cert, base_bud, aux_ids, aux_buds, shrink, salt):
+def _try_layout_punctured(aug, cert, base_bud, aux_ids, aux_buds, shrink, salt):
     placements = {}
     # None is the point at infinity; only the base bud lives there
     junction_points = {base_bud: None}
@@ -1691,7 +1646,6 @@ def _try_layout_punctured(shrub, aug, cert, base_bud, aux_ids, aux_buds, shrink,
             piece=pid,
             start=near if forward else far,
             end=far if forward else near,
-            aux=pid in aux_ids,
         )
         junction_points[far_bud] = far
         visit_junction(far_bud, pid, direction, depth)
@@ -1745,9 +1699,6 @@ def _try_layout_punctured(shrub, aug, cert, base_bud, aux_ids, aux_buds, shrink,
         base_bud=base_bud,
         maximal_segments=segments,
         aux_sprigs=tuple(aux_ids),
-        shrub=aug,
-        original=shrub,
-        certificate=cert,
         punctures=punctures,
     )
 
@@ -1836,8 +1787,6 @@ def _collect_maximal_segments(aug, cert, placements, junction_points, aux_ids):
             MaximalSegment(
                 start=start,
                 end=end,
-                start_puncture=True,
-                end_puncture=True,
                 pieces=tuple(pieces),
             )
         )
@@ -1852,8 +1801,6 @@ def _collect_maximal_segments(aug, cert, placements, junction_points, aux_ids):
                 MaximalSegment(
                     start=junction_points[b0],
                     end=junction_points[b1],
-                    start_puncture=True,
-                    end_puncture=True,
                     pieces=(("sprig", pid),),
                 )
             )
@@ -1866,8 +1813,6 @@ def _collect_maximal_segments(aug, cert, placements, junction_points, aux_ids):
             MaximalSegment(
                 start=junction_points[b0],
                 end=junction_points[b1],
-                start_puncture=True,
-                end_puncture=True,
                 pieces=(("sprig", pid),),
             )
         )

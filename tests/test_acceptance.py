@@ -175,7 +175,7 @@ def test_criterion_4_implicitization():
     worst_residual = 0.0
     worst_gradient = 0.0
     for k in range(3, 9):
-        poly = implicitize(k).poly
+        poly = implicitize(k)
         for theta in rng.uniform(0.0, 2.0 * math.pi, size=1000):
             worst_residual = max(
                 worst_residual, normalized_residual(poly, param_point(k, theta))
@@ -197,7 +197,7 @@ def test_criterion_4_implicitization():
     c16 = Polynomial.constant(16, ("x", "y"))
     c432 = Polynomial.constant(432, ("x", "y"))
     classical = (x * x + y * y - c16) ** 3 + c432 * x * x * y * y
-    f4 = implicitize(4).poly
+    f4 = implicitize(4)
     mismatches = 0
     for i in range(-50, 51):
         for j in range(-50, 51):

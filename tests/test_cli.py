@@ -246,20 +246,71 @@ def test_broken_handshake_exits_3_without_a_report(workdir, tmp_path, monkeypatc
     assert not report.exists()
 
 
-def test_malformed_shrub_files_are_validation_failures(tmp_path):
-    broken = tmp_path / "broken.json"
-    broken.write_text("{not json")
-    assert main(["classify", str(broken)]) == 2
-    dangling = tmp_path / "dangling.json"
-    dangling.write_text(
-        json.dumps(
+def _leaf_and_sprig(piece=0, site=0, leaf=None, sprig=None):
+    return {
+        "pieces": [
+            {"leaf": {"k": 4} if leaf is None else leaf},
+            {"sprig": {} if sprig is None else sprig},
+        ],
+        "junctions": [
             {
-                "pieces": [{"sprig": {}}],
-                "junctions": [{"bud": 0, "at": [{"piece": 5, "site": "end0"}]}],
+                "bud": 0,
+                "at": [{"piece": piece, "site": site}, {"piece": 1, "site": "end0"}],
             }
-        )
-    )
-    assert main(["classify", str(dangling)]) == 2
+        ],
+    }
+
+
+_MALFORMED_SHRUBS = {
+    "not-json": "{not json",
+    "dangling-piece": json.dumps(
+        {
+            "pieces": [{"sprig": {}}],
+            "junctions": [{"bud": 0, "at": [{"piece": 5, "site": "end0"}]}],
+        }
+    ),
+    "top-level-list": json.dumps([]),
+    "k-not-an-int": json.dumps(_leaf_and_sprig(leaf={"k": "x"})),
+    "k-missing": json.dumps(_leaf_and_sprig(leaf={})),
+    "piece-not-an-int": json.dumps(_leaf_and_sprig(piece="q")),
+    "site-float": json.dumps(_leaf_and_sprig(site=1.5)),
+    "site-bool": json.dumps(_leaf_and_sprig(site=True)),
+    "unknown-leaf-key": json.dumps(_leaf_and_sprig(leaf={"k": 4, "bogus": 1})),
+    "leaf-affine": json.dumps(
+        _leaf_and_sprig(leaf={"k": 4, "affine": {"matrix": [[1, 0], [0, 1]]}})
+    ),
+    "sprig-from": json.dumps(_leaf_and_sprig(sprig={"from": ["0", "0"]})),
+    "sprig-to": json.dumps(_leaf_and_sprig(sprig={"to": ["3/2", "-1/4"]})),
+    "k-2": json.dumps(_leaf_and_sprig(leaf={"k": 2})),
+    "k-0": json.dumps({"pieces": [{"leaf": {"k": 0}}]}),
+    "no-pieces": json.dumps({"pieces": [], "junctions": []}),
+    "k-bool": json.dumps(_leaf_and_sprig(leaf={"k": True})),
+    "pieces-not-a-list": json.dumps({"pieces": {}}),
+    "leaf-and-sprig-in-one-record": json.dumps(
+        {"pieces": [{"leaf": {"k": 4}, "sprig": {}}]}
+    ),
+    "unknown-piece-kind": json.dumps({"pieces": [{"cusp": {}}]}),
+    "unknown-top-level-key": json.dumps({"pieces": [], "extra": 1}),
+    "bud-missing": json.dumps({"pieces": [{"sprig": {}}], "junctions": [{"at": []}]}),
+    "bud-float": json.dumps(
+        {"pieces": [{"sprig": {}}], "junctions": [{"bud": 0.0, "at": []}]}
+    ),
+    "site-missing": json.dumps(
+        {"pieces": [{"sprig": {}}], "junctions": [{"bud": 0, "at": [{"piece": 0}]}]}
+    ),
+    "unknown-sprig-end": json.dumps(_leaf_and_sprig(piece=1, site="end2")),
+}
+
+
+def test_malformed_shrub_files_are_validation_failures(tmp_path):
+    bad = tmp_path / "bad.json"
+    report, bundle = tmp_path / "report.json", tmp_path / "bundle.json"
+    for name, text in _MALFORMED_SHRUBS.items():
+        bad.write_text(text)
+        assert main(["classify", str(bad), "--report", str(report)]) == 2, name
+        args = ["synthesize", str(bad), "--out", str(bundle), "--report", str(report)]
+        assert main(args) == 2, name
+        assert not report.exists() and not bundle.exists(), name
 
 
 def test_missing_file_is_a_usage_error(tmp_path):
@@ -824,10 +875,29 @@ def test_nonfinite_simulate_report_writes_no_files(workdir, tmp_path, monkeypatc
     assert not (tmp_path / "nan.json").exists()
 
 
+_ONE_ENDPOINT_ARC = {
+    "kind": "arc",
+    "circle_normal": [0, 0, 1],
+    "circle_offset": "0",
+    "side_normal": [1, 0, 0],
+    "side_offset": "0",
+    "endpoints": [["0", "1", "0"]],
+}
+
+
 def test_garbage_bundles_are_validation_failures(tmp_path):
     fake = tmp_path / "fake.json"
-    fake.write_text(json.dumps({"format": "something-else"}))
-    assert main(["simulate", str(fake)]) == 2
+    csv, report = tmp_path / "orbit.csv", tmp_path / "orbit.json"
+    args = ["simulate", str(fake), "--out-csv", str(csv), "--report", str(report)]
+    for body in [
+        {"format": "something-else"},
+        {"format": "field-bundle/2", "factors": 5},
+        [],
+        {"format": "field-bundle/2", "factors": [_ONE_ENDPOINT_ARC]},
+    ]:
+        fake.write_text(json.dumps(body))
+        assert main(args) == 2, body
+        assert not csv.exists() and not report.exists(), body
 
 
 def test_version_one_bundles_ask_for_a_new_synthesis(workdir, tmp_path, capsys):
@@ -877,10 +947,16 @@ def test_report_renders_every_kind(workdir, tmp_path, capsys):
         assert "report (config " in rendered
 
 
-def test_report_rejects_unrecognized_files(tmp_path):
+def test_report_rejects_unrecognized_files(tmp_path, capsys):
     stray = tmp_path / "stray.json"
-    stray.write_text(json.dumps({"kind": "unheard-of"}))
-    assert main(["report", str(stray)]) == 2
+    for body in [
+        {"kind": "unheard-of"},
+        {"kind": "simulate"},
+        {"kind": "classify", "config_sha256": "abcdef"},
+    ]:
+        stray.write_text(json.dumps(body))
+        assert main(["report", str(stray)]) == 2, body
+        assert "is not a recognized report file" in capsys.readouterr().err
 
 
 def _fresh_interpreter_exit(code: str) -> int:

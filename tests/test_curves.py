@@ -11,7 +11,6 @@ from shrubfield import curves
 from shrubfield.curves import (
     AffineMap,
     DomainError,
-    ImplicitCurve,
     apply_affine,
     cusp_angles,
     cusps,
@@ -92,20 +91,20 @@ def test_astroid_matches_classical_form_exactly():
     # cusp radius 4. The resultant construction must reproduce its square up
     # to the integer content 4096 = 2^12, as an exact polynomial identity.
     classical = (X * X + Y * Y - 16) ** 3 + 432 * X * X * Y * Y
-    f4 = implicitize(4).poly
+    f4 = implicitize(4)
     assert f4 == 4096 * classical * classical
 
 
 def test_implicit_zero_at_cusp_and_nonzero_at_origin():
-    f3 = implicitize(3).poly
+    f3 = implicitize(3)
     assert f3.evaluate((Fraction(3), Fraction(0))) == 0
     assert f3.evaluate((Fraction(0), Fraction(0))) != 0
     for k in range(3, 9):
-        assert implicitize(k).poly.evaluate((Fraction(0), Fraction(0))) != 0
+        assert implicitize(k).evaluate((Fraction(0), Fraction(0))) != 0
 
 
 def test_implicit_nonnegative_everywhere_sampled():
-    f5 = implicitize(5).poly
+    f5 = implicitize(5)
     for i in range(-6, 7, 3):
         for j in range(-6, 7, 3):
             assert float(f5.evaluate((float(i), float(j)))) >= 0.0
@@ -113,7 +112,7 @@ def test_implicit_nonnegative_everywhere_sampled():
 
 def test_parametric_residual_small():
     for k in range(3, 9):
-        f = implicitize(k).poly
+        f = implicitize(k)
         worst = 0.0
         for i in range(100):
             th = 2 * math.pi * (i + 0.371) / 100
@@ -123,7 +122,7 @@ def test_parametric_residual_small():
 
 def test_gradient_vanishes_at_cusps():
     for k in range(3, 9):
-        f = implicitize(k).poly
+        f = implicitize(k)
         gx, gy = f.diff("x"), f.diff("y")
         for c in cusps(k):
             assert normalized_residual(gx, c) < 1e-8
@@ -141,14 +140,14 @@ def test_exact_grid_zero_classification_matches_classical():
     # Coarse exact-rational preview of the acceptance grid: same zero/nonzero
     # classification as the classical astroid form at every point.
     classical = (X * X + Y * Y - 16) ** 3 + 432 * X * X * Y * Y
-    f4 = implicitize(4).poly
+    f4 = implicitize(4)
     for i in range(21):
         for j in range(21):
             p = (Fraction(-5) + Fraction(i, 2), Fraction(-5) + Fraction(j, 2))
             assert (f4.evaluate(p) == 0) == (classical.evaluate(p) == 0)
 
 
-# sha256 of implicitize(k).poly.to_text(), as computed by the earlier
+# sha256 of implicitize(k).to_text(), as computed by the earlier
 # fraction-free determinant over Z[i][x, y]
 IMPLICIT_TEXT_SHA256 = {
     3: "35807b5f33f964b474a144bb0adcee70fb4f2f151bfb9c4690b42135bac96184",
@@ -162,7 +161,7 @@ IMPLICIT_TEXT_SHA256 = {
 
 def test_implicitize_output_is_pinned():
     for k, digest in IMPLICIT_TEXT_SHA256.items():
-        text = implicitize(k).poly.to_text()
+        text = implicitize(k).to_text()
         assert hashlib.sha256(text.encode()).hexdigest() == digest, k
 
 
@@ -220,27 +219,30 @@ def test_apply_affine_translation_moves_zero_set():
     shift = AffineMap.from_columns((1, 0), (0, 1), offset=(2, -1))
     moved = apply_affine(f3, shift)
     # cusp (3,0) moves to (5,-1)
-    assert moved.poly.evaluate((Fraction(5), Fraction(-1))) == 0
-    assert moved.poly.evaluate((Fraction(3), Fraction(0))) != 0
+    assert moved.evaluate((Fraction(5), Fraction(-1))) == 0
+    assert moved.evaluate((Fraction(3), Fraction(0))) != 0
     # parametric samples of the moved curve still sit on the zero set
     for i in range(25):
         th = 2 * math.pi * i / 25 + 0.13
         x, y = param_point(3, th)
-        assert normalized_residual(moved.poly, (x + 2, y - 1)) < 1e-12
+        assert normalized_residual(moved, (x + 2, y - 1)) < 1e-12
 
 
 def test_apply_affine_identity_is_noop():
     f5 = implicitize(5)
     same = apply_affine(f5, AffineMap.identity())
-    assert same.poly == f5.poly
+    assert same == f5
+    # a sphere polynomial has no plane zero set to move
+    with pytest.raises(ValueError):
+        apply_affine(lift_to_sphere(f5, f5.total_degree()), AffineMap.identity())
 
 
 def test_apply_affine_scaling():
     f4 = implicitize(4)
     half = AffineMap.from_columns((Fraction(1, 2), 0), (0, Fraction(1, 2)))
     small = apply_affine(f4, half)
-    assert small.poly.evaluate((Fraction(2), Fraction(0))) == 0
-    assert small.poly.evaluate((Fraction(4), Fraction(0))) != 0
+    assert small.evaluate((Fraction(2), Fraction(0))) == 0
+    assert small.evaluate((Fraction(4), Fraction(0))) != 0
 
 
 # -- stereographic transfer ------------------------------------------------------
@@ -273,23 +275,23 @@ def test_sphere_to_plane_rejects_north_pole():
 def test_lift_examples():
     # x lifts to x with clearing exponent 1
     lifted = lift_to_sphere(X, 1)
-    assert lifted.poly == Polynomial.variable("x", ("x", "y", "z"))
+    assert lifted == Polynomial.variable("x", ("x", "y", "z"))
     # a constant lifts to c*(1-z)
     lifted = lift_to_sphere(Polynomial.constant(3, V2), 1)
-    assert lifted.poly == Polynomial.from_text("3 + -3*z", ("x", "y", "z"))
+    assert lifted == Polynomial.from_text("3 + -3*z", ("x", "y", "z"))
     # the unit circle lifts to x^2 + y^2 - (1-z)^2
     circle = X * X + Y * Y - 1
     lifted = lift_to_sphere(circle, 2)
     expected = Polynomial.from_text(
         "1*x^2 + 1*y^2 + -1*z^2 + 2*z + -1", ("x", "y", "z")
     )
-    assert lifted.poly == expected
+    assert lifted == expected
 
 
 def test_lift_agrees_with_chart_composition_exactly():
     p = (X - 1) * (Y + 2) * X + 5
     n = p.total_degree() + 1
-    q = lift_to_sphere(p, n).poly
+    q = lift_to_sphere(p, n)
     for w in [(Fraction(1, 3), Fraction(-2, 7)), (Fraction(0), Fraction(4))]:
         u = plane_to_sphere(w)
         lhs = q.evaluate(u)
@@ -299,7 +301,7 @@ def test_lift_agrees_with_chart_composition_exactly():
 
 def test_lift_vanishes_at_north_pole():
     p = X * Y - 3
-    q = lift_to_sphere(p, 3).poly
+    q = lift_to_sphere(p, 3)
     assert q.evaluate((Fraction(0), Fraction(0), Fraction(1))) == 0
 
 
@@ -396,12 +398,3 @@ def test_arc_rejects_bad_inputs():
         sphere_arc((1, 0, 0), (1, 0, 0), (0, 1, 0))  # repeated point
     with pytest.raises(ValueError):
         sphere_arc((1, 0, 0), (0, 1, 0), (Fraction(1, 2), 0, 0))  # off sphere
-
-
-def test_implicit_curve_validation():
-    with pytest.raises(ValueError):
-        ImplicitCurve(poly=Polynomial.zero(V2), domain="plane")
-    with pytest.raises(ValueError):
-        ImplicitCurve(poly=X, domain="orbit")
-    with pytest.raises(ValueError):
-        ImplicitCurve(poly=X, domain="sphere")  # wrong variable tuple

@@ -218,7 +218,7 @@ def _leaf_factors():
         "offset": ["2", "-1/3"],
     }
     out.append(
-        ("k3", PolyFactor(homogenize(implicitize(3).poly), "leaf:k3", source))
+        ("k3", PolyFactor(homogenize(implicitize(3)), "leaf:k3", source))
     )
     return out
 
@@ -250,8 +250,8 @@ def test_leaf_factors_expand_to_the_lifted_affine_image():
             tuple(parse_point(row) for row in factor.source["matrix"]),
             parse_point(factor.source["offset"]),
         )
-        moved = apply_affine(implicitize(k), affine).poly
-        lifted = lift_to_sphere(moved, moved.total_degree()).poly
+        moved = apply_affine(implicitize(k), affine)
+        lifted = lift_to_sphere(moved, moved.total_degree())
         assert _expanded(factor) == lifted, name
         assert factor.poly.total_degree() == lifted.total_degree(), name
 
@@ -739,7 +739,7 @@ def test_bundle_stores_the_homogenised_canonical_leaf():
     assert data["format"] == "field-bundle/2"
     leaves = [f for f in data["factors"] if f["label"].startswith("leaf:")]
     assert len(leaves) == 2
-    canonical = homogenize(implicitize(4).poly).to_text()
+    canonical = homogenize(implicitize(4)).to_text()
     for entry in leaves:
         assert entry["poly"] == canonical
         assert entry["source"]["piece"] == "hypocycloid"

@@ -32,15 +32,13 @@ from shrubfield.shrub_model import (
     verify_certificate,
 )
 
-F = Fraction
-
 
 def leaf(k=4):
     return Piece(kind="leaf", k=k)
 
 
 def sprig():
-    return Piece(kind="sprig", start=(F(0), F(0)), end=(F(1), F(0)))
+    return Piece(kind="sprig")
 
 
 def shrub(pieces, junctions):
@@ -62,10 +60,7 @@ def test_free_sprig_ends_become_implicit_tips():
 
 def test_json_round_trip_preserves_structure():
     obj = {
-        "pieces": [
-            {"leaf": {"k": 4}},
-            {"sprig": {"from": ["0", "0"], "to": ["3/2", "-1/4"]}},
-        ],
+        "pieces": [{"leaf": {"k": 4}}, {"sprig": {}}],
         "junctions": [
             {
                 "bud": 0,
@@ -74,11 +69,10 @@ def test_json_round_trip_preserves_structure():
         ],
     }
     sh = ShrubGraph.from_json(json.dumps(obj))
-    assert sh.pieces[1].end == (F(3, 2), F(-1, 4))
-    dumped = sh.to_json()
-    assert ShrubGraph.from_json(dumped).to_json() == dumped
-    # implicit tips never serialize
-    assert len(dumped["junctions"]) == 1
+    assert sh.pieces == [leaf(4), sprig()]
+    # implicit tips never serialize, so the file comes back as it was read
+    assert sh.to_json() == obj
+    assert len(sh.junctions) == 2
 
 
 def test_two_leaves_sharing_two_cusps_is_rejected():
@@ -98,6 +92,12 @@ def test_two_leaves_sharing_two_cusps_is_rejected():
 def test_out_of_range_cusp_site_is_rejected():
     sh = ShrubGraph([leaf(4)], [Junction(bud=0, at=(Attachment(0, 7),))])
     assert not validate(sh).ok
+
+
+@pytest.mark.parametrize("k", [-1, 0, 2])
+def test_leaf_with_fewer_than_three_cusps_is_rejected(k):
+    diag = validate(ShrubGraph([leaf(k)], []))
+    assert diag.failures == (f"leaf 0 has k = {k}; a leaf needs at least 3 cusps",)
 
 
 def test_disconnected_pieces_are_rejected():
@@ -219,7 +219,7 @@ def test_odd_cactus_puncture_moves_to_a_leaf_with_a_free_cusp():
     assert validate(sh).ok
     rep = next(r for r in required_puncture_set(sh) if r.kind == "cactus_cusp")
     assert (rep.leaf, rep.cusp) == (1, 1)
-    aug, aux_ids, _, _ = augment_with_parity_sprigs(sh)
+    aug, aux_ids, _ = augment_with_parity_sprigs(sh)
     assert validate(aug).ok
     assert verify_certificate(aug, orient_all(aug))[0]
     assert layout_shrub(sh).aux_sprigs == aux_ids
@@ -304,7 +304,7 @@ def test_leaf_is_rigid_when_an_odd_cactus_lies_beyond():
             [Attachment(1, 0), Attachment(2, "end1")],
         ],
     )
-    aug, aux_ids, aux_buds, _ = augment_with_parity_sprigs(base)
+    aug, aux_ids, aux_buds = augment_with_parity_sprigs(base)
     assert is_very_simple(aug)
     # at the leafA junction with the middle sprig, leafA spans a component
     # containing exactly one odd cactus (itself, via its auxiliary stub)
@@ -384,7 +384,7 @@ def test_sprig_between_two_guarded_nodes_is_a_link():
             [Attachment(1, 0), Attachment(2, "end1")],
         ],
     )
-    aug, aux_ids, _, _ = augment_with_parity_sprigs(base)
+    aug, aux_ids, _ = augment_with_parity_sprigs(base)
     cert = orient_all(aug)
     assert cert.orientable
     # the middle sprig is oriented by its two endpoints
@@ -661,14 +661,17 @@ def _layout_fingerprint(lay):
             )
         else:
             lines.append(
-                f"sprig {pid} {_layout_text(p.start)} {_layout_text(p.end)} {p.aux}"
+                f"sprig {pid} {_layout_text(p.start)} {_layout_text(p.end)} "
+                f"{pid in lay.aux_sprigs}"
             )
     for bud, point in sorted(lay.junction_points.items()):
         lines.append(f"bud {bud} {_layout_text(point)}")
+    # "True True" stands where the digest recorded two flags that every
+    # segment had, marking both of its endpoints as punctures
     for seg in lay.maximal_segments:
         lines.append(
             f"segment {_layout_text(seg.start)} {_layout_text(seg.end)} "
-            f"{seg.start_puncture} {seg.end_puncture} {seg.pieces!r}"
+            f"True True {seg.pieces!r}"
         )
     return "\n".join(lines)
 
