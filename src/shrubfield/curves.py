@@ -19,7 +19,18 @@ from functools import cached_property
 
 import numpy as np
 
-from .poly_core import Polynomial, UniPoly, sylvester_resultant
+from .poly_core import (
+    Polynomial,
+    UniPoly,
+    check_keys,
+    format_rational,
+    json_int,
+    json_list,
+    parse_point,
+    parse_rational,
+    rational_point,
+    sylvester_resultant,
+)
 
 PLANE_VARS = ("x", "y")
 SPHERE_VARS = ("x", "y", "z")
@@ -351,7 +362,8 @@ class SphereArcFunction:
     on the side {u.m <= e}; with A(u) = u.n - d and B(u) = u.m - e the
     function is A^2 + (sqrt(A^2+B^2) + B)^2. It is analytic everywhere on
     the sphere except at the two arc endpoints {A = B = 0}, where the square
-    root loses smoothness. Coefficients are exact rationals.
+    root loses smoothness. Coefficients are exact rationals. The factor
+    also writes and reads its bundle entry and samples its arc (`zero_set`).
     """
 
     kind = "arc"
@@ -362,6 +374,40 @@ class SphereArcFunction:
     e: Fraction
     endpoints: tuple  # the two exceptional sphere points, exact
     label: str = ""
+
+    @classmethod
+    def from_bundle(cls, item: dict) -> "SphereArcFunction":
+        """The factor of a bundle entry; ValueError on an entry that
+        `bundle_entry` cannot write, such as an endpoint off the unit sphere,
+        the circle plane or the side plane (`sphere_arc` puts it on all three)."""
+        planes = ("circle_normal", "circle_offset", "side_normal", "side_offset")
+        check_keys(item, "arc factor", ("kind", *planes, "endpoints"), ("label",))
+        n, m = (
+            tuple(json_int(c, key) for c in json_list(item, key))
+            for key in ("circle_normal", "side_normal")
+        )
+        if len(n) != 3 or len(m) != 3 or not any(n) or not any(m):
+            raise ValueError("an arc's normals are nonzero integer 3-vectors")
+        d, e = (parse_rational(item[key]) for key in ("circle_offset", "side_offset"))
+        endpoints = tuple(parse_point(q) for q in json_list(item, "endpoints"))
+        if len(set(endpoints)) != 2 or len(endpoints) != 2:
+            raise ValueError("an arc factor has two distinct endpoints")
+        for q in endpoints:
+            dots = tuple(sum(a * b for a, b in zip(v, q)) for v in (q, n, m))
+            if len(q) != 3 or dots != (1, d, e):
+                raise ValueError(f"arc endpoint {rational_point(q)} is off its arc")
+        return cls(n, d, m, e, endpoints, label=item.get("label", ""))
+
+    def bundle_entry(self) -> dict:
+        return {
+            "kind": self.kind,
+            "label": self.label,
+            "circle_normal": [int(c) for c in self.n],
+            "circle_offset": format_rational(self.d),
+            "side_normal": [int(c) for c in self.m],
+            "side_offset": format_rational(self.e),
+            "endpoints": [rational_point(p) for p in self.endpoints],
+        }
 
     @property
     def exceptional_points(self) -> tuple:
@@ -402,6 +448,44 @@ class SphereArcFunction:
         b = u[0] * self.m[0] + u[1] * self.m[1] + u[2] * self.m[2] - self.e
         root = _rational_sqrt(a * a + b * b)
         return a * a + (root + b) * (root + b)
+
+    def zero_set(self) -> tuple:
+        """(length, sampler) of the arc; sampler(count) spreads count points
+        evenly from the first endpoint to the second, both included."""
+        nv = np.array([float(c) for c in self.n])
+        mv = np.array([float(c) for c in self.m])
+        d = float(self.d)
+        e = float(self.e)
+        n2 = float(nv @ nv)
+        center = (d / n2) * nv
+        radius = math.sqrt(max(0.0, 1.0 - d * d / n2))
+        q1 = np.array([float(c) for c in self.endpoints[0]])
+        q2 = np.array([float(c) for c in self.endpoints[1]])
+        e1 = q1 - center
+        e1 /= np.linalg.norm(e1)
+        e2 = np.cross(nv, e1)
+        e2 /= np.linalg.norm(e2)
+        w2 = q2 - center
+        ang2 = math.atan2(float(w2 @ e2), float(w2 @ e1))
+        mid = center + radius * (
+            math.cos(ang2 / 2) * e1 + math.sin(ang2 / 2) * e2
+        )
+        if float(mid @ mv) - e < 0.0:
+            span = ang2
+        else:
+            span = ang2 - math.tau if ang2 > 0.0 else ang2 + math.tau
+        length = radius * abs(span)
+
+        def sampler(count: int) -> np.ndarray:
+            ts = np.linspace(0.0, span, count)
+            pts = (
+                center
+                + radius * np.cos(ts)[:, None] * e1
+                + radius * np.sin(ts)[:, None] * e2
+            )
+            return pts / np.linalg.norm(pts, axis=1)[:, None]
+
+        return length, sampler
 
 
 def _rational_sqrt(q: Fraction) -> Fraction:

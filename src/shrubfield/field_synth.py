@@ -15,6 +15,7 @@ floating point, through one value-and-gradient kernel per factor.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -30,14 +31,16 @@ from .curves import (
     component_sqrt,
     homogenize,
     implicitize,
+    param_point,
     plane_to_sphere,
     sphere_arc,
 )
 from .poly_core import (
     Polynomial,
-    format_rational,
+    check_keys,
+    json_int,
+    json_list,
     parse_point,
-    parse_rational,
     rational_point,
 )
 
@@ -49,30 +52,32 @@ if TYPE_CHECKING:
 UNIT_NORM_TOLERANCE = 1e-12
 
 
-def _factor_variables(source) -> tuple:
-    """Variables of P: homogeneous plane coordinates (x, y, w) for a placed
-    hypocycloid, sphere coordinates for every other factor."""
-    if source is not None and source["piece"] == "hypocycloid":
-        return HOMOGENEOUS_VARS
-    return SPHERE_VARS
+def _placement(source) -> AffineMap | None:
+    """The forward map A that places a hypocycloid factor's plane curve, read
+    once from its source; None for the equator and for no source. ValueError
+    on a source that `compose_shrub_function` cannot write."""
+    if source is None or source == {"piece": "equator"}:
+        return None
+    check_keys(source, "factor source", ("piece", "k", "matrix", "offset"))
+    if source["piece"] != "hypocycloid":
+        raise ValueError(f"unknown piece kind {source['piece']!r}")
+    json_int(source["k"], "k")
+    rows = tuple(parse_point(row) for row in json_list(source, "matrix"))
+    offset = parse_point(source["offset"])
+    if [len(v) for v in (*rows, offset)] != [2, 2, 2]:
+        raise ValueError("a placement is a 2 x 2 matrix and a 2-vector offset")
+    return AffineMap(rows, offset)
 
 
-def _source_map(source) -> tuple[tuple, tuple]:
-    """Exact (B, b) of a factor P(B u + b), derived from its source.
-
-    A placed hypocycloid stores the forward affine map A of its plane
-    curve. The lift of the moved curve is P^h(L (x, y, 1 - z)), where P^h
-    is the homogenised canonical polynomial and L is A^-1 in homogeneous
-    coordinates; written in u = (x, y, z) that is B u + b. Every other
-    factor uses the identity map.
-    """
+def _kernel_map(placement: AffineMap | None) -> tuple[tuple, tuple]:
+    """Exact (B, b) of a factor P(B u + b): the identity, or for a placement
+    A the lift P^h(L (x, y, 1 - z)) of the moved curve, where P^h is the
+    homogenised canonical polynomial and L is A^-1 in homogeneous
+    coordinates."""
     zero, one = Fraction(0), Fraction(1)
-    if _factor_variables(source) == SPHERE_VARS:
+    if placement is None:
         return ((one, zero, zero), (zero, one, zero), (zero, zero, one)), (zero,) * 3
-    inverse = AffineMap(
-        tuple(parse_point(row) for row in source["matrix"]),
-        parse_point(source["offset"]),
-    ).inverse()
+    inverse = placement.inverse()
     (a, b), (c, d) = inverse.matrix
     e, f = inverse.offset
     return ((a, b, -e), (c, d, -f), (zero, zero, -one)), (e, f, one)
@@ -91,23 +96,50 @@ class PolyFactor:
 
     The value and the gradient come from one straight-line kernel,
     generated and compiled when the factor is built (see `_kernel_source`).
+    The factor also writes and reads its bundle entry and samples its piece.
     """
 
     kind = "poly"
 
     def __init__(self, poly: Polynomial, label: str = "", source: dict = None):
-        self.source = dict(source) if source else None
-        expected = _factor_variables(self.source)
+        self.placement = _placement(source)
+        self.source = None if source is None else dict(source)
+        expected = SPHERE_VARS if self.placement is None else HOMOGENEOUS_VARS
         if poly.variables != expected:
             raise ValueError(f"factor polynomial must use variables {expected}")
         if not poly:
             raise ValueError("zero polynomial cannot be a factor")
+        # a k-cusped hypocycloid's polynomial has degree 4(k - 1), so its
+        # homogenisation is a form of that degree; the equator's is z
+        if self.placement is not None:
+            degree = 4 * (self.source["k"] - 1)
+            if any(sum(exps) != degree for exps in poly.terms):
+                raise ValueError(f"a leaf factor must be a form of degree {degree}")
+        elif self.source is not None and poly != Polynomial.variable("z", SPHERE_VARS):
+            raise ValueError("an equator factor must be z")
         self.poly = poly
         self.label = label
-        self.matrix, self.shift = _source_map(self.source)
+        self.matrix, self.shift = _kernel_map(self.placement)
         namespace = {"__builtins__": {}}
         exec(_kernel_source(poly, self.matrix, self.shift), namespace)
         self._kernel = namespace["kernel"]
+
+    @classmethod
+    def from_bundle(cls, item: dict) -> "PolyFactor":
+        """The factor of a bundle entry; raises ValueError on an entry that
+        `bundle_entry` cannot write."""
+        check_keys(item, "poly factor", ("kind", "poly"), ("label", "source"))
+        source = item.get("source")
+        leaf = isinstance(source, dict) and source.get("piece") == "hypocycloid"
+        variables = HOMOGENEOUS_VARS if leaf else SPHERE_VARS
+        poly = Polynomial.from_text(item["poly"], variables)
+        return cls(poly, label=item.get("label", ""), source=source)
+
+    def bundle_entry(self) -> dict:
+        entry = {"kind": self.kind, "label": self.label, "poly": self.poly.to_text()}
+        if self.source is not None:
+            entry["source"] = self.source
+        return entry
 
     @property
     def exceptional_points(self) -> tuple:
@@ -125,6 +157,34 @@ class PolyFactor:
             for row, bi in zip(self.matrix, self.shift)
         )
         return self.poly.evaluate(mapped)
+
+    def zero_set(self) -> tuple:
+        """(length, sampler) of the equator or of the placed hypocycloid's
+        image; sampler(count) spreads count points endpoint-free."""
+        if self.source is None:
+            raise ValueError(f"factor {self.label!r} carries no parametric source")
+        if self.placement is None:
+            def equator(count: int) -> np.ndarray:
+                t = np.arange(count) * (math.tau / count)
+                return np.stack([np.cos(t), np.sin(t), np.zeros(count)], axis=1)
+            return math.tau, equator
+        k = self.source["k"]
+        (a, b), (c, d) = [[float(v) for v in row] for row in self.placement.matrix]
+        e, f = [float(v) for v in self.placement.offset]
+
+        def on_sphere(t: float) -> np.ndarray:
+            px, py = param_point(k, t)
+            p = np.array(plane_to_sphere((a * px + b * py + e, c * px + d * py + f)))
+            return p / np.linalg.norm(p)
+
+        probe = np.array([on_sphere(t) for t in np.linspace(0.0, math.tau, 64 * k)])
+        length = float(np.sum(np.linalg.norm(np.diff(probe, axis=0), axis=1)))
+
+        def sampler(count: int) -> np.ndarray:
+            ts = np.arange(count) * (math.tau / count)
+            return np.array([on_sphere(t) for t in ts])
+
+        return length, sampler
 
 
 def _kernel_source(poly: Polynomial, matrix: tuple, shift: tuple) -> str:
@@ -519,35 +579,10 @@ BUNDLE_FORMAT = "field-bundle/2"
 
 def bundle_dict(function: SphereFunction) -> dict:
     """JSON-ready description of a boundary function; exact and stable."""
-    factors = []
-    for factor in function.factors:
-        if isinstance(factor, PolyFactor):
-            entry = {
-                "kind": "poly",
-                "label": factor.label,
-                "poly": factor.poly.to_text(),
-            }
-            if factor.source is not None:
-                entry["source"] = factor.source
-            factors.append(entry)
-        elif isinstance(factor, SphereArcFunction):
-            factors.append(
-                {
-                    "kind": "arc",
-                    "label": factor.label,
-                    "circle_normal": [int(c) for c in factor.n],
-                    "circle_offset": format_rational(factor.d),
-                    "side_normal": [int(c) for c in factor.m],
-                    "side_offset": format_rational(factor.e),
-                    "endpoints": [rational_point(p) for p in factor.endpoints],
-                }
-            )
-        else:
-            raise TypeError(f"cannot serialize factor {factor!r}")
     return {
         "format": BUNDLE_FORMAT,
         "metadata": dict(function.metadata),
-        "factors": factors,
+        "factors": [factor.bundle_entry() for factor in function.factors],
         "punctures": [rational_point(p) for p in function.punctures],
     }
 
@@ -562,7 +597,8 @@ def save_bundle(path, function: SphereFunction) -> None:
 
 
 def function_from_bundle(data: dict) -> SphereFunction:
-    """Rebuild a boundary function; a leaf's map comes from its `source`.
+    """Rebuild a boundary function; each factor class reads its own entry,
+    and a malformed bundle raises ValueError.
 
     Version 1 bundles stored each leaf factor expanded in sphere variables;
     they are refused, since their floats cancel badly.
@@ -576,35 +612,17 @@ def function_from_bundle(data: dict) -> SphereFunction:
         )
     if data.get("format") != BUNDLE_FORMAT:
         raise ValueError(f"not a {BUNDLE_FORMAT} bundle")
+    check_keys(data, "bundle", ("format", "factors"), ("metadata", "punctures"))
+    classes = {cls.kind: cls for cls in (PolyFactor, SphereArcFunction)}
     factors = []
-    for item in data["factors"]:
-        if item["kind"] == "poly":
-            source = item.get("source")
-            factors.append(
-                PolyFactor(
-                    Polynomial.from_text(item["poly"], _factor_variables(source)),
-                    label=item.get("label", ""),
-                    source=source,
-                )
-            )
-        elif item["kind"] == "arc":
-            if len(item["endpoints"]) != 2:
-                raise ValueError("an arc factor has two endpoints")
-            factors.append(
-                SphereArcFunction(
-                    n=tuple(int(c) for c in item["circle_normal"]),
-                    d=parse_rational(item["circle_offset"]),
-                    m=tuple(int(c) for c in item["side_normal"]),
-                    e=parse_rational(item["side_offset"]),
-                    endpoints=tuple(parse_point(p) for p in item["endpoints"]),
-                    label=item.get("label", ""),
-                )
-            )
-        else:
-            raise ValueError(f"unknown factor kind {item['kind']!r}")
+    for item in json_list(data, "factors"):
+        kind = item.get("kind") if isinstance(item, dict) else None
+        if not isinstance(kind, str) or kind not in classes:
+            raise ValueError(f"unknown factor kind {kind!r}")
+        factors.append(classes[kind].from_bundle(item))
     return SphereFunction(
         factors=factors,
-        punctures=tuple(parse_point(p) for p in data.get("punctures", ())),
+        punctures=tuple(parse_point(p) for p in json_list(data, "punctures")),
         metadata=data.get("metadata", {}),
     )
 

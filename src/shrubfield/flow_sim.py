@@ -23,9 +23,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .curves import DomainError, param_point, plane_to_sphere
+from .curves import DomainError, plane_to_sphere
 from .field_synth import SphereFunction, VectorField
-from .poly_core import parse_rational
 
 RTOL_DEFAULT = 1e-10
 ATOL_DEFAULT = 1e-12
@@ -428,75 +427,6 @@ def winding_summary(traj: Trajectory) -> WindingSummary:
 # -- zero-set sampling --------------------------------------------------------
 
 
-def _equator_piece():
-    def sampler(count: int) -> np.ndarray:
-        t = np.arange(count) * (TWO_PI / count)
-        return np.stack(
-            [np.cos(t), np.sin(t), np.zeros(count)], axis=1
-        )
-
-    return TWO_PI, sampler
-
-
-def _hypocycloid_piece(source: dict):
-    k = int(source["k"])
-    (a, b), (c, d) = [
-        [float(parse_rational(s)) for s in row] for row in source["matrix"]
-    ]
-    e, f = [float(parse_rational(s)) for s in source["offset"]]
-
-    def on_sphere(t: float) -> np.ndarray:
-        px, py = param_point(k, t)
-        p = np.array(plane_to_sphere((a * px + b * py + e, c * px + d * py + f)))
-        return p / np.linalg.norm(p)
-
-    probe = np.array([on_sphere(t) for t in np.linspace(0.0, TWO_PI, 64 * k)])
-    length = float(np.sum(np.linalg.norm(np.diff(probe, axis=0), axis=1)))
-
-    def sampler(count: int) -> np.ndarray:
-        ts = np.arange(count) * (TWO_PI / count)
-        return np.array([on_sphere(t) for t in ts])
-
-    return length, sampler
-
-
-def _arc_piece(arc):
-    nv = np.array([float(c) for c in arc.n])
-    mv = np.array([float(c) for c in arc.m])
-    d = float(arc.d)
-    e = float(arc.e)
-    n2 = float(nv @ nv)
-    center = (d / n2) * nv
-    radius = math.sqrt(max(0.0, 1.0 - d * d / n2))
-    q1 = np.array([float(c) for c in arc.endpoints[0]])
-    q2 = np.array([float(c) for c in arc.endpoints[1]])
-    e1 = q1 - center
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(nv, e1)
-    e2 /= np.linalg.norm(e2)
-    w2 = q2 - center
-    ang2 = math.atan2(float(w2 @ e2), float(w2 @ e1))
-    mid = center + radius * (
-        math.cos(ang2 / 2) * e1 + math.sin(ang2 / 2) * e2
-    )
-    if float(mid @ mv) - e < 0.0:
-        span = ang2
-    else:
-        span = ang2 - TWO_PI if ang2 > 0.0 else ang2 + TWO_PI
-    length = radius * abs(span)
-
-    def sampler(count: int) -> np.ndarray:
-        ts = np.linspace(0.0, span, count)
-        pts = (
-            center
-            + radius * np.cos(ts)[:, None] * e1
-            + radius * np.sin(ts)[:, None] * e2
-        )
-        return pts / np.linalg.norm(pts, axis=1)[:, None]
-
-    return length, sampler
-
-
 def _allocate(total: int, lengths: np.ndarray) -> list:
     """Greedy largest-shortfall allocation, at least one point per piece;
     ties go to the first piece."""
@@ -513,28 +443,12 @@ def _allocate(total: int, lengths: np.ndarray) -> list:
 def sample_zero_set(function: SphereFunction, count: int) -> np.ndarray:
     """Points on the realized boundary, spread across its pieces.
 
-    Each factor contributes one parametric piece (the equator, a placed
-    hypocycloid image, or a circular arc), and the requested count is
-    allocated proportionally to estimated piece length, at least one point
-    per piece. Closed pieces are sampled endpoint-free; arcs include their
-    endpoints, so the punctures appear among the samples.
+    Each factor samples its own piece (its `zero_set`), and the requested
+    count is allocated proportionally to piece length, at least one point
+    per piece. Closed pieces are sampled endpoint-free; open pieces include
+    their endpoints, so the punctures appear among the samples.
     """
-    pieces = []
-    for factor in function.factors:
-        if factor.kind == "arc":
-            pieces.append(_arc_piece(factor))
-            continue
-        source = factor.source
-        if source is None:
-            raise ValueError(
-                f"factor {factor.label!r} carries no parametric source"
-            )
-        if source["piece"] == "equator":
-            pieces.append(_equator_piece())
-        elif source["piece"] == "hypocycloid":
-            pieces.append(_hypocycloid_piece(source))
-        else:
-            raise ValueError(f"unknown piece kind {source['piece']!r}")
+    pieces = [factor.zero_set() for factor in function.factors]
     if not pieces:
         raise ValueError("function has no boundary pieces to sample")
     if count < len(pieces):

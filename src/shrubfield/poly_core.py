@@ -1,7 +1,8 @@
 """Exact polynomial arithmetic: coefficients, sparse polynomials, resultants.
 
 Coefficient layer: integers and `Fraction` rationals, with an exact-division
-helper and the `"p/q"` text forms used by every JSON artifact.
+helper, the `"p/q"` text forms used by every JSON artifact, and the strict
+record checks that every JSON reader shares.
 
 Polynomial layer: sparse multivariate polynomials over those coefficients.
 A polynomial is a map from exponent vectors to coefficients; no floating
@@ -31,7 +32,7 @@ def coeff_exact_div(a, b):
     return q
 
 
-_RAT_RE = _re.compile(r"^(-?\d+)(?:/(\d+))?$")
+_RAT_RE = _re.compile(r"^(-?\d+)(?:/(0*[1-9]\d*))?$")
 
 
 def format_rational(value) -> str:
@@ -43,7 +44,7 @@ def format_rational(value) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
-    m = _RAT_RE.match(text.strip())
+    m = _RAT_RE.match(text.strip()) if isinstance(text, str) else None
     if not m:
         raise ValueError(f"not a rational literal: {text!r}")
     num = int(m.group(1))
@@ -57,7 +58,39 @@ def rational_point(value) -> list[str]:
 
 
 def parse_point(items) -> tuple[Fraction, ...]:
-    return tuple(parse_rational(str(v)) for v in items)
+    if not isinstance(items, list):
+        raise ValueError(f"a point must be a JSON list, not {items!r}")
+    return tuple(parse_rational(v) for v in items)
+
+
+# -- strict JSON records ------------------------------------------------------
+# Readers refuse with ValueError what no writer produces: unknown keys, a
+# count that is not a plain int, a rational that is not a string.
+
+
+def check_keys(obj, what, required, optional=()):
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object, not {obj!r}")
+    unknown = sorted(set(obj) - set(required) - set(optional))
+    if unknown:
+        raise ValueError(f"{what} has unknown keys {unknown}")
+    missing = [key for key in required if key not in obj]
+    if missing:
+        raise ValueError(f"{what} lacks {missing}")
+
+
+def json_list(obj, key):
+    value = obj.get(key, [])
+    if not isinstance(value, list):
+        raise ValueError(f"{key} must be a JSON list, not {value!r}")
+    return value
+
+
+def json_int(value, what):
+    # bool is an int subclass, but true is not a count or an index
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, not {value!r}")
+    return value
 
 
 def rational_circle_point(t: Fraction) -> tuple[Fraction, Fraction]:
@@ -305,6 +338,8 @@ class Polynomial:
     @classmethod
     def from_text(cls, text: str, variables) -> "Polynomial":
         variables = tuple(variables)
+        if not isinstance(text, str):
+            raise ValueError(f"a polynomial must be a text, not {text!r}")
         text = text.strip()
         if text == "0":
             return cls.zero(variables)

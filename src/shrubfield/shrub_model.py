@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .curves import AffineMap
-from .poly_core import rational_circle_point
+from .poly_core import check_keys, json_int, json_list, rational_circle_point
 
 END_SITES = ("end0", "end1")
 
@@ -105,27 +105,30 @@ class ShrubGraph:
             if isinstance(text_or_obj, str)
             else text_or_obj
         )
-        _check_keys(obj, "shrub", (), ("pieces", "junctions"))
-        pieces = []
-        for rec in _json_list(obj, "pieces"):
-            kind = next(iter(rec)) if isinstance(rec, dict) and len(rec) == 1 else None
-            if kind == "leaf":
-                _check_keys(rec["leaf"], "leaf", ("k",))
-                pieces.append(Piece(kind="leaf", k=_json_int(rec["leaf"]["k"], "k")))
-            elif kind == "sprig":
-                _check_keys(rec["sprig"], "sprig", ())
-                pieces.append(Piece(kind="sprig"))
-            else:
-                raise ShrubError(f"piece record {rec!r} is not one leaf or sprig")
-        junctions = []
-        for rec in _json_list(obj, "junctions"):
-            _check_keys(rec, "junction", ("bud",), ("at",))
-            at = []
-            for a in _json_list(rec, "at"):
-                _check_keys(a, "attachment", ("piece", "site"))
-                piece = _json_int(a["piece"], "piece")
-                at.append(Attachment(piece, _site_from_json(a["site"])))
-            junctions.append(Junction(bud=_json_int(rec["bud"], "bud"), at=tuple(at)))
+        try:
+            check_keys(obj, "shrub", (), ("pieces", "junctions"))
+            pieces = []
+            for rec in json_list(obj, "pieces"):
+                kind = next(iter(rec)) if isinstance(rec, dict) and len(rec) == 1 else None
+                if kind == "leaf":
+                    check_keys(rec["leaf"], "leaf", ("k",))
+                    pieces.append(Piece(kind="leaf", k=json_int(rec["leaf"]["k"], "k")))
+                elif kind == "sprig":
+                    check_keys(rec["sprig"], "sprig", ())
+                    pieces.append(Piece(kind="sprig"))
+                else:
+                    raise ShrubError(f"piece record {rec!r} is not one leaf or sprig")
+            junctions = []
+            for rec in json_list(obj, "junctions"):
+                check_keys(rec, "junction", ("bud",), ("at",))
+                at = []
+                for a in json_list(rec, "at"):
+                    check_keys(a, "attachment", ("piece", "site"))
+                    piece = json_int(a["piece"], "piece")
+                    at.append(Attachment(piece, _site_from_json(a["site"])))
+                junctions.append(Junction(bud=json_int(rec["bud"], "bud"), at=tuple(at)))
+        except ValueError as exc:
+            raise ShrubError(str(exc)) from exc
         return cls(pieces, junctions)
 
     def to_json(self) -> dict:
@@ -178,37 +181,12 @@ class ShrubGraph:
         )
 
 
-def _check_keys(obj, what, required, optional=()):
-    if not isinstance(obj, dict):
-        raise ShrubError(f"{what} must be a JSON object, not {obj!r}")
-    unknown = sorted(set(obj) - set(required) - set(optional))
-    if unknown:
-        raise ShrubError(f"{what} has unknown keys {unknown}")
-    missing = [key for key in required if key not in obj]
-    if missing:
-        raise ShrubError(f"{what} lacks {missing}")
-
-
-def _json_list(obj, key):
-    value = obj.get(key, [])
-    if not isinstance(value, list):
-        raise ShrubError(f"{key} must be a JSON list, not {value!r}")
-    return value
-
-
-def _json_int(value, what):
-    # bool is an int subclass, but true is not a count or an index
-    if type(value) is not int:
-        raise ShrubError(f"{what} must be an integer, not {value!r}")
-    return value
-
-
 def _site_from_json(value):
     if isinstance(value, str):
         if value not in END_SITES:
             raise ShrubError(f"unknown site {value!r}")
         return value
-    return _json_int(value, "site")
+    return json_int(value, "site")
 
 
 # -- validation ----------------------------------------------------------------
@@ -1839,10 +1817,13 @@ def _collinear_run(start, end, w):
 
 
 def _check_collisions(shrub, placements, junction_points):
-    """Exact pairwise separation of leaf balls, sprig segments, and rays,
-    plus clearance of the chart origin from every drawn piece. Two pieces
+    """Exact pairwise separation of leaf balls and sprig segments, plus
+    clearance of the chart origin from every drawn piece. Two pieces
     that share a junction may meet at its point only: leaves as tangent
-    balls, sprigs as spans leaving it."""
+    balls, sprigs as spans leaving it. A ray, which runs from its anchor
+    toward +x, is checked as the segment from the anchor to x = far_x;
+    every drawn piece lies left of far_x, so each test answers as the ray
+    would."""
     shared_bud = {}  # (a, b) with a < b -> the junction both pieces touch
     for j in shrub.junctions:
         for a in j.at:
@@ -1850,13 +1831,19 @@ def _check_collisions(shrub, placements, junction_points):
                 if a.piece < b.piece:
                     shared_bud[(a.piece, b.piece)] = j.bud
     items = sorted(placements)
+    leaves = [p for p in placements.values() if isinstance(p, LeafPlacement)]
+    far_x = 1 + max(
+        [abs(q[0]) for q in junction_points.values() if q is not None]
+        + [abs(p.center[0]) + p.radius for p in leaves],
+        default=0,
+    )
     origin = (Fraction(0), Fraction(0))
     for pid in items:
         p = placements[pid]
         if isinstance(p, LeafPlacement):
             if _dist2(p.center, origin) <= p.radius**2:
                 raise _Collision
-        elif _point_span_dist2(origin, _sprig_span(p)) == 0:
+        elif _point_segment_dist2(origin, *_sprig_span(p, far_x)) == 0:
             raise _Collision
     for i, a in enumerate(items):
         pa = placements[a]
@@ -1875,11 +1862,13 @@ def _check_collisions(shrub, placements, junction_points):
             elif isinstance(pa, LeafPlacement) or isinstance(pb, LeafPlacement):
                 leaf, seg = (pa, pb) if isinstance(pa, LeafPlacement) else (pb, pa)
                 # an adjacent sprig leaves the tangency cusp pointing outward
-                _require_span_outside_ball(_sprig_span(seg), leaf, allow_touch=shared)
+                _require_span_outside_ball(
+                    _sprig_span(seg, far_x), leaf, allow_touch=shared
+                )
             else:
-                sa, sb = _sprig_span(pa), _sprig_span(pb)
+                sa, sb = _sprig_span(pa, far_x), _sprig_span(pb, far_x)
                 if not adjacent:
-                    if _spans_intersect(sa, sb):
+                    if _segments_intersect(*sa, *sb):
                         raise _Collision
                 elif _spans_overlap_beyond_point(sa, sb, shared):
                     raise _Collision
@@ -1889,37 +1878,24 @@ def _dist2(a, b):
     return (a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2
 
 
-def _sprig_span(p):
-    """Normalized geometry of a sprig placement: ("seg", a, b) for a finite
-    segment, ("ray", anchor, None) for a ray from anchor toward +x."""
-    if p.start is None:
-        return ("ray", p.end, None)
-    if p.end is None:
-        return ("ray", p.start, None)
-    return ("seg", p.start, p.end)
-
-
-def _point_span_dist2(c, span):
-    kind, a, b = span
-    if kind == "seg":
-        return _point_segment_dist2(c, a, b)
-    if c[0] >= a[0]:
-        return (c[1] - a[1]) ** 2
-    return _dist2(c, a)
+def _sprig_span(p, far_x):
+    """End points (a, b) of a sprig placement; a ray from anchor a toward
+    +x ends at (far_x, a_y)."""
+    a, b = (p.end, p.start) if p.start is None else (p.start, p.end)
+    return (a, (far_x, a[1])) if b is None else (a, b)
 
 
 def _require_span_outside_ball(span, leaf, allow_touch):
     c, r = leaf.center, leaf.radius
-    if _point_span_dist2(c, span) > r * r:
+    if _point_segment_dist2(c, *span) > r * r:
         return
-    if allow_touch is not None:
-        # touching is fine only at the shared cusp, from which the span
-        # must run monotonically away from the center
-        v = _dir_away(span, allow_touch)
-        if v is not None:
-            w = (allow_touch[0] - c[0], allow_touch[1] - c[1])
-            if v[0] * w[0] + v[1] * w[1] >= 0:
-                return
+    # touching is fine only at the shared cusp, from which the span must run
+    # monotonically away from the center
+    v = _dir_away(span, allow_touch)
+    if v is not None:
+        w = (allow_touch[0] - c[0], allow_touch[1] - c[1])
+        if v[0] * w[0] + v[1] * w[1] >= 0:
+            return
     raise _Collision
 
 
@@ -1956,37 +1932,11 @@ def _segments_intersect(a, b, c, d):
     return False
 
 
-def _spans_intersect(sa, sb):
-    ka, a0, a1 = sa
-    kb, b0, b1 = sb
-    if ka == "seg" and kb == "seg":
-        return _segments_intersect(a0, a1, b0, b1)
-    if ka == "ray" and kb == "ray":
-        # both rays run toward +x, so they meet exactly when they share a line
-        return a0[1] == b0[1]
-    if ka == "ray":
-        a0, a1, b0 = b0, b1, a0
-    return _segment_ray_intersect(a0, a1, b0)
-
-
-def _segment_ray_intersect(p, q, a):
-    """Does segment p-q meet the ray from a toward +x?"""
-    dy = q[1] - p[1]
-    if dy == 0:
-        return p[1] == a[1] and max(p[0], q[0]) >= a[0]
-    s = (a[1] - p[1]) / dy
-    if s < 0 or s > 1:
-        return False
-    x = p[0] + s * (q[0] - p[0])
-    return x >= a[0]
-
-
 def _dir_away(span, shared):
     """Direction from `shared` toward the span's other end, or None when
-    `shared` is not a finite endpoint of the span."""
-    kind, a, b = span
-    if kind == "ray":
-        return _RAY_DIR if a == shared else None
+    `shared` is not an endpoint of the span (or is None, the bud at
+    infinity)."""
+    a, b = span
     if a == shared:
         return (b[0] - a[0], b[1] - a[1])
     if b == shared:
@@ -1997,9 +1947,7 @@ def _dir_away(span, shared):
 def _spans_overlap_beyond_point(sa, sb, shared):
     """Adjacent sprigs may meet only at their shared junction point; a
     shared point of None (the bud at infinity) demands plane disjointness."""
-    if shared is None:
-        return _spans_intersect(sa, sb)
-    if not _spans_intersect(sa, sb):
+    if not _segments_intersect(*sa, *sb):
         return False
     # straight spans leaving one point meet again only if they run the same
     # way along one line; opposite collinear continuations are legitimate

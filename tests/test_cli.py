@@ -885,6 +885,61 @@ _ONE_ENDPOINT_ARC = {
 }
 
 
+# one factor entry of an example bundle edited in a way `bundle_entry` never
+# writes: (example, factor index, keys down to the edited value, new value);
+# lone-sprig has one arc on the circle y + 2z = 2, framed-pair the equator
+# and one k = 4 leaf
+_DROP = object()
+_BROKEN_ENTRIES = [
+    ("lone-sprig", 0, ("circle_offset",), 0.5),
+    ("lone-sprig", 0, ("circle_offset",), "1/0"),
+    ("lone-sprig", 0, ("side_offset",), 0),
+    ("lone-sprig", 0, ("circle_normal",), [0, 0, 0]),
+    ("lone-sprig", 0, ("circle_normal",), [0.5, 0, 1]),
+    ("lone-sprig", 0, ("circle_normal",), [True, 1, 2]),
+    ("lone-sprig", 0, ("circle_normal",), [1, 2]),
+    ("lone-sprig", 0, ("side_normal",), [0, 0, 0]),
+    ("lone-sprig", 0, ("endpoints", 0), ["0", "0", "2"]),  # off the sphere
+    ("lone-sprig", 0, ("endpoints", 0), ["1", "0", "0"]),  # off the circle
+    ("lone-sprig", 0, ("endpoints", 0), ["0", "4/5", "3/5"]),  # off the side
+    ("lone-sprig", 0, ("endpoints", 0), [0, 0, 1]),
+    ("lone-sprig", 0, ("endpoints", 1), ["0", "0", "1"]),
+    ("lone-sprig", 0, ("colour",), "red"),
+    ("framed-pair", 0, ("poly",), "2*z"),
+    ("framed-pair", 0, ("source", "k"), 4),
+    ("framed-pair", 1, ("poly",), 5),
+    ("framed-pair", 1, ("colour",), "red"),
+    ("framed-pair", 1, ("source", "k"), _DROP),
+    ("framed-pair", 1, ("source", "k"), 7),
+    ("framed-pair", 1, ("source", "k"), True),
+    ("framed-pair", 1, ("source", "piece"), "spiral"),
+    ("framed-pair", 1, ("source", "colour"), "red"),
+    ("framed-pair", 1, ("source", "matrix"), [["1", "2"], ["2", "4"]]),
+    ("framed-pair", 1, ("source", "matrix"), [["1", "0"], ["0", "1"], ["0", "0"]]),
+    ("framed-pair", 1, ("source", "matrix"), [[1, 0], [0, 1]]),
+    ("framed-pair", 1, ("source", "offset"), ["0", "0", "0"]),
+]
+
+
+def _broken_bundles():
+    intact = {}
+    for name in ("lone-sprig", "framed-pair"):
+        shrub = field_synth.example_shrubs()[name]
+        function = field_synth.compose_shrub_function(shrub_model.layout_shrub(shrub))
+        intact[name] = json.dumps(field_synth.bundle_dict(function))
+        field_synth.function_from_bundle(json.loads(intact[name]))
+    for name, index, keys, value in _BROKEN_ENTRIES:
+        body = json.loads(intact[name])
+        target = body["factors"][index]
+        for key in keys[:-1]:
+            target = target[key]
+        if value is _DROP:
+            del target[keys[-1]]
+        else:
+            target[keys[-1]] = value
+        yield body
+
+
 def test_garbage_bundles_are_validation_failures(tmp_path):
     fake = tmp_path / "fake.json"
     csv, report = tmp_path / "orbit.csv", tmp_path / "orbit.json"
@@ -894,6 +949,7 @@ def test_garbage_bundles_are_validation_failures(tmp_path):
         {"format": "field-bundle/2", "factors": 5},
         [],
         {"format": "field-bundle/2", "factors": [_ONE_ENDPOINT_ARC]},
+        *_broken_bundles(),
     ]:
         fake.write_text(json.dumps(body))
         assert main(args) == 2, body

@@ -1,5 +1,6 @@
 """Orbit integration, conserved quantity, and limit-set diagnostics."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -398,6 +399,24 @@ def test_hypocycloid_samples_sit_on_the_boundary():
         worst = max(worst, float(np.min(vals)) / scale)
     # every leaf piece received samples where its own factor vanishes
     assert worst < 1e-10
+
+
+# sha256 of the 1200 zero-set samples of each example, the count `simulate`
+# uses by default; taken before each factor sampled its own piece, and like
+# the orbit digests they depend on libm and numpy
+ZERO_SET_SHA256 = {
+    "equator": "5e5379fe1fe72263be62e894a704f9d883867bac9d7b41c5691e817ce6ffccb1",
+    "framed-chain": "3eecbb47c2034d3a0c3daca933b79f70039c7b5d6f89c5e4f591f3903a817da3",
+    "framed-pair": "bd974ed309744afc86aa39f22a157f9409e6340637bc56d6e7fbee9eb2eb6f16",
+    "lone-sprig": "4943a55a1e612cdccd270875adbca7f61fd3e6066ef079cb92a2c8038a878211",
+    "spiked-leaf": "2333b487a8b0c216dce39f60fb790e543cbc615d349cc8306dfb13f65cc21d1a",
+}
+
+
+@pytest.mark.parametrize("name", sorted(ZERO_SET_SHA256))
+def test_zero_set_samples_are_pinned(name):
+    digest = hashlib.sha256(zero_for(name).tobytes()).hexdigest()
+    assert digest == ZERO_SET_SHA256[name]
 
 
 def test_sample_counts_follow_piece_lengths():
