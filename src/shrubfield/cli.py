@@ -35,6 +35,12 @@ import os
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
+# Set before numpy loads OpenBLAS. No command makes a BLAS call large enough
+# to gain from threads, and each OpenBLAS worker busy-waits for tens of
+# milliseconds after start-up, taking a core from the main thread whenever
+# the machine is loaded; a user's own setting is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import click
 import numpy as np
 

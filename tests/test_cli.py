@@ -1044,6 +1044,20 @@ def test_cli_import_leaves_the_process_pool_unloaded(workdir, tmp_path):
     assert (tmp_path / "pool.json").exists()
 
 
+@pytest.mark.parametrize("given, expected", [(None, "1"), ("3", "3")])
+def test_cli_import_keeps_openblas_to_one_thread(given, expected):
+    # set before numpy loads, so no OpenBLAS worker starts; a user value stays
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if given is not None:
+        env["OPENBLAS_NUM_THREADS"] = given
+    code = (
+        "import os, sys; import shrubfield.cli; "
+        f"sys.exit(os.environ.get('OPENBLAS_NUM_THREADS') != {expected!r})"
+    )
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
 def test_field_synth_import_leaves_shrub_model_unloaded():
     # shrub_model is needed to compose a layout, not to load or evaluate a field
     code = (
