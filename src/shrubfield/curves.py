@@ -1,8 +1,9 @@
 """Plane and sphere curves: cusped wheel curves, segments, arcs, lifts.
 
 The building blocks of every synthesized boundary are k-cusped hypocycloids
-(implicitized exactly through a resultant), straight segments (realized on the
-sphere by a non-polynomial but analytic closed form), and circles. This module
+(implicitized exactly by a closed form, which replaces the resultant that
+first gave the same polynomial), straight segments (realized on the sphere
+by a non-polynomial but analytic closed form), and circles. This module
 owns their parametric forms, the exact implicit polynomials, rational affine
 deformation, and the stereographic transfer between plane and sphere.
 
@@ -21,7 +22,6 @@ import numpy as np
 
 from .poly_core import (
     Polynomial,
-    UniPoly,
     check_keys,
     format_rational,
     json_int,
@@ -29,7 +29,6 @@ from .poly_core import (
     parse_point,
     parse_rational,
     rational_point,
-    sylvester_resultant,
 )
 
 PLANE_VARS = ("x", "y")
@@ -136,61 +135,44 @@ class AffineMap:
 # -- exact implicitization -----------------------------------------------------
 
 
-def _resultant_degree_bound(k: int) -> int:
-    """Degree bound 2(k - 1) of the resultant in x, and separately in y.
+def _hypocycloid_root(k: int) -> Polynomial:
+    """R_k = 2^k (2n)^n Q_k, n = k - 1, an integer plane polynomial of
+    degree 2n whose real zero set is the k-cusped hypocycloid, with
 
-    x enters one coefficient of p and y one coefficient of q, and both have
-    degree 2(k - 1) in t, so each variable fills at most 2(k - 1) rows of
-    the Sylvester matrix.
-    """
-    return 2 * (k - 1)
+        Q_k = Re((x + iy)^k) - sum_{j=0..k} C(k, j) n^j T_|j-n|(c),
+        c = (x^2 + y^2 - n^2 - 1) / (2n),
 
+    T_m the m-th Chebyshev polynomial. Why: `param_point` is
+    z = n e^(it) + e^(-int); with q = e^(ikt), |z|^2 = n^2 + 1 + 2n cos kt,
+    so c = cos kt, and z^k = q^(-n) (nq + 1)^k, whose real part is the sum.
 
-def _eliminant_resultant(k: int, x: int, s: int) -> int:
-    """S(x, s) = R(x, i*s), the resultant at the point (x, i*s), x, s integers.
-
-    Writing the parametrization through a unimodular complex parameter t and
-    clearing denominators gives one polynomial whose x-dependence is linear
-    and one whose y-dependence is linear, 2i*y t^n with n = k - 1. With
-    y = i*s that coefficient is -2s, so both polynomials have integer
-    coefficients and the Sylvester determinant is over the integers.
+    S_m = (2n)^m T_m(c) is an integer polynomial in u = 2n c, by
+    S_(m+1) = 2u S_m - (2n)^2 S_(m-1), so (2n)^n clears every denominator;
+    2^k keeps the scale of the resultant the closed form replaced.
     """
     n = k - 1
-    p = UniPoly.from_dict("t", {2 * n: 1, n + 1: n, n: -2 * x, n - 1: n, 0: 1})
-    q = UniPoly.from_dict("t", {2 * n: 1, n + 1: -n, n: -2 * s, n - 1: n, 0: -1})
-    return sylvester_resultant(p, q)
-
-
-def _interpolate(nodes, values) -> list[Fraction]:
-    """Monomial coefficients, constant first, of the polynomial of degree
-    below len(nodes) through the points (nodes[j], values[j]).
-
-    Newton's divided differences, then the nested Newton form multiplied
-    out; exact in `Fraction`s.
-    """
-    diffs = [Fraction(v) for v in values]
-    for j in range(1, len(nodes)):
-        for i in range(len(nodes) - 1, j - 1, -1):
-            diffs[i] = (diffs[i] - diffs[i - 1]) / (nodes[i] - nodes[i - j])
-    coeffs = [diffs[-1]]
-    for i in range(len(nodes) - 2, -1, -1):
-        # coeffs <- coeffs * (t - nodes[i]) + diffs[i]
-        coeffs = [diffs[i] - nodes[i] * coeffs[0]] + [
-            coeffs[d - 1] - nodes[i] * coeffs[d] for d in range(1, len(coeffs))
-        ] + [coeffs[-1]]
-    return coeffs
-
-
-def _bounded_integers(coeffs: list[Fraction], k: int) -> list[int]:
-    """The coefficients below the spare top one, which must vanish; all
-    must be integers. Raises instead of returning a wrong polynomial when
-    the degree bound is wrong."""
-    if coeffs[-1] != 0 or any(c.denominator != 1 for c in coeffs):
-        raise ArithmeticError(
-            f"k={k}: interpolated resultant is not an integer polynomial "
-            f"within the degree bound {len(coeffs) - 2}"
-        )
-    return [c.numerator for c in coeffs[:-1]]
+    x = Polynomial.variable("x", PLANE_VARS)
+    y = Polynomial.variable("y", PLANE_VARS)
+    u = x * x + y * y - (n * n + 1)
+    s = [Polynomial.constant(1, PLANE_VARS), u]
+    for _ in range(n - 1):
+        s.append(2 * u * s[-1] - 4 * n * n * s[-2])
+    q = Polynomial(
+        PLANE_VARS,
+        {
+            (k - b, b): (2 * n) ** n * math.comb(k, b) * (-1) ** (b // 2)
+            for b in range(0, k + 1, 2)
+        },
+    )
+    for j in range(k + 1):
+        m = abs(j - n)
+        q = q - math.comb(k, j) * n**j * (2 * n) ** (n - m) * s[m]
+    r = 2**k * q
+    # terms ordered by y's exponent, then x's, as the resultant this replaced
+    # gave them: float sums over the terms, and so the `implicitize`
+    # reports, keep their bits
+    order = sorted(r.terms, key=lambda e: e[::-1])
+    return Polynomial(PLANE_VARS, {e: r.terms[e] for e in order})
 
 
 _implicit_cache: dict[int, Polynomial] = {}
@@ -199,49 +181,24 @@ _implicit_cache: dict[int, Polynomial] = {}
 def implicitize(k: int) -> Polynomial:
     """Exact plane polynomial whose real zero set is the k-cusped hypocycloid.
 
-    The parameter is eliminated by a Sylvester resultant R(x, y) with
-    Gaussian-integer coefficients c_ab, found by evaluation and exact
-    interpolation (G. E. Collins, JACM 18(4), 1971). S(x, s) = R(x, i*s) is
-    evaluated at integer points, where each determinant is over the
-    integers, on 2(k-1) + 2 nodes per axis: the degree bound plus one spare
-    node, whose coefficient must come out zero. Newton interpolation in s and
-    then in x gives the integer coefficients d_ab = c_ab * i^b of S. R splits
-    as P1 + i*P2 and the returned polynomial is F = P1^2 + P2^2 >= 0. The
-    raw determinant is kept (no content normalization) for reproducibility;
-    the integer content is recorded in `implicit_metadata`.
+    F = R_k^2 >= 0 with the closed form R_k of `_hypocycloid_root`. The
+    closed form replaces a Sylvester resultant in the curve parameter, which
+    gave the same polynomial; the tests keep that resultant as an oracle. F
+    is kept raw (no content normalization) for reproducibility; the integer
+    content is recorded in `implicit_metadata`.
     """
     if k < 3:
         raise ValueError("cusp count must be at least 3")
     if k not in _implicit_cache:
-        bound = _resultant_degree_bound(k)
-        # bound + 2 nodes centred on 0, which keeps the determinants small
-        nodes = range(-(bound // 2) - 1, bound - bound // 2 + 1)
-        # by_x[j][b]: coefficient of s^b in S(nodes[j], s)
-        by_x = [
-            _bounded_integers(
-                _interpolate(nodes, [_eliminant_resultant(k, x, s) for s in nodes]), k
-            )
-            for x in nodes
-        ]
-        real: dict[tuple[int, int], int] = {}
-        imag: dict[tuple[int, int], int] = {}
-        for b in range(bound + 1):
-            d_b = _bounded_integers(_interpolate(nodes, [row[b] for row in by_x]), k)
-            # c_ab = d_ab * i^(-b): the real part for even b, else the imaginary
-            sign = (1, -1, -1, 1)[b % 4]
-            part = imag if b % 2 else real
-            for a, d in enumerate(d_b):
-                part[(a, b)] = sign * d
-        p1 = Polynomial(PLANE_VARS, real)
-        p2 = Polynomial(PLANE_VARS, imag)
-        f = p1 * p1 + p2 * p2
+        root = _hypocycloid_root(k)
+        f = root * root
         _implicit_cache[k] = f
         _metadata_cache[k] = {
             "k": k,
             "degree": f.total_degree(),
             "terms": len(f.terms),
             "integer_content": f.integer_content(),
-            "resultant_degree": max(p1.total_degree(), p2.total_degree()),
+            "resultant_degree": root.total_degree(),
         }
     return _implicit_cache[k]
 
@@ -258,7 +215,7 @@ def implicit_metadata(k: int) -> dict:
 def normalized_residual(poly: Polynomial, point) -> float:
     """|F(point)| scaled by coefficient mass and radius^degree.
 
-    Raw resultant coefficients are huge; dividing by the coefficient 1-norm
+    Raw implicit coefficients are huge; dividing by the coefficient 1-norm
     times max(1, r)^deg makes residual tolerances independent of k.
     """
     value = abs(float(poly.evaluate(tuple(float(c) for c in point))))

@@ -127,11 +127,17 @@ class PolyFactor:
     @classmethod
     def from_bundle(cls, item: dict) -> "PolyFactor":
         """The factor of a bundle entry; raises ValueError on an entry that
-        `bundle_entry` cannot write."""
-        check_keys(item, "poly factor", ("kind", "poly"), ("label", "source"))
-        source = item.get("source")
-        leaf = isinstance(source, dict) and source.get("piece") == "hypocycloid"
-        variables = HOMOGENEOUS_VARS if leaf else SPHERE_VARS
+        `bundle_entry` cannot write.
+
+        Synthesis gives every factor a source naming its piece, which bounds
+        the polynomial's degree, so an entry without one is refused; the
+        source is read before the polynomial is parsed or a kernel compiled.
+        """
+        check_keys(item, "poly factor", ("kind", "poly", "source"), ("label",))
+        source = item["source"]
+        if source is None:
+            raise ValueError("a poly factor's source must name its piece")
+        variables = SPHERE_VARS if _placement(source) is None else HOMOGENEOUS_VARS
         poly = Polynomial.from_text(item["poly"], variables)
         return cls(poly, label=item.get("label", ""), source=source)
 

@@ -1,35 +1,19 @@
-"""Exact polynomial arithmetic: coefficients, sparse polynomials, resultants.
+"""Exact polynomial arithmetic: coefficients and sparse polynomials.
 
-Coefficient layer: integers and `Fraction` rationals, with an exact-division
-helper, the `"p/q"` text forms used by every JSON artifact, and the strict
-record checks that every JSON reader shares.
+Coefficient layer: integers and `Fraction` rationals, the `"p/q"` text forms
+used by every JSON artifact, and the strict record checks that every JSON
+reader shares.
 
 Polynomial layer: sparse multivariate polynomials over those coefficients.
 A polynomial is a map from exponent vectors to coefficients; no floating
 point enters any ring operation. Terms live in a dict and are ordered
 graded-lexicographically in the text form.
-
-Univariate layer: polynomials with exact scalar coefficients together with
-the Sylvester matrix and a fraction-free (division-exact) determinant. Curve
-implicitization evaluates resultants of integer polynomials with them and
-interpolates the results.
 """
 from __future__ import annotations
 
 import math
 import re as _re
-from dataclasses import dataclass
 from fractions import Fraction
-
-
-def coeff_exact_div(a, b):
-    """Exact quotient a / b: an int for integers that divide, else a Fraction."""
-    if isinstance(a, Fraction) or isinstance(b, Fraction):
-        return Fraction(a) / Fraction(b)
-    q, r = divmod(a, b)
-    if r:
-        return Fraction(a, b)
-    return q
 
 
 _RAT_RE = _re.compile(r"^(-?\d+)(?:/(0*[1-9]\d*))?$")
@@ -386,112 +370,3 @@ def _horner(terms, point, idx, nvars):
         acc = acc + val
         prev = e
     return acc * point[idx] ** prev if prev else acc
-
-
-# -- univariate layer ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class UniPoly:
-    """Univariate polynomial with exact scalar coefficients.
-
-    coeffs[i] multiplies var**i."""
-
-    var: str
-    coeffs: tuple
-
-    @classmethod
-    def from_dict(cls, var: str, by_power: dict) -> "UniPoly":
-        if not by_power:
-            return cls(var, ())
-        top = max(by_power)
-        coeffs = [0] * (top + 1)
-        for p, c in by_power.items():
-            if p < 0:
-                raise ValueError("negative power")
-            coeffs[p] = c
-        return cls(var, _trim(coeffs))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def evaluate(self, x):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-
-def _trim(coeffs: list) -> tuple:
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
-    return tuple(coeffs)
-
-
-def sylvester_matrix(p: UniPoly, q: UniPoly) -> list[list]:
-    """Sylvester matrix with p's coefficient rows first, descending powers."""
-    if p.var != q.var:
-        raise ValueError("main-variable mismatch")
-    m, n = p.degree, q.degree
-    if p.is_zero() or q.is_zero() or m < 1 or n < 1:
-        raise ValueError("resultant needs positive degrees in the main variable")
-    size = m + n
-    pd = list(reversed(p.coeffs))
-    qd = list(reversed(q.coeffs))
-    rows = []
-    for i in range(n):
-        rows.append([0] * i + pd + [0] * (n - 1 - i))
-    for i in range(m):
-        rows.append([0] * i + qd + [0] * (m - 1 - i))
-    assert all(len(r) == size for r in rows)
-    return rows
-
-
-def bareiss_determinant(matrix: list[list]):
-    """Exact determinant by fraction-free elimination.
-
-    Every interior division is exact over the coefficient ring, which keeps
-    intermediate entries as small as minors allow. Rows are swapped (with a
-    sign flip) when a pivot vanishes; an unfillable pivot column means the
-    determinant is zero.
-    """
-    m = [row[:] for row in matrix]
-    size = len(m)
-    if any(len(row) != size for row in m):
-        raise ValueError("matrix is not square")
-    if size == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(size - 1):
-        if not m[k][k]:
-            for r in range(k + 1, size):
-                if m[r][k]:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0 * prev
-        pivot_row = m[k]
-        pivot = pivot_row[k]
-        for i in range(k + 1, size):
-            row = m[i]
-            lead = row[k]
-            if not lead and pivot == prev:
-                continue  # the update would leave the row as it is
-            cells = [pivot * row[j] - lead * pivot_row[j] for j in range(k + 1, size)]
-            if prev != 1:
-                cells = [coeff_exact_div(c, prev) for c in cells]
-            row[k:] = [0] + cells
-        prev = pivot
-    result = m[size - 1][size - 1]
-    return result if sign > 0 else -result
-
-
-def sylvester_resultant(p: UniPoly, q: UniPoly):
-    """Resultant of p and q w.r.t. their shared main variable."""
-    return bareiss_determinant(sylvester_matrix(p, q))

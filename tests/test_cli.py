@@ -956,6 +956,39 @@ def test_garbage_bundles_are_validation_failures(tmp_path):
         assert not csv.exists() and not report.exists(), body
 
 
+def test_poly_factors_without_a_source_are_refused(tmp_path, capsys, monkeypatch):
+    # refused before a kernel is compiled, which for z^20000 would take a
+    # fifth of a second and 75 MB
+    def no_kernel(*args):
+        raise AssertionError("a kernel was generated")
+
+    monkeypatch.setattr(field_synth, "_kernel_source", no_kernel)
+    entry = {"kind": "poly", "poly": "1*z^20000"}
+    body = {"format": "field-bundle/2", "factors": [entry]}
+    with pytest.raises(ValueError, match="source"):
+        field_synth.function_from_bundle(body)
+    fake = tmp_path / "fake.json"
+    fake.write_text(json.dumps(body))
+    capsys.readouterr()
+    assert main(["simulate", str(fake), "--out-csv", str(tmp_path / "x.csv")]) == 2
+    assert "source" in capsys.readouterr().err
+
+
+def test_a_misspelled_piece_kind_is_named(tmp_path, capsys):
+    shrub = field_synth.example_shrubs()["framed-pair"]
+    body = field_synth.bundle_dict(
+        field_synth.compose_shrub_function(shrub_model.layout_shrub(shrub))
+    )
+    body["factors"][1]["source"]["piece"] = "spiral"
+    with pytest.raises(ValueError, match="^unknown piece kind 'spiral'$"):
+        field_synth.function_from_bundle(body)
+    fake = tmp_path / "fake.json"
+    fake.write_text(json.dumps(body))
+    capsys.readouterr()
+    assert main(["simulate", str(fake), "--out-csv", str(tmp_path / "x.csv")]) == 2
+    assert "unknown piece kind 'spiral'" in capsys.readouterr().err
+
+
 def test_version_one_bundles_ask_for_a_new_synthesis(workdir, tmp_path, capsys):
     data = _read_json(workdir / "bundle.json")
     assert data["format"] == "field-bundle/2"

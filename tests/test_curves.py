@@ -1,11 +1,13 @@
 """Curve layer tests: parametrization, implicitization, segments, arcs, lifts."""
 import hashlib
 import math
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from resultant_oracle import hypocycloid_resultant, square
 
 from shrubfield import curves
 from shrubfield.curves import (
@@ -156,6 +158,12 @@ IMPLICIT_TEXT_SHA256 = {
     6: "56c5223dde29a17b37e09f5714d0a452568df91f66f96267c43ec3ac214857b6",
     7: "876d95f323c17b3306deb3420e43d82384e95e0ce45f6acf7a52bd7fd2608ff9",
     8: "35bbaa7a940db056328ac58dc42ac02dd28066481bf0cc39b830c9962bf37286",
+    # taken from the Sylvester-resultant implicitization the closed form
+    # replaced
+    9: "9748de10ddfce752bf53d50c672cc1274f19c38fceb5d835d4fd3e8a95d4ac28",
+    10: "646a6149326b88d0de2636bd2c8310f954b561ff8b2dd45fedb15f3b7efe675a",
+    11: "ca6aaf4ce64a80f0f5db5a66b6423c52e87d6ce2fff0b34de0b7b3d9e7e6bf0d",
+    12: "6b32f6fc84ea50c6880b3110195b56aa3917aa830656ea341c3d6db42b4be42c",
 }
 
 
@@ -180,15 +188,20 @@ def test_implicit_metadata_is_pinned():
     }
 
 
-def test_implicitize_refuses_a_low_degree_bound(monkeypatch):
-    # one node short, the spare coefficient is the true top one, not zero
+@pytest.mark.parametrize("k", range(3, 9))
+def test_implicitize_equals_the_resultant_oracle(k):
+    real, imag = hypocycloid_resultant(k)
+    assert not imag
+    assert square(real) == implicitize(k).terms
+
+
+def test_implicitize_12_is_fast(monkeypatch):
+    # a leaf with 9 to 12 cusps is laid out with k = 12
     monkeypatch.setattr(curves, "_implicit_cache", {})
     monkeypatch.setattr(curves, "_metadata_cache", {})
-    monkeypatch.setattr(curves, "_resultant_degree_bound", lambda k: 2 * k - 3)
-    for k in (3, 4, 5):
-        with pytest.raises(ArithmeticError):
-            implicitize(k)
-        assert k not in curves._implicit_cache
+    start = time.perf_counter()
+    implicitize(12)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_implicitize_rejects_small_k():

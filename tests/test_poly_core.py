@@ -1,8 +1,10 @@
-"""Coefficient arithmetic, polynomial ring laws, determinants, resultants.
+"""Coefficient arithmetic and polynomial ring laws; the determinants and
+resultants of the test-side oracle that `implicitize` is checked against.
 
 Resultant values are checked two ways: small frozen cases worked out by hand,
 and a numeric cross-check against the root-product formula
 res(p, q) = lc(p)^deg(q) * prod_i q(alpha_i) with alpha_i the roots of p.
+Univariate polynomials are coefficient lists, constant first.
 """
 import random
 from fractions import Fraction
@@ -11,19 +13,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from resultant_oracle import bareiss_determinant, sylvester_matrix, sylvester_resultant
 
 from shrubfield.poly_core import (
     Polynomial,
-    UniPoly,
-    bareiss_determinant,
-    coeff_exact_div,
     format_rational,
     parse_point,
     parse_rational,
     rational_circle_point,
     rational_point,
-    sylvester_matrix,
-    sylvester_resultant,
 )
 
 V2 = ("x", "y")
@@ -176,7 +174,7 @@ def test_bareiss_rational_and_gaussian_entries():
     half = Fraction(1, 2)
     det = bareiss_determinant([[half, 1, 0], [0, half, 1], [1, 0, half]])
     assert det == Fraction(9, 8)
-    # integer entries, as in every resultant implicitize takes, stay
+    # integer entries, as in every resultant the oracle takes, stay
     # integers through the exact divisions; the second needs a pivot swap
     det = bareiss_determinant([[2, 1, 0], [0, 2, 1], [1, 0, 2]])
     assert det == 9 and isinstance(det, int)
@@ -187,31 +185,31 @@ def test_bareiss_rational_and_gaussian_entries():
 
 
 def test_sylvester_shape():
-    p = UniPoly.from_dict("t", {2: 1, 0: 1})
-    q = UniPoly.from_dict("t", {3: 1, 1: -1})
+    p = [1, 0, 1]
+    q = [0, -1, 0, 1]
     m = sylvester_matrix(p, q)
     assert len(m) == 5 and all(len(r) == 5 for r in m)
     assert m[0][0] == 1 and m[0][2] == 1
 
 
 def test_resultant_frozen_values():
-    p = UniPoly.from_dict("t", {2: 1, 0: 1})
-    q = UniPoly.from_dict("t", {2: 1, 0: -1})
+    p = [1, 0, 1]
+    q = [-1, 0, 1]
     assert sylvester_resultant(p, q) == 4
 
     # res(t - a, t - b) = a - b
-    a = UniPoly.from_dict("t", {1: 1, 0: -3})
-    b = UniPoly.from_dict("t", {1: 1, 0: -5})
+    a = [-3, 1]
+    b = [-5, 1]
     assert sylvester_resultant(a, b) == -2
 
 
 def test_resultant_zero_iff_common_root():
     # p = (t - 3)(t - 1), q = (t - 3)(t + 2) share the root t = 3
-    p = UniPoly.from_dict("t", {2: 1, 1: -4, 0: 3})
-    q = UniPoly.from_dict("t", {2: 1, 1: -1, 0: -6})
+    p = [3, -4, 1]
+    q = [-6, -1, 1]
     assert sylvester_resultant(p, q) == 0
     # (t - 2)(t + 2) shares no root with p
-    assert sylvester_resultant(p, UniPoly.from_dict("t", {2: 1, 0: -4})) != 0
+    assert sylvester_resultant(p, [-4, 0, 1]) != 0
 
 
 def test_resultant_matches_root_product():
@@ -221,9 +219,7 @@ def test_resultant_matches_root_product():
         dq = rng.randint(2, 4)
         pc = [rng.randint(-5, 5) for _ in range(dp)] + [rng.randint(1, 5)]
         qc = [rng.randint(-5, 5) for _ in range(dq)] + [rng.randint(1, 5)]
-        p = UniPoly.from_dict("t", dict(enumerate(pc)))
-        q = UniPoly.from_dict("t", dict(enumerate(qc)))
-        exact = sylvester_resultant(p, q)
+        exact = sylvester_resultant(pc, qc)
         roots = np.roots(list(reversed(pc)))
         qv = np.polyval(list(reversed(qc)), roots)
         oracle = pc[-1] ** dq * np.prod(qv)
@@ -234,44 +230,19 @@ def test_resultant_matches_root_product():
 def test_resultant_multiplicative_in_first_argument():
     rng = random.Random(3)
     for _ in range(10):
-        a = UniPoly.from_dict(
-            "t", {0: rng.randint(-4, 4), 1: rng.randint(1, 4)}
-        )
-        b = UniPoly.from_dict(
-            "t", {0: rng.randint(-4, 4), 1: rng.randint(1, 3), 2: rng.randint(1, 3)}
-        )
-        q = UniPoly.from_dict(
-            "t", {0: rng.randint(-4, 4), 1: rng.randint(-4, 4), 2: rng.randint(1, 3)}
-        )
-        ab_coeffs: dict[int, int] = {}
-        for i, ca in enumerate(a.coeffs):
-            for j, cb in enumerate(b.coeffs):
-                ab_coeffs[i + j] = ab_coeffs.get(i + j, 0) + ca * cb
-        ab = UniPoly.from_dict("t", ab_coeffs)
+        a = [rng.randint(-4, 4), rng.randint(1, 4)]
+        b = [rng.randint(-4, 4), rng.randint(1, 3), rng.randint(1, 3)]
+        q = [rng.randint(-4, 4), rng.randint(-4, 4), rng.randint(1, 3)]
+        ab = [0] * (len(a) + len(b) - 1)
+        for i, ca in enumerate(a):
+            for j, cb in enumerate(b):
+                ab[i + j] += ca * cb
         assert sylvester_resultant(ab, q) == sylvester_resultant(
             a, q
         ) * sylvester_resultant(b, q)
 
 
-def test_unipoly_basics():
-    p = UniPoly.from_dict("t", {3: 2, 0: -1, 5: 0})
-    assert p.degree == 3
-    assert p.evaluate(2) == 15
-    assert UniPoly.from_dict("t", {}).is_zero()
-
-
 # -- coefficient layer ----------------------------------------------------
-
-def test_coeff_exact_div_dispatch():
-    assert coeff_exact_div(6, 3) == 2
-    assert coeff_exact_div(1, 2) == Fraction(1, 2)
-    assert coeff_exact_div(Fraction(1, 3), Fraction(2, 3)) == Fraction(1, 2)
-    assert coeff_exact_div(-7, 2) == Fraction(-7, 2)
-    assert isinstance(coeff_exact_div(-6, 3), int)
-    assert coeff_exact_div(Fraction(4), 2) == 2
-    with pytest.raises(ZeroDivisionError):
-        coeff_exact_div(1, 0)
-
 
 @given(st.fractions(max_denominator=10**6))
 def test_rational_text_roundtrip(q):
