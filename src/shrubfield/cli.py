@@ -291,17 +291,16 @@ def implicitize_command(ctx, k, out, samples, check, report):
     poly = curves.implicitize(k)
 
     # midpoint offsets keep the sweep off the cusp parameters themselves
-    residuals = [
-        curves.normalized_residual(
-            poly, curves.param_point(k, (i + 0.5) * 2.0 * math.pi / samples)
-        )
-        for i in range(samples)
-    ]
-    gradient = curves.poly_gradient(poly)
+    residuals = curves.normalized_residuals(
+        poly,
+        [
+            curves.param_point(k, (i + 0.5) * 2.0 * math.pi / samples)
+            for i in range(samples)
+        ],
+    )
     cusp_grad = max(
-        curves.normalized_residual(part, cusp)
-        for cusp in curves.cusps(k)
-        for part in gradient
+        max(curves.normalized_residuals(part, curves.cusps(k)))
+        for part in curves.poly_gradient(poly)
     )
     origin = poly.evaluate((Fraction(0), Fraction(0)))
 
@@ -606,11 +605,14 @@ def _parse_start(value):
         raise ConfigurationError(f"start point {value!r} is not three numbers")
     if len(coords) != 3:
         raise ConfigurationError("start point needs exactly three coordinates")
-    vec = np.asarray(coords, dtype=float)
-    norm = float(np.linalg.norm(vec))
-    if norm == 0.0:
+    if not all(math.isfinite(c) for c in coords):
+        raise ConfigurationError(f"start point {value!r} is not finite")
+    # scaled by the largest coordinate first, so the norm cannot overflow
+    peak = max(abs(c) for c in coords)
+    if peak == 0.0:
         raise ConfigurationError("start point cannot be the origin")
-    return vec / norm
+    vec = np.asarray(coords, dtype=float) / peak
+    return vec / float(np.linalg.norm(vec))
 
 
 def _derived_path(base: str, seed: int) -> str:

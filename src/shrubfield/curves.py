@@ -134,10 +134,17 @@ class AffineMap:
 
 # -- exact implicitization -----------------------------------------------------
 
+# The largest cusp count a leaf is laid out with: a leaf's k is a multiple of
+# 4 in [4, K_MAX], which layouts and bundle readers check before any curve is
+# implicitized. At k = 20 and 24 the composed field already overflows doubles
+# in the synthesis spot check.
+K_MAX = 16
 
-def _hypocycloid_root(k: int) -> Polynomial:
+
+def _hypocycloid_root(k: int) -> dict:
     """R_k = 2^k (2n)^n Q_k, n = k - 1, an integer plane polynomial of
-    degree 2n whose real zero set is the k-cusped hypocycloid, with
+    degree 2n whose real zero set is the k-cusped hypocycloid, as a map
+    from exponents (a, b) of x^a y^b to nonzero integer coefficients, with
 
         Q_k = Re((x + iy)^k) - sum_{j=0..k} C(k, j) n^j T_|j-n|(c),
         c = (x^2 + y^2 - n^2 - 1) / (2n),
@@ -148,31 +155,56 @@ def _hypocycloid_root(k: int) -> Polynomial:
 
     S_m = (2n)^m T_m(c) is an integer polynomial in u = 2n c, by
     S_(m+1) = 2u S_m - (2n)^2 S_(m-1), so (2n)^n clears every denominator;
-    2^k keeps the scale of the resultant the closed form replaced.
+    2^k keeps the scale of the resultant the closed form replaced. Each S_m
+    is an integer list in u, and u^i expands binomially in x^2 + y^2.
     """
     n = k - 1
-    x = Polynomial.variable("x", PLANE_VARS)
-    y = Polynomial.variable("y", PLANE_VARS)
-    u = x * x + y * y - (n * n + 1)
-    s = [Polynomial.constant(1, PLANE_VARS), u]
+    s = [[1], [0, 1]]
     for _ in range(n - 1):
-        s.append(2 * u * s[-1] - 4 * n * n * s[-2])
-    q = Polynomial(
-        PLANE_VARS,
-        {
-            (k - b, b): (2 * n) ** n * math.comb(k, b) * (-1) ** (b // 2)
-            for b in range(0, k + 1, 2)
-        },
-    )
+        shifted = [0] + [2 * c for c in s[-1]]
+        for i, c in enumerate(s[-2]):
+            shifted[i] -= 4 * n * n * c
+        s.append(shifted)
+    chebyshev_sum = [0] * (n + 1)
     for j in range(k + 1):
         m = abs(j - n)
-        q = q - math.comb(k, j) * n**j * (2 * n) ** (n - m) * s[m]
-    r = 2**k * q
+        scale = math.comb(k, j) * n**j * (2 * n) ** (n - m)
+        for i, c in enumerate(s[m]):
+            chebyshev_sum[i] += scale * c
+    root: dict[tuple[int, int], int] = {}
+    for b in range(0, k + 1, 2):
+        root[(k - b, b)] = (2 * n) ** n * math.comb(k, b) * (-1) ** (b // 2)
+    constant = -(n * n + 1)
+    for power in range(n + 1):
+        # coefficient of (x^2 + y^2)^power in the sum
+        c = sum(
+            p * math.comb(i, power) * constant ** (i - power)
+            for i, p in enumerate(chebyshev_sum)
+            if i >= power
+        )
+        for t in range(power + 1):
+            key = (2 * t, 2 * (power - t))
+            root[key] = root.get(key, 0) - c * math.comb(power, t)
     # terms ordered by y's exponent, then x's, as the resultant this replaced
     # gave them: float sums over the terms, and so the `implicitize`
     # reports, keep their bits
-    order = sorted(r.terms, key=lambda e: e[::-1])
-    return Polynomial(PLANE_VARS, {e: r.terms[e] for e in order})
+    return {e: 2**k * root[e] for e in sorted(root, key=lambda e: e[::-1]) if root[e]}
+
+
+def _square(terms: dict) -> dict:
+    """The square of {exponents: coefficient}, with its terms in the order
+    `Polynomial.__mul__` gives them: that of the first pair (i, j) landing
+    on each. That pair has i <= j, so the loop visits only those."""
+    items = list(terms.items())
+    out: dict = {}
+    for i, ((a1, b1), c1) in enumerate(items):
+        key = (a1 + a1, b1 + b1)
+        out[key] = out.get(key, 0) + c1 * c1
+        twice = 2 * c1
+        for (a2, b2), c2 in items[i + 1 :]:
+            key = (a1 + a2, b1 + b2)
+            out[key] = out.get(key, 0) + twice * c2
+    return out
 
 
 _implicit_cache: dict[int, Polynomial] = {}
@@ -190,38 +222,39 @@ def implicitize(k: int) -> Polynomial:
     if k < 3:
         raise ValueError("cusp count must be at least 3")
     if k not in _implicit_cache:
-        root = _hypocycloid_root(k)
-        f = root * root
-        _implicit_cache[k] = f
-        _metadata_cache[k] = {
-            "k": k,
-            "degree": f.total_degree(),
-            "terms": len(f.terms),
-            "integer_content": f.integer_content(),
-            "resultant_degree": root.total_degree(),
-        }
+        _implicit_cache[k] = Polynomial(PLANE_VARS, _square(_hypocycloid_root(k)))
     return _implicit_cache[k]
 
 
-_metadata_cache: dict[int, dict] = {}
-
-
 def implicit_metadata(k: int) -> dict:
-    """Degree/content bookkeeping for the exact implicit form."""
-    implicitize(k)
-    return dict(_metadata_cache[k])
+    """Degree/content bookkeeping for the exact implicit form; R_k, the
+    root the resultant gave, has degree 2(k - 1)."""
+    f = implicitize(k)
+    return {
+        "k": k,
+        "degree": f.total_degree(),
+        "terms": len(f.terms),
+        "integer_content": f.integer_content(),
+        "resultant_degree": 2 * (k - 1),
+    }
 
 
-def normalized_residual(poly: Polynomial, point) -> float:
-    """|F(point)| scaled by coefficient mass and radius^degree.
+def normalized_residuals(poly: Polynomial, points) -> list[float]:
+    """|F(p)| scaled by coefficient mass and radius^degree, for each point p.
 
     Raw implicit coefficients are huge; dividing by the coefficient 1-norm
-    times max(1, r)^deg makes residual tolerances independent of k.
+    times max(1, r)^deg makes residual tolerances independent of k. The norm
+    and the degree are taken once per sweep.
     """
-    value = abs(float(poly.evaluate(tuple(float(c) for c in point))))
-    r = max(1.0, math.hypot(*[float(c) for c in point]))
-    scale = 1.0 + poly.coeff_l1_norm() * r ** poly.total_degree()
-    return value / scale
+    l1_norm = poly.coeff_l1_norm()
+    degree = poly.total_degree()
+    out = []
+    for point in points:
+        coords = tuple(float(c) for c in point)
+        value = abs(float(poly.evaluate(coords)))
+        r = max(1.0, math.hypot(*coords))
+        out.append(value / (1.0 + l1_norm * r**degree))
+    return out
 
 
 def poly_gradient(poly: Polynomial) -> tuple[Polynomial, ...]:
@@ -243,29 +276,6 @@ def homogenize(p: Polynomial) -> Polynomial:
     )
 
 
-# -- affine deformation of implicit curves ------------------------------------
-
-
-def apply_affine(poly: Polynomial, affine: AffineMap) -> Polynomial:
-    """Implicit form of the image of a plane curve under an affine map.
-
-    The zero set maps forward; the polynomial is composed with the inverse
-    map and stays polynomial with rational coefficients.
-    """
-    if poly.variables != PLANE_VARS:
-        raise ValueError("affine deformation applies to plane polynomials")
-    inv = affine.inverse()
-    (a, b), (c, d) = inv.matrix
-    e, f = inv.offset
-    x = Polynomial.variable("x", PLANE_VARS)
-    y = Polynomial.variable("y", PLANE_VARS)
-    sub = {
-        "x": a * x + b * y + Polynomial.constant(e, PLANE_VARS),
-        "y": c * x + d * y + Polynomial.constant(f, PLANE_VARS),
-    }
-    return poly.substitute(sub)
-
-
 # -- stereographic transfer ----------------------------------------------------
 
 
@@ -282,29 +292,6 @@ def sphere_to_plane(point) -> tuple:
     if z == 1:
         raise DomainError("north pole has no stereographic image")
     return (x / (1 - z), y / (1 - z))
-
-
-def lift_to_sphere(p: Polynomial, n: int) -> Polynomial:
-    """Clear a plane polynomial to the sphere through the stereographic chart.
-
-    Returns Q(x,y,z) = (1-z)^n * p(x/(1-z), y/(1-z)) expanded as a polynomial;
-    requires n >= deg p. On the sphere, Q vanishes exactly on the preimage of
-    p's zero set together with the north pole (for n >= 1).
-    """
-    if p.variables != PLANE_VARS:
-        raise ValueError("lift expects a plane polynomial in (x, y)")
-    deg = p.total_degree()
-    if n < deg:
-        raise ValueError(f"clearing exponent {n} is below the degree {deg}")
-    one_minus_z = Polynomial.from_text("1 + -1*z", SPHERE_VARS)
-    x = Polynomial.variable("x", SPHERE_VARS)
-    y = Polynomial.variable("y", SPHERE_VARS)
-    out = Polynomial.zero(SPHERE_VARS)
-    for (a, b), c in p.terms.items():
-        term = Polynomial.constant(c, SPHERE_VARS)
-        term = term * x**a * y**b * one_minus_z ** (n - a - b)
-        out = out + term
-    return out
 
 
 # -- sphere arc functions -------------------------------------------------------

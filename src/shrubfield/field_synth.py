@@ -24,6 +24,7 @@ import numpy as np
 
 from .curves import (
     HOMOGENEOUS_VARS,
+    K_MAX,
     SPHERE_VARS,
     AffineMap,
     SphereArcFunction,
@@ -38,7 +39,6 @@ from .curves import (
 from .poly_core import (
     Polynomial,
     check_keys,
-    json_int,
     json_list,
     parse_point,
     rational_point,
@@ -53,20 +53,25 @@ UNIT_NORM_TOLERANCE = 1e-12
 
 
 def _placement(source) -> AffineMap | None:
-    """The forward map A that places a hypocycloid factor's plane curve, read
-    once from its source; None for the equator and for no source. ValueError
-    on a source that `compose_shrub_function` cannot write."""
-    if source is None or source == {"piece": "equator"}:
+    """The forward map A that places a hypocycloid piece's plane curve, read
+    once from its source; None for the equator. ValueError on a source that
+    `compose_shrub_function` cannot write, before any curve is implicitized."""
+    if source == {"piece": "equator"}:
         return None
     check_keys(source, "factor source", ("piece", "k", "matrix", "offset"))
     if source["piece"] != "hypocycloid":
         raise ValueError(f"unknown piece kind {source['piece']!r}")
-    json_int(source["k"], "k")
+    k = source["k"]
+    if type(k) is not int or k % 4 or not 4 <= k <= K_MAX:
+        raise ValueError(f"a leaf's k must be a multiple of 4 in [4, {K_MAX}]: {k!r}")
     rows = tuple(parse_point(row) for row in json_list(source, "matrix"))
     offset = parse_point(source["offset"])
     if [len(v) for v in (*rows, offset)] != [2, 2, 2]:
         raise ValueError("a placement is a 2 x 2 matrix and a 2-vector offset")
-    return AffineMap(rows, offset)
+    placement = AffineMap(rows, offset)
+    if placement.determinant() == 0:
+        raise ValueError("a placement's matrix is singular")
+    return placement
 
 
 def _kernel_map(placement: AffineMap | None) -> tuple[tuple, tuple]:
@@ -86,66 +91,67 @@ def _kernel_map(placement: AffineMap | None) -> tuple[tuple, tuple]:
 class PolyFactor:
     """Polynomial factor P(B u + b) of the boundary function.
 
-    P is exact; (B, b) is an exact rational affine map of sphere points,
-    derived from `source`. Hand-built factors and the equator use the
-    identity map and sphere variables. A placed hypocycloid uses the
-    homogenised canonical polynomial in (x, y, w) and the inverse of its
-    placement, so its 28 terms (k = 4) stand in for the hundreds an
-    expanded lift would need, and floats never see that expansion's
-    cancellation.
+    P is exact; (B, b) is an exact rational affine map of sphere points. A
+    hand-built factor is a polynomial in the sphere variables under the
+    identity map. The factor of a boundary piece comes from `from_piece`,
+    which builds P from the piece alone: the equator gives z, and a
+    hypocycloid gives the homogenised canonical polynomial in (x, y, w)
+    under the inverse of its placement, so its 28 terms (k = 4) stand in
+    for the hundreds an expanded lift would need, and floats never see that
+    expansion's cancellation.
 
     The value and the gradient come from one straight-line kernel,
     generated and compiled when the factor is built (see `_kernel_source`).
-    The factor also writes and reads its bundle entry and samples its piece.
+    A piece's factor also writes and reads its bundle entry, which stores
+    the piece and not its polynomial, and samples its piece.
     """
 
     kind = "poly"
 
-    def __init__(self, poly: Polynomial, label: str = "", source: dict = None):
-        self.placement = _placement(source)
-        self.source = None if source is None else dict(source)
-        expected = SPHERE_VARS if self.placement is None else HOMOGENEOUS_VARS
+    def __init__(
+        self, poly: Polynomial, label: str = "", placement: AffineMap | None = None
+    ):
+        """P(u) in the sphere variables, or with a placement, P in (x, y, w)
+        moved as `_kernel_map` describes."""
+        expected = SPHERE_VARS if placement is None else HOMOGENEOUS_VARS
         if poly.variables != expected:
             raise ValueError(f"factor polynomial must use variables {expected}")
         if not poly:
             raise ValueError("zero polynomial cannot be a factor")
-        # a k-cusped hypocycloid's polynomial has degree 4(k - 1), so its
-        # homogenisation is a form of that degree; the equator's is z
-        if self.placement is not None:
-            degree = 4 * (self.source["k"] - 1)
-            if any(sum(exps) != degree for exps in poly.terms):
-                raise ValueError(f"a leaf factor must be a form of degree {degree}")
-        elif self.source is not None and poly != Polynomial.variable("z", SPHERE_VARS):
-            raise ValueError("an equator factor must be z")
         self.poly = poly
         self.label = label
-        self.matrix, self.shift = _kernel_map(self.placement)
+        self.placement = placement
+        self.source = None
+        self.matrix, self.shift = _kernel_map(placement)
         namespace = {"__builtins__": {}}
         exec(_kernel_source(poly, self.matrix, self.shift), namespace)
         self._kernel = namespace["kernel"]
 
     @classmethod
+    def from_piece(cls, source: dict, label: str = "") -> "PolyFactor":
+        """The factor of the boundary piece that `source` names; ValueError on
+        a source that `compose_shrub_function` cannot write, raised before a
+        curve is implicitized or a kernel compiled."""
+        placement = _placement(source)
+        if placement is None:
+            poly = Polynomial.variable("z", SPHERE_VARS)
+        else:
+            poly = homogenize(implicitize(source["k"]))
+        factor = cls(poly, label, placement)
+        factor.source = dict(source)
+        return factor
+
+    @classmethod
     def from_bundle(cls, item: dict) -> "PolyFactor":
         """The factor of a bundle entry; raises ValueError on an entry that
-        `bundle_entry` cannot write.
-
-        Synthesis gives every factor a source naming its piece, which bounds
-        the polynomial's degree, so an entry without one is refused; the
-        source is read before the polynomial is parsed or a kernel compiled.
-        """
-        check_keys(item, "poly factor", ("kind", "poly", "source"), ("label",))
-        source = item["source"]
-        if source is None:
-            raise ValueError("a poly factor's source must name its piece")
-        variables = SPHERE_VARS if _placement(source) is None else HOMOGENEOUS_VARS
-        poly = Polynomial.from_text(item["poly"], variables)
-        return cls(poly, label=item.get("label", ""), source=source)
+        `bundle_entry` cannot write."""
+        check_keys(item, "poly factor", ("kind", "source"), ("label",))
+        return cls.from_piece(item["source"], label=item.get("label", ""))
 
     def bundle_entry(self) -> dict:
-        entry = {"kind": self.kind, "label": self.label, "poly": self.poly.to_text()}
-        if self.source is not None:
-            entry["source"] = self.source
-        return entry
+        if self.source is None:
+            raise ValueError(f"factor {self.label!r} names no piece to store")
+        return {"kind": self.kind, "label": self.label, "source": self.source}
 
     @property
     def exceptional_points(self) -> tuple:
@@ -463,11 +469,7 @@ def _leaf_factor(pid: int, placement: LeafPlacement) -> PolyFactor:
         "matrix": [rational_point(row) for row in placement.affine.matrix],
         "offset": rational_point(placement.affine.offset),
     }
-    factor = PolyFactor(
-        homogenize(implicitize(placement.k_layout)),
-        label=f"leaf:{pid}",
-        source=source,
-    )
+    factor = PolyFactor.from_piece(source, label=f"leaf:{pid}")
     # the south pole is the chart origin
     if factor.value_exact((0, 0, -1)) == 0:
         raise AssertionError("placed leaf boundary passes through the chart origin")
@@ -488,13 +490,7 @@ def compose_shrub_function(layout: ShrubLayout) -> SphereFunction:
     from .shrub_model import LeafPlacement
 
     if layout.mode == "frame":
-        factors = [
-            PolyFactor(
-                Polynomial.variable("z", SPHERE_VARS),
-                label="frame",
-                source={"piece": "equator"},
-            )
-        ]
+        factors = [PolyFactor.from_piece({"piece": "equator"}, label="frame")]
         metadata = {"mode": "frame", "frame_piece": layout.frame_piece}
     elif layout.mode == "punctured":
         if layout.junction_points[layout.base_bud] is not None:
@@ -580,7 +576,7 @@ def example_field(name: str) -> VectorField:
 # -- serialized bundles -------------------------------------------------------
 
 
-BUNDLE_FORMAT = "field-bundle/2"
+BUNDLE_FORMAT = "field-bundle/3"
 
 
 def bundle_dict(function: SphereFunction) -> dict:
@@ -606,14 +602,15 @@ def function_from_bundle(data: dict) -> SphereFunction:
     """Rebuild a boundary function; each factor class reads its own entry,
     and a malformed bundle raises ValueError.
 
-    Version 1 bundles stored each leaf factor expanded in sphere variables;
-    they are refused, since their floats cancel badly.
+    Older bundles are refused: version 1 stored each leaf factor expanded in
+    sphere variables, whose floats cancel badly, and version 2 stored each
+    leaf's polynomial beside the piece that determines it.
     """
     if not isinstance(data, dict):
         raise ValueError("a bundle must be a JSON object")
-    if data.get("format") == "field-bundle/1":
+    if data.get("format") in ("field-bundle/1", "field-bundle/2"):
         raise ValueError(
-            "field-bundle/1 stores expanded leaf factors; "
+            f"{data['format']} is an older bundle format; "
             f"re-run synthesize to write a {BUNDLE_FORMAT} bundle"
         )
     if data.get("format") != BUNDLE_FORMAT:

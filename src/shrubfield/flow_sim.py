@@ -245,6 +245,8 @@ def integrate(
     p = np.asarray(p0, dtype=float)
     if p.shape != (3,):
         raise ValueError("start point must be a 3-vector")
+    if not np.isfinite(p).all():
+        raise ValueError("start point must be finite")
     nrm = float(np.linalg.norm(p))
     if abs(nrm - 1.0) > 1e-10:
         raise ValueError("start point must lie on the unit sphere")

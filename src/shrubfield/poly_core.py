@@ -55,12 +55,12 @@ def parse_point(items) -> tuple[Fraction, ...]:
 def check_keys(obj, what, required, optional=()):
     if not isinstance(obj, dict):
         raise ValueError(f"{what} must be a JSON object, not {obj!r}")
-    unknown = sorted(set(obj) - set(required) - set(optional))
-    if unknown:
-        raise ValueError(f"{what} has unknown keys {unknown}")
     missing = [key for key in required if key not in obj]
     if missing:
         raise ValueError(f"{what} lacks {missing}")
+    unknown = sorted(set(obj) - set(required) - set(optional))
+    if unknown:
+        raise ValueError(f"{what} has unknown keys {unknown}")
 
 
 def json_list(obj, key):

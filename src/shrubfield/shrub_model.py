@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .curves import AffineMap
+from .curves import K_MAX, AffineMap
 from .poly_core import check_keys, json_int, json_list, rational_circle_point
 
 END_SITES = ("end0", "end1")
@@ -1247,8 +1247,17 @@ def _cmul(a, b):
     return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
 
 
-def _leaf_k_layout(k: int) -> int:
-    return max(4, ((k + 3) // 4) * 4)
+def _leaf_k_layout(pid: int, k: int) -> int:
+    """The cusp count a leaf with k cusps is laid out with: k rounded up to
+    a multiple of 4, refused above K_MAX before any curve is implicitized."""
+    k_layout = max(4, ((k + 3) // 4) * 4)
+    if k_layout > K_MAX:
+        raise LayoutError(
+            f"leaf {pid} has {k} cusps, which a layout rounds up to {k_layout}, "
+            f"above K_MAX = {K_MAX}",
+            detail=pid,
+        )
+    return k_layout
 
 
 _SLOT_UNITS = ((1, 0), (0, 1), (-1, 0), (0, -1))
@@ -1349,7 +1358,7 @@ def _place_leaf(shrub, pid, entry_bud, entry, direction, radius, slots):
     order.
     """
     center = (entry[0] + radius * direction[0], entry[1] + radius * direction[1])
-    k_layout = _leaf_k_layout(shrub.pieces[pid].k)
+    k_layout = _leaf_k_layout(pid, shrub.pieces[pid].k)
     aff = _leaf_affine(center, radius, k_layout, slots[entry_bud], _neg(direction))
     placement = LeafPlacement(
         piece=pid,

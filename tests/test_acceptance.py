@@ -17,7 +17,7 @@ from shrubfield.cli import main
 from shrubfield.curves import (
     cusps,
     implicitize,
-    normalized_residual,
+    normalized_residuals,
     param_point,
     poly_gradient,
 )
@@ -176,17 +176,12 @@ def test_criterion_4_implicitization():
     worst_gradient = 0.0
     for k in range(3, 9):
         poly = implicitize(k)
-        for theta in rng.uniform(0.0, 2.0 * math.pi, size=1000):
-            worst_residual = max(
-                worst_residual, normalized_residual(poly, param_point(k, theta))
-            )
+        points = [param_point(k, t) for t in rng.uniform(0.0, 2.0 * math.pi, size=1000)]
+        worst_residual = max(worst_residual, *normalized_residuals(poly, points))
         assert worst_residual < 1e-12, f"k={k} parametric residual {worst_residual:.3e}"
         gradient = poly_gradient(poly)
-        for cusp in cusps(k):
-            for part in gradient:
-                worst_gradient = max(
-                    worst_gradient, normalized_residual(part, cusp)
-                )
+        for part in gradient:
+            worst_gradient = max(worst_gradient, *normalized_residuals(part, cusps(k)))
         assert worst_gradient < 1e-8, f"k={k} cusp gradient {worst_gradient:.3e}"
         assert poly.evaluate((Fraction(0), Fraction(0))) != 0, f"k={k} vanishes at 0"
 

@@ -16,7 +16,7 @@ import sys
 import numpy as np
 import pytest
 
-from shrubfield import field_synth, flow_sim, shrub_model
+from shrubfield import curves, field_synth, flow_sim, shrub_model
 from shrubfield.cli import NumericFailureError, _dump_json, _tangency_spot_check, main
 from shrubfield.field_synth import load_bundle
 from shrubfield.flow_sim import FlowError, IntegrateOptions, integrate
@@ -117,6 +117,37 @@ def test_curve_files_are_pinned(tmp_path):
         )
         assert rc == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, k
+
+
+# float.hex of the residuals in the implicitize report at --samples 64, as
+# written when the closed form was computed in exact Polynomial arithmetic.
+# They sum coeff_l1_norm over the terms in their order, which
+# IMPLICIT_TEXT_SHA256 (a digest of the sorted text) does not pin.
+IMPLICIT_REPORT_FLOATS = {
+    3: ("0x1.a16ea1b56eb95p-57", "0x1.4d3b1a4123ca5p-60", "0x1.11d2d4335a5dap-62"),
+    4: ("0x1.a8f86fb2a8c61p-67", "0x1.a63fd8d01d7a0p-70", "0x1.6eaac19556c40p-126"),
+    5: ("0x1.b56ab17c9702ap-79", "0x1.0cfd68243de84p-82", "0x1.01c1c12955352p-82"),
+    6: ("0x1.916e88023ed69p-94", "0x1.8589100ea5b3ap-97", "0x1.34f0eec9d99edp-95"),
+    7: ("0x1.bba1cf8c82a89p-109", "0x1.6fd92d25b9a83p-112", "0x1.bee0150bfaca2p-111"),
+    8: ("0x1.730efb440e257p-126", "0x1.ac25d7bbd2b49p-129", "0x1.6f15764604f6dp-125"),
+    9: ("0x1.1070d8cfd4433p-142", "0x1.109126153e421p-145", "0x1.7b099cce5054bp-141"),
+    10: ("0x1.b401537c57f93p-161", "0x1.dda46f8f4db38p-164", "0x1.8b625b900e2b1p-158"),
+    11: ("0x1.270167e337c66p-179", "0x1.a082e4cbdb5bfp-182", "0x1.04ff81cb3703ep-175"),
+    12: ("0x1.0cf9ae9eb090dp-197", "0x1.78520488b32d3p-201", "0x1.4d05b740824f1p-195"),
+}
+
+
+def test_implicitize_report_floats_are_pinned(tmp_path):
+    keys = ("max_residual", "mean_residual", "cusp_gradient_max")
+    for k, expected in IMPLICIT_REPORT_FLOATS.items():
+        report = tmp_path / f"k{k}.report.json"
+        rc = main(
+            ["implicitize", "--k", str(k), "--samples", "64",
+             "--out", str(tmp_path / f"k{k}.curve.json"), "--report", str(report)]
+        )
+        assert rc == 0
+        body = _read_json(report)
+        assert tuple(float.hex(body[key]) for key in keys) == expected, k
 
 
 def test_astroid_grid_agreement(tmp_path):
@@ -721,6 +752,22 @@ def test_start_flag_replaces_seeding(workdir, tmp_path):
     assert run["start"][2] < 0
 
 
+@pytest.mark.parametrize(
+    "start, code", [("nan,0,0", 2), ("inf,0,-1", 2), ("1e308,1e308,0", 0)]
+)
+def test_start_points_are_finite_directions(workdir, tmp_path, start, code):
+    # scaled by the largest coordinate before the norm, so a huge but finite
+    # point is the direction it names
+    rc, body = _simulate(
+        workdir, tmp_path, "--horizon", "1", "--unit-speed", "--start", start,
+        name="edge",
+    )
+    assert rc == code
+    if code == 0:
+        half = math.sqrt(0.5)
+        assert body["runs"][0]["start"] == pytest.approx([half, half, 0.0], abs=1e-15)
+
+
 def test_start_conflicts_with_seed_batches(workdir, tmp_path):
     rc, _ = _simulate(
         workdir,
@@ -946,9 +993,9 @@ def test_garbage_bundles_are_validation_failures(tmp_path):
     args = ["simulate", str(fake), "--out-csv", str(csv), "--report", str(report)]
     for body in [
         {"format": "something-else"},
-        {"format": "field-bundle/2", "factors": 5},
+        {"format": field_synth.BUNDLE_FORMAT, "factors": 5},
         [],
-        {"format": "field-bundle/2", "factors": [_ONE_ENDPOINT_ARC]},
+        {"format": field_synth.BUNDLE_FORMAT, "factors": [_ONE_ENDPOINT_ARC]},
         *_broken_bundles(),
     ]:
         fake.write_text(json.dumps(body))
@@ -964,7 +1011,7 @@ def test_poly_factors_without_a_source_are_refused(tmp_path, capsys, monkeypatch
 
     monkeypatch.setattr(field_synth, "_kernel_source", no_kernel)
     entry = {"kind": "poly", "poly": "1*z^20000"}
-    body = {"format": "field-bundle/2", "factors": [entry]}
+    body = {"format": field_synth.BUNDLE_FORMAT, "factors": [entry]}
     with pytest.raises(ValueError, match="source"):
         field_synth.function_from_bundle(body)
     fake = tmp_path / "fake.json"
@@ -991,13 +1038,92 @@ def test_a_misspelled_piece_kind_is_named(tmp_path, capsys):
 
 def test_version_one_bundles_ask_for_a_new_synthesis(workdir, tmp_path, capsys):
     data = _read_json(workdir / "bundle.json")
-    assert data["format"] == "field-bundle/2"
+    assert data["format"] == field_synth.BUNDLE_FORMAT
     data["format"] = "field-bundle/1"
     stale = tmp_path / "stale.json"
     stale.write_text(json.dumps(data))
     capsys.readouterr()
     assert main(["simulate", str(stale), "--out-csv", str(tmp_path / "x.csv")]) == 2
     assert "re-run synthesize" in capsys.readouterr().err
+
+
+def test_version_two_bundles_ask_for_a_new_synthesis(tmp_path, capsys):
+    shrub = field_synth.example_shrubs()["framed-pair"]
+    data = field_synth.bundle_dict(
+        field_synth.compose_shrub_function(shrub_model.layout_shrub(shrub))
+    )
+    data["format"] = "field-bundle/2"
+    stale = tmp_path / "stale.json"
+    stale.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["simulate", str(stale), "--out-csv", str(tmp_path / "x.csv")]) == 2
+    assert "re-run synthesize" in capsys.readouterr().err
+
+
+def _refuse_algebra(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a refused leaf reached the algebra")
+
+    monkeypatch.setattr(curves, "implicitize", refuse)
+    monkeypatch.setattr(field_synth, "implicitize", refuse)
+    monkeypatch.setattr(field_synth, "_kernel_source", refuse)
+
+
+@pytest.mark.parametrize("k", [5001, 7, 0])
+def test_leaf_entries_off_the_k_rule_are_refused_first(
+    tmp_path, capsys, monkeypatch, k
+):
+    # a leaf's k is a multiple of 4 in [4, K_MAX]; at k = 5001 the kernel
+    # alone would take a fifth of a second and 77 MB
+    shrub = field_synth.example_shrubs()["framed-pair"]
+    body = field_synth.bundle_dict(
+        field_synth.compose_shrub_function(shrub_model.layout_shrub(shrub))
+    )
+    # the leaf alone, since the equator's kernel is compiled as it is read
+    body["factors"] = body["factors"][1:]
+    body["factors"][0]["source"]["k"] = k
+    _refuse_algebra(monkeypatch)
+    with pytest.raises(ValueError, match="multiple of 4"):
+        field_synth.function_from_bundle(body)
+    fake = tmp_path / "fake.json"
+    fake.write_text(json.dumps(body))
+    capsys.readouterr()
+    assert main(["simulate", str(fake), "--out-csv", str(tmp_path / "x.csv")]) == 2
+    assert "multiple of 4" in capsys.readouterr().err
+
+
+def test_a_leaf_above_k_max_is_refused_before_implicitize(
+    tmp_path, capsys, monkeypatch
+):
+    # a framed pair whose placed leaf would be laid out with K_MAX + 4 cusps
+    shrub = {
+        "pieces": [{"leaf": {"k": 4}}, {"leaf": {"k": curves.K_MAX + 1}}],
+        "junctions": [
+            {"bud": 0, "at": [{"piece": 0, "site": 0}, {"piece": 1, "site": 0}]}
+        ],
+    }
+    path = tmp_path / "big-leaf.json"
+    path.write_text(json.dumps(shrub))
+    bundle = tmp_path / "bundle.json"
+    _refuse_algebra(monkeypatch)
+    capsys.readouterr()
+    assert main(["synthesize", str(path), "--out", str(bundle)]) == 2
+    assert "K_MAX" in capsys.readouterr().err
+    assert not bundle.exists()
+
+
+def test_a_leaf_of_k_max_cusps_is_synthesized(tmp_path):
+    shrub = {
+        "pieces": [{"leaf": {"k": 4}}, {"leaf": {"k": curves.K_MAX}}],
+        "junctions": [
+            {"bud": 0, "at": [{"piece": 0, "site": 0}, {"piece": 1, "site": 0}]}
+        ],
+    }
+    path = tmp_path / "big-leaf.json"
+    path.write_text(json.dumps(shrub))
+    bundle = tmp_path / "bundle.json"
+    assert main(["synthesize", str(path), "--out", str(bundle)]) == 0
+    assert _read_json(bundle)["factors"][1]["source"]["k"] == curves.K_MAX
 
 
 # -- report ----------------------------------------------------------------------

@@ -13,16 +13,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from lift_oracle import apply_affine, lift_to_sphere
 
 from shrubfield.curves import (
     SPHERE_VARS,
     AffineMap,
     DomainError,
-    apply_affine,
     homogenize,
     implicitize,
-    lift_to_sphere,
-    normalized_residual,
     param_point,
     plane_to_sphere,
     segment_sphere_function,
@@ -201,8 +199,8 @@ def test_arc_factor_exceptional_points_are_the_endpoints():
 
 
 def _leaf_factors():
-    """Every leaf factor of the five examples, plus one hand-placed k = 3
-    leaf (layouts only place k divisible by 4)."""
+    """Every leaf factor of the five examples, plus one leaf placed by a
+    shear, which no layout gives (layouts rotate and scale)."""
     out = []
     for name, shrub in sorted(example_shrubs().items()):
         fn = compose_shrub_function(layout_shrub(shrub))
@@ -213,13 +211,11 @@ def _leaf_factors():
         )
     source = {
         "piece": "hypocycloid",
-        "k": 3,
-        "matrix": [["1/3", "1/5"], ["-1/7", "1/2"]],
-        "offset": ["2", "-1/3"],
+        "k": 4,
+        "matrix": [["1/2", "1/3"], ["0", "1"]],
+        "offset": ["2", "-1"],
     }
-    out.append(
-        ("k3", PolyFactor(homogenize(implicitize(3)), "leaf:k3", source))
-    )
+    out.append(("shear", PolyFactor.from_piece(source, "leaf:shear")))
     return out
 
 
@@ -733,30 +729,36 @@ def test_bundle_format_and_metadata_survive():
     assert back.metadata == fn.metadata
 
 
-def test_bundle_stores_the_homogenised_canonical_leaf():
+def test_bundle_stores_each_leaf_as_its_piece():
     fn = compose_shrub_function(layout_shrub(example_shrubs()["framed-chain"]))
     data = bundle_dict(fn)
-    assert data["format"] == "field-bundle/2"
-    leaves = [f for f in data["factors"] if f["label"].startswith("leaf:")]
-    assert len(leaves) == 2
-    canonical = homogenize(implicitize(4)).to_text()
-    for entry in leaves:
-        assert entry["poly"] == canonical
+    assert data["format"] == BUNDLE_FORMAT
+    polys = [f for f in data["factors"] if f["kind"] == "poly"]
+    assert [f["label"] for f in polys] == ["frame", "leaf:0", "leaf:2"]
+    for entry in polys:
+        assert sorted(entry) == ["kind", "label", "source"]
+    assert polys[0]["source"] == {"piece": "equator"}
+    for entry in polys[1:]:
         assert entry["source"]["piece"] == "hypocycloid"
+        assert entry["source"]["k"] == 4
     back = function_from_bundle(json.loads(bundle_text(fn)))
-    for a, b in zip(fn.factors, back.factors):
+    assert back.factors[0].poly == Z
+    for a, b in zip(fn.factors[1:], back.factors[1:]):
+        assert a.poly == b.poly == homogenize(implicitize(4))
         assert (a.matrix, a.shift) == (b.matrix, b.shift)
     assert bundle_text(back) == bundle_text(fn)
 
 
-# sha256 of bundle_text for each example shrub, as written when the leaf
-# polynomial came from the fraction-free determinant over Z[i][x, y]
+# sha256 of bundle_text for each example shrub. Each text is the
+# field-bundle/2 text pinned before it (written when the leaf polynomial came
+# from the fraction-free determinant over Z[i][x, y]) with the format bumped
+# to field-bundle/3 and the "poly" key dropped from every poly entry
 EXAMPLE_BUNDLE_SHA256 = {
-    "equator": "0dd2fdc221766d3de27af0729f6c0fa7587a4d9d624bd0c3265d8e24ea43edec",
-    "lone-sprig": "9091f27ccfd8f796543a6b45a31dc7959af5028027af2db2ed351d0c7856f476",
-    "framed-pair": "1e8a7ac28064a4953f6205fb594369e4d40a78974b67dfb6ebb3f10e4837724e",
-    "framed-chain": "79dc6e76fc03dad5844bff33d6ed18041a12cc20f44ae0d722a914a536fd6cab",
-    "spiked-leaf": "1096b8fe99864a3ceeaa4c81a765cb3ff5b1b36c4b2ac8e5784e44ec620a8571",
+    "equator": "db8e1a6172a443ac60ec89f154941c9076275fd8e35b857b66522780727aec70",
+    "lone-sprig": "e60a578b6a3761a28b07f83be91061ee2b4109da56197b9951568118452f7617",
+    "framed-pair": "e46091531825162806b1a26b0742052457321ae429ea48da33126e3c8148e666",
+    "framed-chain": "57a00252e76782d14bc594176c8cc7a186bff9557a2b1ede0c12e3c3ead17be3",
+    "spiked-leaf": "9bce63da69a3a8e5c0191e264632e14c3a3f8293dc2b64bb34bb1948cd9703e3",
 }
 
 
@@ -769,6 +771,14 @@ def test_example_bundles_are_pinned():
 def test_bundle_refuses_version_one():
     with pytest.raises(ValueError, match="re-run synthesize"):
         function_from_bundle({"format": "field-bundle/1", "factors": []})
+
+
+def test_bundle_refuses_version_two():
+    # a version 2 entry stored the leaf polynomial beside its piece
+    fn = compose_shrub_function(layout_shrub(example_shrubs()["framed-pair"]))
+    data = dict(bundle_dict(fn), format="field-bundle/2")
+    with pytest.raises(ValueError, match="re-run synthesize"):
+        function_from_bundle(data)
 
 
 def test_bundle_rejects_foreign_formats():

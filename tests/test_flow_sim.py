@@ -125,6 +125,13 @@ def test_start_off_the_sphere_is_rejected():
         integrate(field_for("equator"), np.array([0.5, 0.0, 0.0]), 1.0)
 
 
+def test_nonfinite_start_is_rejected():
+    # a NaN coordinate passed the unit-norm check, since NaN compares false
+    for start in ([math.nan, 0.0, 0.0], [math.inf, 0.0, -1.0], [0.6, math.nan, -0.8]):
+        with pytest.raises(ValueError, match="finite"):
+            integrate(field_for("equator"), np.array(start), 1.0)
+
+
 def test_start_on_a_puncture_is_refused():
     field = field_for("lone-sprig")
     with pytest.raises(FlowError, match="exceptional"):

@@ -12,10 +12,6 @@ PACKAGE = ROOT / "src" / "shrubfield"
 
 # names that only the tests call, each with the reason it stays
 ALLOWED = {
-    "apply_affine": "the exact affine image of a plane curve; the tests use "
-    "it as an oracle for the composed leaf factors",
-    "lift_to_sphere": "the expanded stereographic lift; the tests use it as "
-    "an oracle for the composed leaf factors",
     "jacobian_at_south_pole": "the finite-difference check of the south "
     "spiral focus that acceptance criterion 2 runs",
     "parity_check": "the handshake identity on a plain multigraph, which "
