@@ -32,7 +32,6 @@ import hashlib
 import json
 import math
 import os
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
 # Set before numpy loads OpenBLAS. No command makes a BLAS call large enough
@@ -207,32 +206,24 @@ def _curve_file_dict(k: int) -> dict:
     }
 
 
-def _classical_astroid() -> Polynomial:
-    x = Polynomial.variable("x", PLANE_VARS)
-    y = Polynomial.variable("y", PLANE_VARS)
-    r2 = x * x + y * y
-    c16 = Polynomial.constant(16, PLANE_VARS)
-    c432 = Polynomial.constant(432, PLANE_VARS)
-    return (r2 - c16) ** 3 + c432 * x * x * y * y
-
-
 def _astroid_grid_check(poly: Polynomial) -> dict:
     """Exact zero-set comparison on the 101x101 tenth-step grid over [-5,5]^2.
 
-    Both polynomials are evaluated in rational arithmetic, so "zero within
-    tolerance" degenerates to exact equality and the comparison carries no
-    floating-point slack at all.
+    The point (i/10, j/10) is tested in integers: the homogenised polynomial
+    at (i, j, 10), and 10^6 times the classical astroid form
+    (x^2 + y^2 - 16)^3 + 432 x^2 y^2 there. Neither scale moves a zero, so
+    the comparison carries no floating-point slack at all.
     """
-    classical = _classical_astroid()
+    form = curves.homogenize(poly)
     mismatches = []
     shared_zeros = 0
     for i in range(-50, 51):
         for j in range(-50, 51):
-            point = (Fraction(i, 10), Fraction(j, 10))
-            ours = poly.evaluate(point) == 0
-            reference = classical.evaluate(point) == 0
+            ours = form.evaluate((i, j, 10)) == 0
+            r2 = i * i + j * j - 1600
+            reference = r2 * r2 * r2 + 43200 * i * i * j * j == 0
             if ours != reference:
-                mismatches.append([float(point[0]), float(point[1])])
+                mismatches.append([i / 10, j / 10])
             elif ours:
                 shared_zeros += 1
     return {
@@ -302,7 +293,7 @@ def implicitize_command(ctx, k, out, samples, check, report):
         max(curves.normalized_residuals(part, curves.cusps(k)))
         for part in curves.poly_gradient(poly)
     )
-    origin = poly.evaluate((Fraction(0), Fraction(0)))
+    origin = poly.evaluate((0, 0))
 
     body = {
         "kind": "implicitize",
@@ -634,11 +625,8 @@ def _stereo_svg(states: np.ndarray, zero_points: np.ndarray) -> str:
     """
 
     def project(rows):
-        keep = rows[:, 2] < 1.0 - 1e-12
-        pts = rows[keep]
-        return np.column_stack(
-            (pts[:, 0] / (1.0 - pts[:, 2]), -pts[:, 1] / (1.0 - pts[:, 2]))
-        )
+        px, py = curves.sphere_to_plane(rows[rows[:, 2] < 1.0 - 1e-12].T)
+        return np.column_stack((px, -py))
 
     orbit = project(states)
     omega = project(zero_points)

@@ -100,18 +100,6 @@ class AffineMap:
     matrix: tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
     offset: tuple[Fraction, Fraction] = (Fraction(0), Fraction(0))
 
-    @classmethod
-    def identity(cls) -> "AffineMap":
-        one, zero = Fraction(1), Fraction(0)
-        return cls(((one, zero), (zero, one)))
-
-    @classmethod
-    def from_columns(cls, col0, col1, offset=(0, 0)) -> "AffineMap":
-        c0 = tuple(Fraction(v) for v in col0)
-        c1 = tuple(Fraction(v) for v in col1)
-        off = tuple(Fraction(v) for v in offset)
-        return cls(((c0[0], c1[0]), (c0[1], c1[1])), off)
-
     def determinant(self) -> Fraction:
         (a, b), (c, d) = self.matrix
         return a * d - b * c
@@ -288,8 +276,10 @@ def plane_to_sphere(point) -> tuple:
 
 
 def sphere_to_plane(point) -> tuple:
+    """Stereographic image of a sphere point, exact on rational input; the
+    coordinates may also be numpy columns (see `component_any`)."""
     x, y, z = point
-    if z == 1:
+    if component_any(z == 1):
         raise DomainError("north pole has no stereographic image")
     return (x / (1 - z), y / (1 - z))
 
@@ -504,19 +494,3 @@ def sphere_arc(q1, q2, q3, label: str = "") -> SphereArcFunction:
         e = -e
     return SphereArcFunction(n=n, d=d, m=m, e=e, endpoints=(q1, q2), label=label)
 
-
-def segment_sphere_function() -> SphereArcFunction:
-    """The canonical meridian-arc function y^2 + (sqrt(z^2+y^2) + z)^2.
-
-    Its zero set on the sphere is {y = 0, z <= 0}; it is analytic off the two
-    endpoints (+-1, 0, 0); the plane shadow of the zero set is the open
-    segment (-1,1) x {0}.
-    """
-    return SphereArcFunction(
-        n=(0, 1, 0),
-        d=Fraction(0),
-        m=(0, 0, 1),
-        e=Fraction(0),
-        endpoints=((Fraction(1), Fraction(0), Fraction(0)),
-                   (Fraction(-1), Fraction(0), Fraction(0))),
-    )

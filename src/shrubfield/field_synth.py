@@ -39,6 +39,7 @@ from .curves import (
 from .poly_core import (
     Polynomial,
     check_keys,
+    json_int,
     json_list,
     parse_point,
     rational_point,
@@ -602,9 +603,12 @@ def function_from_bundle(data: dict) -> SphereFunction:
     """Rebuild a boundary function; each factor class reads its own entry,
     and a malformed bundle raises ValueError.
 
-    Older bundles are refused: version 1 stored each leaf factor expanded in
-    sphere variables, whose floats cancel badly, and version 2 stored each
-    leaf's polynomial beside the piece that determines it.
+    The metadata names the layout mode and its anchor, as
+    `compose_shrub_function` writes it, and the punctures are exactly the
+    endpoints of the arc factors. Older bundles are refused: version 1
+    stored each leaf factor expanded in sphere variables, whose floats cancel
+    badly, and version 2 stored each leaf's polynomial beside the piece that
+    determines it.
     """
     if not isinstance(data, dict):
         raise ValueError("a bundle must be a JSON object")
@@ -615,7 +619,15 @@ def function_from_bundle(data: dict) -> SphereFunction:
         )
     if data.get("format") != BUNDLE_FORMAT:
         raise ValueError(f"not a {BUNDLE_FORMAT} bundle")
-    check_keys(data, "bundle", ("format", "factors"), ("metadata", "punctures"))
+    check_keys(data, "bundle", ("format", "factors", "metadata", "punctures"))
+    metadata = data["metadata"]
+    anchors = {"frame": "frame_piece", "punctured": "base_bud"}
+    mode = metadata.get("mode") if isinstance(metadata, dict) else None
+    if not isinstance(mode, str) or mode not in anchors:
+        raise ValueError(f"bundle metadata names no layout mode: {metadata!r}")
+    check_keys(metadata, "bundle metadata", ("mode", anchors[mode]))
+    json_int(metadata[anchors[mode]], f"bundle metadata {anchors[mode]}")
+    punctures = [parse_point(p) for p in json_list(data, "punctures")]
     classes = {cls.kind: cls for cls in (PolyFactor, SphereArcFunction)}
     factors = []
     for item in json_list(data, "factors"):
@@ -623,11 +635,13 @@ def function_from_bundle(data: dict) -> SphereFunction:
         if not isinstance(kind, str) or kind not in classes:
             raise ValueError(f"unknown factor kind {kind!r}")
         factors.append(classes[kind].from_bundle(item))
-    return SphereFunction(
-        factors=factors,
-        punctures=tuple(parse_point(p) for p in json_list(data, "punctures")),
-        metadata=data.get("metadata", {}),
-    )
+    endpoints = {q for f in factors if f.kind == "arc" for q in f.endpoints}
+    if len(set(punctures)) != len(punctures) or set(punctures) != endpoints:
+        raise ValueError(
+            "a bundle's punctures must be the endpoints of its arc factors, "
+            f"not {[rational_point(p) for p in punctures]}"
+        )
+    return SphereFunction(factors=factors, punctures=punctures, metadata=metadata)
 
 
 def load_bundle(path) -> SphereFunction:

@@ -263,44 +263,17 @@ class Polynomial:
         return Polynomial(self.variables, out)
 
     def evaluate(self, point):
-        """Horner-style evaluation; exact for rational input, float otherwise."""
+        """Horner-style evaluation; exact for rational input, float otherwise.
+
+        Polynomial arguments compose: p.evaluate((u, v)) is p(u, v). The zero
+        polynomial evaluates to the int 0, and a constant to its coefficient.
+        """
         point = tuple(point)
         if len(point) != len(self.variables):
             raise ValueError("point dimension mismatch")
         if not self.terms:
             return 0
         return _horner(self.terms, point, 0, len(self.variables))
-
-    def substitute(self, mapping: dict[str, "Polynomial"]) -> "Polynomial":
-        """Substitute a polynomial for every variable (all over the same ring)."""
-        targets = list(mapping.values())
-        if not targets:
-            raise ValueError("empty substitution")
-        out_vars = targets[0].variables
-        for name in self.variables:
-            if name not in mapping:
-                raise ValueError(f"no substitution given for {name!r}")
-            if mapping[name].variables != out_vars:
-                raise ValueError("substitution polynomials disagree on variables")
-        pow_cache: dict[tuple[str, int], Polynomial] = {}
-
-        def power(name: str, e: int) -> Polynomial:
-            key = (name, e)
-            if key not in pow_cache:
-                if e == 0:
-                    pow_cache[key] = Polynomial.constant(1, out_vars)
-                else:
-                    pow_cache[key] = power(name, e - 1) * mapping[name]
-            return pow_cache[key]
-
-        acc = Polynomial.zero(out_vars)
-        for exps, c in self.terms.items():
-            term = Polynomial.constant(c, out_vars)
-            for name, e in zip(self.variables, exps):
-                if e:
-                    term = term * power(name, e)
-            acc = acc + term
-        return acc
 
     # -- text form -------------------------------------------------------
 

@@ -572,7 +572,7 @@ def classify_piece(shrub: ShrubGraph, bud: int, piece: int) -> str:
 
 @dataclass(frozen=True)
 class ChainRecord:
-    elements: tuple  # alternating "node:<bud>" / "piece:<id>" labels
+    elements: tuple  # alternating ("node", bud) / ("piece", id) pairs
     stubs: tuple  # sprig piece ids hanging off the two ends
     degenerate: bool  # single-node chain between two of its own stubs
 
@@ -603,7 +603,7 @@ class OrientationCertificate:
             },
             "chains": [
                 {
-                    "elements": list(c.elements),
+                    "elements": [f"{kind}:{ident}" for kind, ident in c.elements],
                     "stubs": list(c.stubs),
                     "degenerate": c.degenerate,
                 }
@@ -709,10 +709,6 @@ def orient_all(shrub: ShrubGraph) -> OrientationCertificate:
     chain_keys = {}
     pair_uses = {}
 
-    def opposed(seq, member):
-        i = seq.index(member)
-        return seq[(i + len(seq) // 2) % len(seq)]
-
     def extend(prev, cur, out):
         """Walk outward until a dangling sprig caps the chain; returns the
         stub sprig id, or None on a structural violation."""
@@ -731,7 +727,7 @@ def orient_all(shrub: ShrubGraph) -> OrientationCertificate:
                         f"chain walk stuck at node {bud} from piece {prev[1]}"
                     )
                     return None
-                nxt = opposed(f, prev[1])
+                nxt = _opposed(f, prev[1])
                 if shrub.pieces[nxt].is_sprig and rig.dangling(nxt, bud):
                     return nxt
                 out.append(("piece", nxt))
@@ -744,13 +740,13 @@ def orient_all(shrub: ShrubGraph) -> OrientationCertificate:
                         f"chain walk stuck at piece {pid} from node {prev[1]}"
                     )
                     return None
-                nxt = opposed(f, prev[1])
+                nxt = _opposed(f, prev[1])
                 out.append(("node", nxt))
                 prev, cur = cur, ("node", nxt)
 
     def record_chain(elements, stubs):
-        labels = tuple(f"{kind}:{ident}" for kind, ident in elements)
-        key = min(labels, labels[::-1])
+        elements = tuple(elements)
+        key = min(elements, elements[::-1])
         if key in chain_keys:
             return chain_keys[key]
         # consume each opposed pair the chain runs through, once per chain
@@ -759,9 +755,9 @@ def orient_all(shrub: ShrubGraph) -> OrientationCertificate:
             right = stubs[1] if i == len(elements) - 1 else elements[i + 1][1]
             _mark_pair(pair_uses, (kind, ident), left, right)
         rec = ChainRecord(
-            elements=labels,
+            elements=elements,
             stubs=tuple(stubs),
-            degenerate=len(labels) == 1,
+            degenerate=len(elements) == 1,
         )
         chains.append(rec)
         chain_keys[key] = len(chains) - 1
@@ -794,11 +790,7 @@ def orient_all(shrub: ShrubGraph) -> OrientationCertificate:
             continue
         if len(guarded) == 2:
             idx = next(
-                (
-                    i
-                    for i, c in enumerate(chains)
-                    if f"piece:{pid}" in c.elements
-                ),
+                (i for i, c in enumerate(chains) if ("piece", pid) in c.elements),
                 None,
             )
             if idx is None:
@@ -840,6 +832,12 @@ def orient_all(shrub: ShrubGraph) -> OrientationCertificate:
         orientable=not failures,
         failures=tuple(failures),
     )
+
+
+def _opposed(seq, member):
+    """The member half a turn round the cyclic orientation `seq`."""
+    i = seq.index(member)
+    return seq[(i + len(seq) // 2) % len(seq)]
 
 
 def _mark_pair(pair_uses, owner, a, b):
@@ -986,10 +984,6 @@ def verify_certificate(shrub: ShrubGraph, cert: OrientationCertificate):
             if not is_r and b in f:
                 failures.append(f"leaf {pid} includes non-rigid node {b}")
 
-    def parse_el(label):
-        kind, ident = label.split(":")
-        return kind, int(ident)
-
     def far_end(pid, near_bud):
         b0 = shrub.sprig_end_bud(pid, "end0")
         b1 = shrub.sprig_end_bud(pid, "end1")
@@ -1001,7 +995,7 @@ def verify_certificate(shrub: ShrubGraph, cert: OrientationCertificate):
 
     # chain conditions
     for ci, chain in enumerate(cert.chains):
-        els = [parse_el(e) for e in chain.elements]
+        els = chain.elements
         if len(set(els)) != len(els):
             failures.append(f"chain {ci} repeats a link")
         if len(els) == 1:
@@ -1064,7 +1058,7 @@ def verify_certificate(shrub: ShrubGraph, cert: OrientationCertificate):
     # no two chains may consume the same opposed pair
     pair_seen = {}
     for ci, chain in enumerate(cert.chains):
-        els = [parse_el(e) for e in chain.elements]
+        els = chain.elements
         for i, (kind, ident) in enumerate(els):
             left = chain.stubs[0] if i == 0 else els[i - 1][1]
             right = chain.stubs[1] if i == len(els) - 1 else els[i + 1][1]
@@ -1098,7 +1092,7 @@ def verify_certificate(shrub: ShrubGraph, cert: OrientationCertificate):
             if g0 and g1:
                 failures.append(f"sprig {pid} cannot be a stub: both ends guarded")
         elif a.alternative == "iii":
-            if f"piece:{pid}" not in chain.elements:
+            if ("piece", pid) not in chain.elements:
                 failures.append(f"sprig {pid} not a link of chain {a.chain_index}")
         else:
             failures.append(f"sprig {pid} unknown alternative {a.alternative}")
@@ -1558,16 +1552,12 @@ def _try_layout_punctured(aug, cert, base_bud, aux_ids, aux_buds, shrink, salt):
         came_from_leaf = aug.pieces[come_from_piece].is_leaf
         dirs = {}
 
-        def opp_in_f(p):
-            i = f.index(p)
-            return f[(i + len(f) // 2) % len(f)]
-
         def taken():
             return list(dirs.values()) + [in_dir]
 
         # the chain through the incoming piece continues straight
         if f is not None and come_from_piece in f:
-            dirs[opp_in_f(come_from_piece)] = in_dir
+            dirs[_opposed(f, come_from_piece)] = in_dir
 
         # leaf balls touching at one point must be tangent along one line
         other_leaves = [p for p in others if aug.pieces[p].is_leaf]
@@ -1598,7 +1588,7 @@ def _try_layout_punctured(aug, cert, base_bud, aux_ids, aux_buds, shrink, salt):
         if f is not None:
             for p in other_leaves:
                 if p in dirs and p in f:
-                    q = opp_in_f(p)
+                    q = _opposed(f, p)
                     if q not in dirs:
                         dirs[q] = _neg(dirs[p])
 
@@ -1737,9 +1727,8 @@ def _collect_maximal_segments(aug, cert, placements, junction_points, aux_ids):
     endpoint of None is the base bud at infinity."""
     segments = []
     for chain in cert.chains:
-        els = [e.split(":") for e in chain.elements]
-        first_node = int(els[0][1])
-        last_node = int(els[-1][1])
+        first_node = chain.elements[0][1]
+        last_node = chain.elements[-1][1]
         s0, s1 = chain.stubs
         waypoints = []
         pieces = []
@@ -1750,8 +1739,7 @@ def _collect_maximal_segments(aug, cert, placements, junction_points, aux_ids):
             pieces.append(("sprig", s0))
             waypoints.append(start)
         waypoints.append(junction_points[first_node])
-        for kind, ident in els:
-            ident = int(ident)
+        for kind, ident in chain.elements:
             if kind == "node":
                 waypoints.append(junction_points[ident])
             else:

@@ -4,8 +4,9 @@ variables.
 
 A leaf factor is evaluated unexpanded, as the homogenised canonical
 polynomial under the inverse of its placement. These build the same
-polynomial the long way, by substitution and full expansion; no command or
-pipeline stage calls them.
+polynomial the long way, by substitution (`Polynomial.evaluate` at
+polynomial arguments) and full expansion; no command or pipeline stage calls
+them.
 """
 from shrubfield.curves import PLANE_VARS, SPHERE_VARS, AffineMap
 from shrubfield.poly_core import Polynomial
@@ -24,11 +25,9 @@ def apply_affine(poly: Polynomial, affine: AffineMap) -> Polynomial:
     e, f = inv.offset
     x = Polynomial.variable("x", PLANE_VARS)
     y = Polynomial.variable("y", PLANE_VARS)
-    sub = {
-        "x": a * x + b * y + Polynomial.constant(e, PLANE_VARS),
-        "y": c * x + d * y + Polynomial.constant(f, PLANE_VARS),
-    }
-    return poly.substitute(sub)
+    # evaluate gives a bare coefficient for a constant, so add the zero
+    image = poly.evaluate((a * x + b * y + e, c * x + d * y + f))
+    return image + Polynomial.zero(PLANE_VARS)
 
 
 def lift_to_sphere(p: Polynomial, n: int) -> Polynomial:

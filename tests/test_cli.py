@@ -692,6 +692,56 @@ def test_example_orbits_are_pinned(tmp_path, name):
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == report_digest
 
 
+# sha256 of the plane picture (`--plot`) of the framed-pair orbit pinned
+# above; the projection runs through curves.sphere_to_plane
+FRAMED_PAIR_PLOT_SHA256 = (
+    "7235f8d341c4a210b883517749fa2172b64a740d62f4be693ce2741b485d0012"
+)
+
+
+def test_framed_pair_plot_is_pinned(tmp_path):
+    horizon, csv_digest, _ = EXAMPLE_ORBIT_SHA256["framed-pair"]
+    shrub = field_synth.example_shrubs()["framed-pair"]
+    bundle = tmp_path / "bundle.json"
+    field_synth.save_bundle(
+        bundle, field_synth.compose_shrub_function(shrub_model.layout_shrub(shrub))
+    )
+    csv_path, plot_path = tmp_path / "orbit.csv", tmp_path / "orbit.svg"
+    args = ["simulate", str(bundle), "--horizon", repr(horizon), "--unit-speed"]
+    args += ["--seed", "0", "--out-csv", str(csv_path), "--plot", str(plot_path)]
+    args += ["--report", str(tmp_path / "report.json")]
+    assert main(args) == 0
+    assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == csv_digest
+    digest = hashlib.sha256(plot_path.read_bytes()).hexdigest()
+    assert digest == FRAMED_PAIR_PLOT_SHA256
+
+
+# sha256 of each example's `classify` report without the fields that name
+# paths; its certificate writes each chain link as a "node:<bud>" or
+# "piece:<id>" label
+EXAMPLE_CLASSIFY_SHA256 = {
+    "equator": "73fe520cd9b3bb532acc8fae6944ce7483d51e44805c57533e6af2ea6aa60b0d",
+    "framed-chain": "2c70cc0b5a5adca7e506d6d4f56a491ca853b538f57e5aa65f842d2718fdc240",
+    "framed-pair": "3b325ebcc4820da98f2b58cdd3268f1a74c31e8fb774c8d40aa405171d776a33",
+    "lone-sprig": "154697e65790d921576d37e3e87c8ae2dad7b46a6299f8d3959e66de5b0c7fe5",
+    "spiked-leaf": "44c9895899f396f2e301bc964ac5cf07b1fa340bff0a667c9008870e0e5b694a",
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXAMPLE_CLASSIFY_SHA256))
+def test_example_classify_reports_are_pinned(tmp_path, name):
+    shrub_path, report_path = tmp_path / "shrub.json", tmp_path / "report.json"
+    shrub_path.write_text(json.dumps(field_synth.example_shrubs()[name].to_json()))
+    assert main(["classify", str(shrub_path), "--report", str(report_path)]) == 0
+    body = _read_json(report_path)
+    del body["config_sha256"]
+    for key in ("shrub_file", "report"):
+        del body["config"][key]
+    text = _dump_json(body)
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert digest == EXAMPLE_CLASSIFY_SHA256[name]
+
+
 def test_unit_speed_estimate_matches_raw_speed_within_factor_two(workdir, tmp_path):
     # the raw field fades quadratically at the boundary, so its orbit needs a
     # far longer time horizon to settle than the unit-speed arc length one
@@ -932,10 +982,11 @@ _ONE_ENDPOINT_ARC = {
 }
 
 
-# one factor entry of an example bundle edited in a way `bundle_entry` never
-# writes: (example, factor index, keys down to the edited value, new value);
-# lone-sprig has one arc on the circle y + 2z = 2, framed-pair the equator
-# and one k = 4 leaf
+# one factor entry of an example bundle, or the bundle's own punctures or
+# metadata, edited in a way `synthesize` never writes: (example, factor
+# index or None for the bundle itself, keys down to the edited value, new
+# value); lone-sprig has one arc on the circle y + 2z = 2, punctured at its
+# two ends, and framed-pair the equator and one k = 4 leaf, with no puncture
 _DROP = object()
 _BROKEN_ENTRIES = [
     ("lone-sprig", 0, ("circle_offset",), 0.5),
@@ -965,6 +1016,23 @@ _BROKEN_ENTRIES = [
     ("framed-pair", 1, ("source", "matrix"), [["1", "0"], ["0", "1"], ["0", "0"]]),
     ("framed-pair", 1, ("source", "matrix"), [[1, 0], [0, 1]]),
     ("framed-pair", 1, ("source", "offset"), ["0", "0", "0"]),
+    ("lone-sprig", None, ("punctures",), [["7", "0", "0"]]),  # off the sphere
+    ("lone-sprig", None, ("punctures",), [["0", "0", "1"]]),  # one end dropped
+    (
+        "lone-sprig",
+        None,
+        ("punctures",),
+        [["0", "0", "1"], ["4/9", "4/9", "7/9"]] * 2,  # each end twice
+    ),
+    ("framed-pair", None, ("punctures",), [["0", "0", "1"]]),  # no arc ends there
+    ("lone-sprig", None, ("punctures",), _DROP),
+    ("lone-sprig", None, ("metadata",), [["mode", "zzz"]]),
+    ("lone-sprig", None, ("metadata",), {"mode": "zzz", "base_bud": 0}),
+    ("framed-pair", None, ("metadata",), {"mode": "punctured", "frame_piece": 0}),
+    ("framed-pair", None, ("metadata", "frame_piece"), "0"),
+    ("framed-pair", None, ("metadata", "frame_piece"), _DROP),
+    ("framed-pair", None, ("metadata", "colour"), "red"),
+    ("framed-pair", None, ("metadata",), _DROP),
 ]
 
 
@@ -977,7 +1045,7 @@ def _broken_bundles():
         field_synth.function_from_bundle(json.loads(intact[name]))
     for name, index, keys, value in _BROKEN_ENTRIES:
         body = json.loads(intact[name])
-        target = body["factors"][index]
+        target = body if index is None else body["factors"][index]
         for key in keys[:-1]:
             target = target[key]
         if value is _DROP:
@@ -1011,7 +1079,12 @@ def test_poly_factors_without_a_source_are_refused(tmp_path, capsys, monkeypatch
 
     monkeypatch.setattr(field_synth, "_kernel_source", no_kernel)
     entry = {"kind": "poly", "poly": "1*z^20000"}
-    body = {"format": field_synth.BUNDLE_FORMAT, "factors": [entry]}
+    body = {
+        "format": field_synth.BUNDLE_FORMAT,
+        "factors": [entry],
+        "metadata": {"mode": "frame", "frame_piece": 0},
+        "punctures": [],
+    }
     with pytest.raises(ValueError, match="source"):
         field_synth.function_from_bundle(body)
     fake = tmp_path / "fake.json"

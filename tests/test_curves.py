@@ -4,6 +4,7 @@ import math
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +15,7 @@ from shrubfield import curves
 from shrubfield.curves import (
     AffineMap,
     DomainError,
+    SphereArcFunction,
     cusp_angles,
     cusps,
     implicit_metadata,
@@ -21,7 +23,6 @@ from shrubfield.curves import (
     normalized_residuals,
     param_point,
     plane_to_sphere,
-    segment_sphere_function,
     sphere_arc,
     sphere_to_plane,
 )
@@ -30,6 +31,11 @@ from shrubfield.poly_core import Polynomial
 V2 = ("x", "y")
 X = Polynomial.variable("x", V2)
 Y = Polynomial.variable("y", V2)
+
+IDENTITY = AffineMap(((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))))
+# zero on the lower meridian {y = 0, z <= 0}, analytic off its endpoints
+# (+-1, 0, 0); the plane shadow of the zero set is the segment (-1, 1) x {0}
+MERIDIAN = sphere_arc((1, 0, 0), (-1, 0, 0), (0, 0, -1))
 
 
 def value(arc, u) -> float:
@@ -207,7 +213,10 @@ def test_implicitize_rejects_small_k():
 
 
 def test_affine_inverse_roundtrip():
-    m = AffineMap.from_columns((2, 1), (0, 3), offset=(Fraction(1, 2), -4))
+    m = AffineMap(
+        ((Fraction(2), Fraction(0)), (Fraction(1), Fraction(3))),
+        (Fraction(1, 2), Fraction(-4)),
+    )
     inv = m.inverse()
     for p in [(0, 0), (1, 0), (Fraction(3, 7), Fraction(-2, 5))]:
         q = m.apply((Fraction(p[0]), Fraction(p[1])))
@@ -216,14 +225,14 @@ def test_affine_inverse_roundtrip():
 
 
 def test_singular_affine_rejected():
-    m = AffineMap.from_columns((1, 2), (2, 4))
+    m = AffineMap(((Fraction(1), Fraction(2)), (Fraction(2), Fraction(4))))
     with pytest.raises(ValueError):
         m.inverse()
 
 
 def test_apply_affine_translation_moves_zero_set():
     f3 = implicitize(3)
-    shift = AffineMap.from_columns((1, 0), (0, 1), offset=(2, -1))
+    shift = AffineMap(IDENTITY.matrix, (Fraction(2), Fraction(-1)))
     moved = apply_affine(f3, shift)
     # cusp (3,0) moves to (5,-1)
     assert moved.evaluate((Fraction(5), Fraction(-1))) == 0
@@ -235,16 +244,16 @@ def test_apply_affine_translation_moves_zero_set():
 
 def test_apply_affine_identity_is_noop():
     f5 = implicitize(5)
-    same = apply_affine(f5, AffineMap.identity())
+    same = apply_affine(f5, IDENTITY)
     assert same == f5
     # a sphere polynomial has no plane zero set to move
     with pytest.raises(ValueError):
-        apply_affine(lift_to_sphere(f5, f5.total_degree()), AffineMap.identity())
+        apply_affine(lift_to_sphere(f5, f5.total_degree()), IDENTITY)
 
 
 def test_apply_affine_scaling():
     f4 = implicitize(4)
-    half = AffineMap.from_columns((Fraction(1, 2), 0), (0, Fraction(1, 2)))
+    half = AffineMap(((Fraction(1, 2), Fraction(0)), (Fraction(0), Fraction(1, 2))))
     small = apply_affine(f4, half)
     assert small.evaluate((Fraction(2), Fraction(0))) == 0
     assert small.evaluate((Fraction(4), Fraction(0))) != 0
@@ -275,6 +284,9 @@ def test_plane_to_sphere_known_points():
 def test_sphere_to_plane_rejects_north_pole():
     with pytest.raises(DomainError):
         sphere_to_plane((0, 0, 1))
+    # a batch of numpy columns is refused when any of its points is the pole
+    with pytest.raises(DomainError):
+        sphere_to_plane(np.array([[0.6, 0.0, 0.8], [0.0, 0.0, 1.0]]).T)
 
 
 def test_lift_examples():
@@ -319,14 +331,14 @@ def test_lift_rejects_low_exponent():
 
 
 def test_segment_function_reference_values():
-    seg = segment_sphere_function()
+    seg = MERIDIAN
     assert value(seg, (0.0, 0.0, -1.0)) == 0.0
     assert value(seg, (0.0, 0.0, 1.0)) == 4.0
     assert value(seg, (0.0, 1.0, 0.0)) == 2.0
 
 
 def test_segment_function_zero_set_is_lower_meridian():
-    seg = segment_sphere_function()
+    seg = MERIDIAN
     for i in range(1, 40):
         th = math.pi * i / 40  # lower half: z = -sin(th) <= 0
         u = (math.cos(th), 0.0, -math.sin(th))
@@ -338,7 +350,7 @@ def test_segment_function_zero_set_is_lower_meridian():
 
 
 def test_segment_gradient_matches_finite_differences():
-    seg = segment_sphere_function()
+    seg = MERIDIAN
     h = 1e-6
     for u in [(0.3, 0.5, -0.6), (0.0, 0.2, 0.9), (-0.4, -0.1, -0.5)]:
         g = gradient(seg, u)
@@ -352,7 +364,7 @@ def test_segment_gradient_matches_finite_differences():
 
 
 def test_segment_gradient_rejects_endpoints():
-    seg = segment_sphere_function()
+    seg = MERIDIAN
     with pytest.raises(DomainError):
         gradient(seg, (1.0, 0.0, 0.0))
     with pytest.raises(DomainError):
@@ -365,9 +377,16 @@ def test_canonical_arc_reproduces_segment_function():
     assert arc.d == 0
     assert arc.m == (0, 0, 1)
     assert arc.e == 0
-    seg = segment_sphere_function()
-    for u in [(0.3, 0.5, -0.6), (0.0, 0.0, 1.0), (0.0, 1.0, 0.0)]:
-        assert value(arc, u) == value(seg, u)
+    # the canonical meridian-arc function y^2 + (sqrt(z^2+y^2) + z)^2,
+    # written out by hand
+    one, zero = Fraction(1), Fraction(0)
+    assert arc == SphereArcFunction(
+        n=(0, 1, 0),
+        d=zero,
+        m=(0, 0, 1),
+        e=zero,
+        endpoints=((one, zero, zero), (-one, zero, zero)),
+    )
 
 
 def test_quarter_arc_zero_set():

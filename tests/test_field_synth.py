@@ -23,7 +23,6 @@ from shrubfield.curves import (
     implicitize,
     param_point,
     plane_to_sphere,
-    segment_sphere_function,
     sphere_arc,
 )
 from shrubfield.field_synth import (
@@ -60,6 +59,8 @@ Z = Polynomial.variable("z", SPHERE_VARS)
 
 SOUTH = (Fraction(0), Fraction(0), Fraction(-1))
 NORTH = (Fraction(0), Fraction(0), Fraction(1))
+# the arc factor zero on the lower meridian {y = 0, z <= 0}
+MERIDIAN = sphere_arc((1, 0, 0), (-1, 0, 0), (0, 0, -1))
 
 
 def unit_points(count, seed=0):
@@ -147,7 +148,7 @@ def test_poly_factor_gradient_matches_finite_differences():
 
 
 def test_arc_factor_vanishes_exactly_on_its_arc():
-    factor = segment_sphere_function()
+    factor = MERIDIAN
     # the zero set is the lower meridian {y = 0, z <= 0}; the kernel refuses
     # the endpoints, where the exact value is checked instead
     for t in np.linspace(0.0, math.pi, 9)[1:-1]:
@@ -161,7 +162,7 @@ def test_arc_factor_vanishes_exactly_on_its_arc():
 
 
 def test_arc_factor_gradient_raises_at_endpoints():
-    factor = segment_sphere_function()
+    factor = MERIDIAN
     with pytest.raises(DomainError):
         gradient(factor, [1.0, 0.0, 0.0])
     with pytest.raises(DomainError):
@@ -169,7 +170,7 @@ def test_arc_factor_gradient_raises_at_endpoints():
 
 
 def test_one_endpoint_in_a_batch_refuses_the_batch():
-    factor = segment_sphere_function()
+    factor = MERIDIAN
     pts = unit_points(20, seed=2)
     factor.value_and_gradient(*pts.T)
     pts[7] = (-1.0, 0.0, 0.0)
@@ -180,7 +181,7 @@ def test_one_endpoint_in_a_batch_refuses_the_batch():
 
 
 def test_arc_factor_gradient_matches_finite_differences():
-    factor = segment_sphere_function()
+    factor = MERIDIAN
     u = np.array([0.1, 0.4, 0.6])
     grad = gradient(factor, u)
     h = 1e-6
@@ -192,7 +193,7 @@ def test_arc_factor_gradient_matches_finite_differences():
 
 
 def test_arc_factor_exceptional_points_are_the_endpoints():
-    arc = segment_sphere_function()
+    arc = MERIDIAN
     assert arc.kind == "arc"
     assert arc.exceptional_points == arc.endpoints
     assert PolyFactor(Z).exceptional_points == ()
@@ -226,7 +227,7 @@ def _expanded(factor):
         sum((c * v for c, v in zip(row, u)), Polynomial.constant(b, SPHERE_VARS))
         for row, b in zip(factor.matrix, factor.shift)
     ]
-    return factor.poly.substitute(dict(zip(factor.poly.variables, linear)))
+    return factor.poly.evaluate(linear)
 
 
 def _rational_sphere_points():
@@ -358,7 +359,7 @@ def test_value_exact_multiplies_factors():
 
 
 def test_exceptional_points_union_without_duplicates():
-    arc = segment_sphere_function()
+    arc = MERIDIAN
     fn = SphereFunction(factors=[arc, arc, PolyFactor(Z)])
     assert fn.exceptional_points() == arc.endpoints
 
@@ -715,7 +716,12 @@ def test_arc_labels_survive_a_bundle_round_trip():
     assert [f.label for f in back.factors] == ["leaf:0", "segment:0"]
     assert back.factors[1] == fn.factors[1]
     arc = sphere_arc((1, 0, 0), (-1, 0, 0), (0, 0, -1), label="meridian")
-    back = function_from_bundle(bundle_dict(SphereFunction(factors=[arc])))
+    fn = SphereFunction(
+        factors=[arc],
+        punctures=arc.endpoints,
+        metadata={"mode": "punctured", "base_bud": 0},
+    )
+    back = function_from_bundle(bundle_dict(fn))
     assert back.factors == (arc,)
     assert back.factors[0].label == "meridian"
 

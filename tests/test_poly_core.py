@@ -104,25 +104,28 @@ def test_diff_basic():
     assert p.diff("y") == Polynomial.from_text("-2*x", V2)
 
 
-# -- substitution --------------------------------------------------------
+# -- substitution: evaluate at polynomial arguments ------------------------
 
 
 def test_substitute_affine():
     p = Polynomial.from_text("1*x^2 + 1*y^2", V2)
     u = Polynomial.from_text("1*x + 1", V2)
     v = Polynomial.from_text("1*y + -2", V2)
-    q = p.substitute({"x": u, "y": v})
+    q = p.evaluate((u, v))
     assert q == Polynomial.from_text("1*x^2 + 1*y^2 + 2*x + -4*y + 5", V2)
 
 
 @given(polys, st.integers(-3, 3), st.integers(-3, 3))
 @settings(max_examples=30)
 def test_substitute_consistent_with_eval(p, xv, yv):
-    shift = {
-        "x": Polynomial.from_text("1*x + 1", V2),
-        "y": Polynomial.from_text("1*y + -1", V2),
-    }
-    q = p.substitute(shift)
+    shift = (
+        Polynomial.from_text("1*x + 1", V2),
+        Polynomial.from_text("1*y + -1", V2),
+    )
+    # a constant or zero p composes to a bare coefficient; adding the zero
+    # polynomial makes every result a polynomial
+    q = p.evaluate(shift) + Polynomial.zero(V2)
+    assert isinstance(q, Polynomial)
     assert q.evaluate((xv, yv)) == p.evaluate((xv + 1, yv - 1))
 
 

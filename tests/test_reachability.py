@@ -1,7 +1,9 @@
 """Guard against dead library code: every module-level function or class
-of the package, private helpers included, must be named by some other part
-of `src/` or `bench/`, so that a command, a pipeline stage or the benchmark
-reaches it."""
+of the package, private helpers included, and every method or property of
+its classes must be named by some other part of `src/` or `bench/`, so that
+a command, a pipeline stage or the benchmark reaches it. Names are counted,
+not calls: a method counts as reached once any other statement mentions its
+name, so the guard can miss a method whose name is also used elsewhere."""
 
 import ast
 from collections import Counter
@@ -18,10 +20,6 @@ ALLOWED = {
     "acceptance criterion 5 runs",
     "random_very_simple_shrub": "the generator of the property tests and "
     "the acceptance criteria",
-    "segment_sphere_function": "the canonical meridian arc, the closed form "
-    "the arc tests compare against",
-    "sphere_to_plane": "the inverse of plane_to_sphere, kept so that the "
-    "chart round trip is tested",
     "example_field": "builds an example's field by name for the tests and "
     "the acceptance criteria",
 }
@@ -79,3 +77,29 @@ def test_every_module_level_name_is_reached():
         unreached
     )
     assert set(ALLOWED) <= defined, "allowed but not defined"
+
+
+def test_every_method_is_reached():
+    statements = [(path, node, _names(node)) for path, node in _statements()]
+    unreached = []
+    for path, node, _ in statements:
+        if path.parent != PACKAGE or not isinstance(node, ast.ClassDef):
+            continue
+        # every name that the other top-level statements mention
+        outside = set().union(
+            *(names for _, other, names in statements if other is not node)
+        )
+        for member in node.body:
+            if not isinstance(member, ast.FunctionDef):
+                continue
+            # special methods are reached by the language itself
+            if member.name.startswith("__") and member.name.endswith("__"):
+                continue
+            # the rest of the class counts, the method's own body does not
+            rest = set().union(*(_names(m) for m in node.body if m is not member))
+            if member.name not in outside | rest:
+                where = f"{path.name}:{member.lineno}"
+                unreached.append(f"{where} {node.name}.{member.name}")
+    assert not unreached, "named nowhere else in src/ or bench/: " + ", ".join(
+        unreached
+    )

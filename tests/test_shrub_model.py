@@ -367,7 +367,7 @@ def test_through_diameter_chain_with_two_stubs():
     assert cert.piece_orientations == {0: (0, 1)}
     assert len(cert.chains) == 1
     chain = cert.chains[0]
-    assert chain.elements == ("node:0", "piece:0", "node:1")
+    assert chain.elements == (("node", 0), ("piece", 0), ("node", 1))
     assert sorted(chain.stubs) == [1, 2]
     assert not chain.degenerate
     assert cert.sprig_assignments[1].alternative == "ii"
@@ -392,7 +392,7 @@ def test_sprig_between_two_guarded_nodes_is_a_link():
     assert cert.sprig_assignments[2].alternative == "iii"
     # one chain spans stub-diameter-sprig-diameter-stub
     assert len(cert.chains) == 1
-    assert "piece:2" in cert.chains[0].elements
+    assert ("piece", 2) in cert.chains[0].elements
     assert len(cert.chains[0].elements) == 7
     ok, fails = verify_certificate(aug, cert)
     assert ok, fails
@@ -408,7 +408,7 @@ def test_node_with_two_dangling_sprigs_forms_a_degenerate_chain():
     assert len(cert.chains) == 1
     chain = cert.chains[0]
     assert chain.degenerate
-    assert chain.elements == ("node:0",)
+    assert chain.elements == (("node", 0),)
     assert sorted(chain.stubs) == [0, 1]
     assert all(
         a.alternative == "ii" for a in cert.sprig_assignments.values()
@@ -479,6 +479,8 @@ def test_certificate_serializes_to_json():
     obj = cert.to_json()
     text = json.dumps(obj, sort_keys=True)
     assert json.loads(text)["orientable"] is True
+    # only the JSON form spells a link as a "kind:id" label
+    assert obj["chains"][0]["elements"] == ["node:0", "piece:0", "node:1"]
 
 
 # -- layout --------------------------------------------------------------------------
@@ -641,10 +643,11 @@ def _layout_text(value):
     at infinity as inf."""
     if value is None:
         return "inf"
-    if isinstance(value, (tuple, list)):
-        return "(" + ",".join(_layout_text(v) for v in value) + ")"
+    # a map first, so that a tuple-like AffineMap still prints as a map
     if hasattr(value, "matrix"):
         return "A" + _layout_text(value.matrix) + _layout_text(value.offset)
+    if isinstance(value, (tuple, list)):
+        return "(" + ",".join(_layout_text(v) for v in value) + ")"
     return str(value)
 
 
