@@ -615,6 +615,13 @@ def _float_fmt(value: float) -> str:
     return format(value, ".6g")
 
 
+def _run_label(run: dict) -> str:
+    """`seed N`, or for a run from `--start` its normalised start point."""
+    if run["seed"] is not None:
+        return f"seed {run['seed']}"
+    return f"start ({', '.join(_float_fmt(c) for c in run['start'])})"
+
+
 def _stereo_svg(states: np.ndarray, zero_points: np.ndarray) -> str:
     """Plane picture of an orbit with the limit set's samples overdrawn.
 
@@ -845,7 +852,7 @@ def simulate_command(ctx, bundle, **_kwargs):
     for run in runs:
         tail = run["omega"]
         click.echo(
-            f"seed {run['seed']}: {run['samples']} samples, "
+            f"{_run_label(run)}: {run['samples']} samples, "
             f"attraction {_float_fmt(tail['attraction'])}, "
             f"coverage {_float_fmt(tail['coverage'])}"
         )
@@ -936,7 +943,7 @@ def _render_simulate(body: dict) -> list:
             f", winding {_float_fmt(winding['net'])}" if winding else ""
         )
         lines.append(
-            f"seed {run['seed']}: {run['samples']} samples, {drift_bit}, "
+            f"{_run_label(run)}: {run['samples']} samples, {drift_bit}, "
             f"attraction {_float_fmt(omega['attraction'])}, "
             f"coverage {_float_fmt(omega['coverage'])}{winding_bit}"
         )

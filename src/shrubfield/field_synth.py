@@ -39,7 +39,6 @@ from .curves import (
 from .poly_core import (
     Polynomial,
     check_keys,
-    json_int,
     json_list,
     parse_point,
     rational_point,
@@ -266,17 +265,14 @@ def _kernel_source(poly: Polynomial, matrix: tuple, shift: tuple) -> str:
 
 
 class SphereFunction:
-    """Product of boundary factors, with its punctures and provenance-free
-    metadata. An empty product is the constant 1."""
+    """Product of boundary factors. An empty product is the constant 1."""
 
-    def __init__(self, factors=(), punctures=(), metadata=None):
+    def __init__(self, factors=()):
         self.factors = tuple(factors)
-        self.punctures = tuple(
-            tuple(Fraction(c) for c in p) for p in punctures
-        )
-        self.metadata = dict(metadata or {})
 
     def exceptional_points(self) -> tuple:
+        """The punctures: the arc factors' endpoints, each once, in factor
+        order. The product is analytic everywhere else."""
         out = []
         for factor in self.factors:
             for p in factor.exceptional_points:
@@ -485,19 +481,17 @@ def compose_shrub_function(layout: ShrubLayout) -> SphereFunction:
     homogenised canonical hypocycloid polynomial composed with the inverse
     placement, never expanded. Each maximal segment of a punctured layout
     gives one circular-arc factor; segments reaching the bud at infinity
-    close up at the top of the sphere, and the punctures are the images of
-    the non-analytic buds.
+    close up at the top of the sphere, so the function's exceptional points
+    are the images of the layout's punctures.
     """
     from .shrub_model import LeafPlacement
 
     if layout.mode == "frame":
         factors = [PolyFactor.from_piece({"piece": "equator"}, label="frame")]
-        metadata = {"mode": "frame", "frame_piece": layout.frame_piece}
     elif layout.mode == "punctured":
         if layout.junction_points[layout.base_bud] is not None:
             raise AssertionError("layout base bud is not at infinity")
         factors = []
-        metadata = {"mode": "punctured", "base_bud": layout.base_bud}
     else:
         raise ValueError(f"unknown layout mode {layout.mode!r}")
     for pid in sorted(layout.placements):
@@ -513,10 +507,7 @@ def compose_shrub_function(layout: ShrubLayout) -> SphereFunction:
                 label=f"segment:{index}",
             )
         )
-    punctures = tuple(
-        _chart_image(layout.junction_points[bud]) for bud in layout.punctures
-    )
-    return SphereFunction(factors=factors, punctures=punctures, metadata=metadata)
+    return SphereFunction(factors)
 
 
 def synthesize_field(shrub: ShrubGraph) -> VectorField:
@@ -577,16 +568,14 @@ def example_field(name: str) -> VectorField:
 # -- serialized bundles -------------------------------------------------------
 
 
-BUNDLE_FORMAT = "field-bundle/3"
+BUNDLE_FORMAT = "field-bundle/4"
 
 
 def bundle_dict(function: SphereFunction) -> dict:
     """JSON-ready description of a boundary function; exact and stable."""
     return {
         "format": BUNDLE_FORMAT,
-        "metadata": dict(function.metadata),
         "factors": [factor.bundle_entry() for factor in function.factors],
-        "punctures": [rational_point(p) for p in function.punctures],
     }
 
 
@@ -603,31 +592,21 @@ def function_from_bundle(data: dict) -> SphereFunction:
     """Rebuild a boundary function; each factor class reads its own entry,
     and a malformed bundle raises ValueError.
 
-    The metadata names the layout mode and its anchor, as
-    `compose_shrub_function` writes it, and the punctures are exactly the
-    endpoints of the arc factors. Older bundles are refused: version 1
-    stored each leaf factor expanded in sphere variables, whose floats cancel
-    badly, and version 2 stored each leaf's polynomial beside the piece that
-    determines it.
+    Older bundles are refused: version 1 stored each leaf factor expanded in
+    sphere variables, whose floats cancel badly, version 2 stored each
+    leaf's polynomial beside the piece that determines it, and version 3
+    stored the arc endpoints again as punctures, beside the layout mode.
     """
     if not isinstance(data, dict):
         raise ValueError("a bundle must be a JSON object")
-    if data.get("format") in ("field-bundle/1", "field-bundle/2"):
+    if data.get("format") in ("field-bundle/1", "field-bundle/2", "field-bundle/3"):
         raise ValueError(
             f"{data['format']} is an older bundle format; "
             f"re-run synthesize to write a {BUNDLE_FORMAT} bundle"
         )
     if data.get("format") != BUNDLE_FORMAT:
         raise ValueError(f"not a {BUNDLE_FORMAT} bundle")
-    check_keys(data, "bundle", ("format", "factors", "metadata", "punctures"))
-    metadata = data["metadata"]
-    anchors = {"frame": "frame_piece", "punctured": "base_bud"}
-    mode = metadata.get("mode") if isinstance(metadata, dict) else None
-    if not isinstance(mode, str) or mode not in anchors:
-        raise ValueError(f"bundle metadata names no layout mode: {metadata!r}")
-    check_keys(metadata, "bundle metadata", ("mode", anchors[mode]))
-    json_int(metadata[anchors[mode]], f"bundle metadata {anchors[mode]}")
-    punctures = [parse_point(p) for p in json_list(data, "punctures")]
+    check_keys(data, "bundle", ("format", "factors"))
     classes = {cls.kind: cls for cls in (PolyFactor, SphereArcFunction)}
     factors = []
     for item in json_list(data, "factors"):
@@ -635,13 +614,7 @@ def function_from_bundle(data: dict) -> SphereFunction:
         if not isinstance(kind, str) or kind not in classes:
             raise ValueError(f"unknown factor kind {kind!r}")
         factors.append(classes[kind].from_bundle(item))
-    endpoints = {q for f in factors if f.kind == "arc" for q in f.endpoints}
-    if len(set(punctures)) != len(punctures) or set(punctures) != endpoints:
-        raise ValueError(
-            "a bundle's punctures must be the endpoints of its arc factors, "
-            f"not {[rational_point(p) for p in punctures]}"
-        )
-    return SphereFunction(factors=factors, punctures=punctures, metadata=metadata)
+    return SphereFunction(factors)
 
 
 def load_bundle(path) -> SphereFunction:

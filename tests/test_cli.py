@@ -783,7 +783,8 @@ def test_step_budget_exhaustion_is_a_numeric_failure(workdir, tmp_path):
     assert rc == 3
 
 
-def test_start_flag_replaces_seeding(workdir, tmp_path):
+def test_start_flag_replaces_seeding(workdir, tmp_path, capsys):
+    capsys.readouterr()
     rc, body = _simulate(
         workdir,
         tmp_path,
@@ -800,6 +801,12 @@ def test_start_flag_replaces_seeding(workdir, tmp_path):
     norm = math.sqrt(sum(c * c for c in run["start"]))
     assert abs(norm - 1.0) < 1e-12
     assert run["start"][2] < 0
+    # the run is named by its normalised start point, in the echo and in
+    # the rendered report alike
+    label = "start (0.110432, 0, -0.993884): "
+    assert capsys.readouterr().out.startswith(label)
+    assert main(["report", str(tmp_path / "started.json")]) == 0
+    assert capsys.readouterr().out.splitlines()[3].startswith(label)
 
 
 @pytest.mark.parametrize(
@@ -982,11 +989,11 @@ _ONE_ENDPOINT_ARC = {
 }
 
 
-# one factor entry of an example bundle, or the bundle's own punctures or
-# metadata, edited in a way `synthesize` never writes: (example, factor
-# index or None for the bundle itself, keys down to the edited value, new
-# value); lone-sprig has one arc on the circle y + 2z = 2, punctured at its
-# two ends, and framed-pair the equator and one k = 4 leaf, with no puncture
+# one factor entry of an example bundle, or the bundle itself, edited in a
+# way `synthesize` never writes: (example, factor index or None for the
+# bundle itself, keys down to the edited value, new value); lone-sprig has
+# one arc on the circle y + 2z = 2, punctured at its two ends, and
+# framed-pair the equator and one k = 4 leaf, with no puncture
 _DROP = object()
 _BROKEN_ENTRIES = [
     ("lone-sprig", 0, ("circle_offset",), 0.5),
@@ -1016,23 +1023,8 @@ _BROKEN_ENTRIES = [
     ("framed-pair", 1, ("source", "matrix"), [["1", "0"], ["0", "1"], ["0", "0"]]),
     ("framed-pair", 1, ("source", "matrix"), [[1, 0], [0, 1]]),
     ("framed-pair", 1, ("source", "offset"), ["0", "0", "0"]),
-    ("lone-sprig", None, ("punctures",), [["7", "0", "0"]]),  # off the sphere
-    ("lone-sprig", None, ("punctures",), [["0", "0", "1"]]),  # one end dropped
-    (
-        "lone-sprig",
-        None,
-        ("punctures",),
-        [["0", "0", "1"], ["4/9", "4/9", "7/9"]] * 2,  # each end twice
-    ),
-    ("framed-pair", None, ("punctures",), [["0", "0", "1"]]),  # no arc ends there
-    ("lone-sprig", None, ("punctures",), _DROP),
-    ("lone-sprig", None, ("metadata",), [["mode", "zzz"]]),
-    ("lone-sprig", None, ("metadata",), {"mode": "zzz", "base_bud": 0}),
-    ("framed-pair", None, ("metadata",), {"mode": "punctured", "frame_piece": 0}),
-    ("framed-pair", None, ("metadata", "frame_piece"), "0"),
-    ("framed-pair", None, ("metadata", "frame_piece"), _DROP),
-    ("framed-pair", None, ("metadata", "colour"), "red"),
-    ("framed-pair", None, ("metadata",), _DROP),
+    # an unknown top-level key, even one holding the true punctures
+    ("lone-sprig", None, ("punctures",), [["0", "0", "1"], ["4/9", "4/9", "7/9"]]),
 ]
 
 
@@ -1079,12 +1071,7 @@ def test_poly_factors_without_a_source_are_refused(tmp_path, capsys, monkeypatch
 
     monkeypatch.setattr(field_synth, "_kernel_source", no_kernel)
     entry = {"kind": "poly", "poly": "1*z^20000"}
-    body = {
-        "format": field_synth.BUNDLE_FORMAT,
-        "factors": [entry],
-        "metadata": {"mode": "frame", "frame_piece": 0},
-        "punctures": [],
-    }
+    body = {"format": field_synth.BUNDLE_FORMAT, "factors": [entry]}
     with pytest.raises(ValueError, match="source"):
         field_synth.function_from_bundle(body)
     fake = tmp_path / "fake.json"
@@ -1125,12 +1112,16 @@ def test_version_two_bundles_ask_for_a_new_synthesis(tmp_path, capsys):
     data = field_synth.bundle_dict(
         field_synth.compose_shrub_function(shrub_model.layout_shrub(shrub))
     )
-    data["format"] = "field-bundle/2"
-    stale = tmp_path / "stale.json"
-    stale.write_text(json.dumps(data))
-    capsys.readouterr()
-    assert main(["simulate", str(stale), "--out-csv", str(tmp_path / "x.csv")]) == 2
-    assert "re-run synthesize" in capsys.readouterr().err
+    for older in ("field-bundle/2", "field-bundle/3"):
+        data["format"] = older
+        stale = tmp_path / "stale.json"
+        stale.write_text(json.dumps(data))
+        capsys.readouterr()
+        csv = tmp_path / "x.csv"
+        assert main(["simulate", str(stale), "--out-csv", str(csv)]) == 2, older
+        err = capsys.readouterr().err
+        assert f"re-run synthesize to write a {field_synth.BUNDLE_FORMAT}" in err
+        assert not csv.exists()
 
 
 def _refuse_algebra(monkeypatch):

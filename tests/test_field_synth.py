@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import math
+import random
 import re
 import tokenize
 from fractions import Fraction
@@ -30,6 +31,7 @@ from shrubfield.field_synth import (
     SphereFunction,
     VectorField,
     BUNDLE_FORMAT,
+    _chart_image,
     _kernel_source,
     build_field,
     bundle_dict,
@@ -47,10 +49,12 @@ from shrubfield.poly_core import Polynomial, parse_point
 from shrubfield.shrub_model import (
     Attachment,
     Junction,
+    LayoutError,
     LeafPlacement,
     Piece,
     ShrubGraph,
     layout_shrub,
+    random_very_simple_shrub,
 )
 
 X = Polynomial.variable("x", SPHERE_VARS)
@@ -522,8 +526,7 @@ def test_frame_composition_structure():
     lay = layout_shrub(example_shrubs()["framed-pair"])
     fn = compose_shrub_function(lay)
     assert [f.label for f in fn.factors] == ["frame", "leaf:1"]
-    assert fn.punctures == ()
-    assert fn.metadata["mode"] == "frame"
+    assert fn.exceptional_points() == ()
     assert fn.value_exact(SOUTH) != 0
 
 
@@ -552,10 +555,9 @@ def test_punctured_composition_of_the_lone_sprig():
     lay = layout_shrub(example_shrubs()["lone-sprig"])
     fn = compose_shrub_function(lay)
     assert [f.label for f in fn.factors] == ["segment:0"]
-    assert fn.metadata["mode"] == "punctured"
     # the ray's arc runs from the tip image up to the top of the sphere
-    assert set(fn.punctures) == set(fn.factors[0].endpoints)
-    assert NORTH in fn.punctures
+    assert set(fn.exceptional_points()) == set(fn.factors[0].endpoints)
+    assert NORTH in fn.exceptional_points()
     assert fn.value_exact(NORTH) == 0
 
 
@@ -571,8 +573,8 @@ def test_punctured_composition_of_the_spiked_leaf():
     lay = layout_shrub(example_shrubs()["spiked-leaf"])
     fn = compose_shrub_function(lay)
     assert [f.label for f in fn.factors] == ["leaf:0", "segment:0"]
-    assert len(fn.punctures) == 2
-    assert NORTH in fn.punctures
+    assert len(fn.exceptional_points()) == 2
+    assert NORTH in fn.exceptional_points()
     # the arc radicand is irrational at the south pole, so exactness is
     # available factor by factor, not for the product
     assert fn.factors[0].value_exact(SOUTH) != 0
@@ -601,8 +603,8 @@ def test_punctured_composition_keeps_auxiliary_whiskers():
     # the whole skeleton is collinear here, so all three arcs share a circle
     normals = {a.n for a in arcs}
     assert len(normals) == 1
-    assert len(fn.punctures) == 4
-    assert NORTH in fn.punctures
+    assert len(fn.exceptional_points()) == 4
+    assert NORTH in fn.exceptional_points()
 
 
 def test_punctured_leaf_factors_avoid_the_chart_origin():
@@ -643,6 +645,26 @@ def test_punctured_composition_vanishes_on_sampled_boundary():
             u = tuple(float(c) for c in plane_to_sphere(p))
             worst = max(worst, abs(value(fn, u)) / ref)
     assert worst < 1e-8
+
+
+def test_arc_ends_are_exactly_the_layout_punctures():
+    # a bundle stores no punctures: they are the arc factors' endpoints, so
+    # composition must end every arc on a puncture's image and leave no
+    # puncture without an arc; the five examples, then three generated
+    # shrubs per seed for seeds 0..19 (58 lay out, 2 are refused)
+    layouts = [layout_shrub(shrub) for shrub in example_shrubs().values()]
+    for seed in range(20):
+        rng = random.Random(seed)
+        for _ in range(3):
+            try:
+                layouts.append(layout_shrub(random_very_simple_shrub(rng)))
+            except LayoutError:
+                pass
+    assert len(layouts) == 63
+    for lay in layouts:
+        images = {_chart_image(lay.junction_points[bud]) for bud in lay.punctures}
+        points = compose_shrub_function(lay).exceptional_points()
+        assert set(points) == images, lay.punctures
 
 
 def test_compose_rejects_unknown_layout_mode():
@@ -686,7 +708,7 @@ def test_example_field_rejects_unknown_names():
 def test_synthesize_field_runs_the_whole_pipeline():
     field = synthesize_field(example_shrubs()["lone-sprig"])
     assert isinstance(field, VectorField)
-    assert field.function.metadata["mode"] == "punctured"
+    assert NORTH in field.function.exceptional_points()
 
 
 # -- bundles --------------------------------------------------------------------------
@@ -707,7 +729,7 @@ def test_bundle_preserves_values():
         fn.value_and_gradient(*pts.T), back.value_and_gradient(*pts.T)
     ):
         assert np.array_equal(before, after)
-    assert back.punctures == fn.punctures
+    assert back.exceptional_points() == fn.exceptional_points()
 
 
 def test_arc_labels_survive_a_bundle_round_trip():
@@ -716,11 +738,7 @@ def test_arc_labels_survive_a_bundle_round_trip():
     assert [f.label for f in back.factors] == ["leaf:0", "segment:0"]
     assert back.factors[1] == fn.factors[1]
     arc = sphere_arc((1, 0, 0), (-1, 0, 0), (0, 0, -1), label="meridian")
-    fn = SphereFunction(
-        factors=[arc],
-        punctures=arc.endpoints,
-        metadata={"mode": "punctured", "base_bud": 0},
-    )
+    fn = SphereFunction([arc])
     back = function_from_bundle(bundle_dict(fn))
     assert back.factors == (arc,)
     assert back.factors[0].label == "meridian"
@@ -730,9 +748,7 @@ def test_bundle_format_and_metadata_survive():
     fn = compose_shrub_function(layout_shrub(example_shrubs()["framed-pair"]))
     data = bundle_dict(fn)
     assert data["format"] == BUNDLE_FORMAT
-    assert data["metadata"]["mode"] == "frame"
-    back = function_from_bundle(data)
-    assert back.metadata == fn.metadata
+    assert bundle_dict(function_from_bundle(data)) == data
 
 
 def test_bundle_stores_each_leaf_as_its_piece():
@@ -756,15 +772,17 @@ def test_bundle_stores_each_leaf_as_its_piece():
 
 
 # sha256 of bundle_text for each example shrub. Each text is the
-# field-bundle/2 text pinned before it (written when the leaf polynomial came
-# from the fraction-free determinant over Z[i][x, y]) with the format bumped
-# to field-bundle/3 and the "poly" key dropped from every poly entry
+# field-bundle/3 text pinned before it (itself the field-bundle/2 text, from
+# when the leaf polynomial came from the fraction-free determinant over
+# Z[i][x, y], with the format bumped and the "poly" key dropped from every
+# poly entry) with the format bumped to field-bundle/4 and the "metadata" and
+# "punctures" keys dropped
 EXAMPLE_BUNDLE_SHA256 = {
-    "equator": "db8e1a6172a443ac60ec89f154941c9076275fd8e35b857b66522780727aec70",
-    "lone-sprig": "e60a578b6a3761a28b07f83be91061ee2b4109da56197b9951568118452f7617",
-    "framed-pair": "e46091531825162806b1a26b0742052457321ae429ea48da33126e3c8148e666",
-    "framed-chain": "57a00252e76782d14bc594176c8cc7a186bff9557a2b1ede0c12e3c3ead17be3",
-    "spiked-leaf": "9bce63da69a3a8e5c0191e264632e14c3a3f8293dc2b64bb34bb1948cd9703e3",
+    "equator": "6e0ed7d6f121204e90e7d37542aff50e2945a0cd5fa58e62f52d30b2ca839721",
+    "lone-sprig": "7277b75dc30d5a2ad9a85613a515dddb1ee289a56a462448a30b6d27a63d4810",
+    "framed-pair": "d1a3bc173862780ea62974582405a51b372105e39479eb0f2e59efe13307eb17",
+    "framed-chain": "b8c9ffbd90b0ff71297916068212ab35dd2dfd06350da414bcc8a410209675d1",
+    "spiked-leaf": "e340a1c33b7fa858529554daf25139fba9349f21b303c601b7671d1e13fe0f86",
 }
 
 
@@ -780,11 +798,14 @@ def test_bundle_refuses_version_one():
 
 
 def test_bundle_refuses_version_two():
-    # a version 2 entry stored the leaf polynomial beside its piece
+    # a version 2 entry stored the leaf polynomial beside its piece, and a
+    # version 3 bundle its arc endpoints again as punctures
     fn = compose_shrub_function(layout_shrub(example_shrubs()["framed-pair"]))
-    data = dict(bundle_dict(fn), format="field-bundle/2")
-    with pytest.raises(ValueError, match="re-run synthesize"):
-        function_from_bundle(data)
+    for older in ("field-bundle/2", "field-bundle/3"):
+        data = dict(bundle_dict(fn), format=older)
+        message = f"re-run synthesize to write a {BUNDLE_FORMAT}"
+        with pytest.raises(ValueError, match=message):
+            function_from_bundle(data)
 
 
 def test_bundle_rejects_foreign_formats():

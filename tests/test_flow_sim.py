@@ -373,7 +373,7 @@ def test_equator_sample_of_four_is_the_cardinal_points():
 
 def test_segment_function_samples_the_lower_meridian():
     arc = sphere_arc((1, 0, 0), (-1, 0, 0), (0, 0, -1))
-    fn = SphereFunction(factors=[arc], punctures=arc.endpoints)
+    fn = SphereFunction(factors=[arc])
     pts = sample_zero_set(fn, 41)
     assert np.all(pts[:, 1] == 0.0)
     assert np.all(pts[:, 2] <= 0.0)
