@@ -1295,6 +1295,10 @@ def layout_shrub(shrub: ShrubGraph) -> ShrubLayout:
     (an endpoint of None means the segment escapes to infinity).
     """
     require_valid(shrub)
+    # leaf balls touching at one point must be tangent along one line
+    for j in shrub.junctions:
+        if sum(shrub.pieces[a.piece].is_leaf for a in j.at) > 2:
+            raise LayoutError("more than two leaves meet at one point", detail=j.bud)
     if not shrub.sprig_ids():
         return _layout_frame(shrub)
     return _layout_punctured(shrub)
@@ -1303,33 +1307,6 @@ def layout_shrub(shrub: ShrubGraph) -> ShrubLayout:
 # direction of every infinite ray; the base bud sits at +infinity on the
 # horizontal axis of each ray's line
 _RAY_DIR = (Fraction(1), Fraction(0))
-
-
-def _layout_frame(shrub: ShrubGraph) -> ShrubLayout:
-    if find_odd_cactuses(shrub):
-        raise LayoutError("sprig-free shrub with an odd cactus should not exist")
-    counts = {pid: len(shrub.cusp_buds(pid)) for pid in shrub.leaf_ids()}
-    root = max(counts, key=lambda pid: (counts[pid], -pid))
-    return _first_fit(
-        lambda shrink, _salt: _try_layout_frame(shrub, root, shrink),
-        "frame layout found no collision-free scale",
-        detail=root,
-    )
-
-
-class _Collision(Exception):
-    pass
-
-
-def _first_fit(attempt, failure, detail=None):
-    """The first `attempt(shrink, salt)` that raises no _Collision, over the
-    scales shrink = 1, 1/2, ..., 1/64 and salt = 0, 1, ..., 6."""
-    for salt in range(7):
-        try:
-            return attempt(Fraction(1, 2**salt), salt)
-        except _Collision:
-            continue
-    raise LayoutError(failure, detail=detail)
 
 
 def _leaf_buds(shrub: ShrubGraph, pid: int):
@@ -1373,12 +1350,14 @@ def _place_leaf(shrub, pid, entry_bud, entry, direction, radius, slots):
     return placement, exits
 
 
-def _try_layout_frame(shrub, root, shrink) -> ShrubLayout:
+def _layout_frame(shrub: ShrubGraph) -> ShrubLayout:
+    counts = {pid: len(shrub.cusp_buds(pid)) for pid in shrub.leaf_ids()}
+    root = max(counts, key=lambda pid: (counts[pid], -pid))
     placements = {root: LeafPlacement(piece=root, frame=True)}
     junction_points = {}
     root_buds = [bud for _, bud in shrub.cusp_buds(root)]
     n = max(1, len(root_buds))
-    s0 = min(Fraction(1, 4), Fraction(1, 2 * n)) * shrink
+    s0 = min(Fraction(1, 4), Fraction(1, 2 * n))
 
     def circle_direction(i):
         angle = math.pi * (2 * i + 1) / (2 * n)  # half-angle in (0, pi)
@@ -1418,7 +1397,7 @@ def _try_layout_frame(shrub, root, shrink) -> ShrubLayout:
             if norm2 != (1 - p.radius) ** 2:
                 raise AssertionError("frame child is not tangent to the circle")
         elif norm2 >= (1 - p.radius) ** 2:
-            raise _Collision
+            raise LayoutError(f"leaf {pid} reaches the frame circle", detail=pid)
     _check_collisions(shrub, inner, junction_points)
     return ShrubLayout(
         mode="frame",
@@ -1496,20 +1475,9 @@ def _layout_punctured(shrub: ShrubGraph) -> ShrubLayout:
     else:
         base_bud = aug.sprig_end_bud(aux_ids[0], "end1")
 
-    return _first_fit(
-        lambda shrink, salt: _try_layout_punctured(
-            aug, cert, base_bud, aux_ids, aux_buds, shrink, salt
-        ),
-        "punctured layout found no collision-free scale",
-    )
-
-
-def _try_layout_punctured(aug, cert, base_bud, aux_ids, aux_buds, shrink, salt):
     placements = {}
     # None is the point at infinity; only the base bud lives there
     junction_points = {base_bud: None}
-
-    base_len = Fraction(1, 1) * shrink
 
     fan_ts = [
         Fraction(0),
@@ -1524,8 +1492,8 @@ def _try_layout_punctured(aug, cert, base_bud, aux_ids, aux_buds, shrink, salt):
         Fraction(7),
         Fraction(-7),
     ]
-    # retries nudge every fan angle so scale-invariant crossings can resolve
-    twist = Fraction(1, 5) + Fraction(salt, 17)
+    # the twist keeps every fan direction off the incoming line
+    twist = Fraction(1, 5)
 
     def fresh_directions(count, base_dir, taken):
         """Rational unit vectors, pairwise non-parallel, avoiding `taken`."""
@@ -1559,12 +1527,8 @@ def _try_layout_punctured(aug, cert, base_bud, aux_ids, aux_buds, shrink, salt):
         if f is not None and come_from_piece in f:
             dirs[_opposed(f, come_from_piece)] = in_dir
 
-        # leaf balls touching at one point must be tangent along one line
+        # leaf balls touching at one point are tangent along one line
         other_leaves = [p for p in others if aug.pieces[p].is_leaf]
-        if len(other_leaves) + (1 if came_from_leaf else 0) > 2:
-            raise LayoutError(
-                "more than two leaves meet at one point", detail=bud
-            )
         if came_from_leaf:
             for p in other_leaves:
                 if p in dirs and dirs[p] != in_dir:
@@ -1629,7 +1593,7 @@ def _try_layout_punctured(aug, cert, base_bud, aux_ids, aux_buds, shrink, salt):
 
     def place_piece(pid, from_bud, point, direction, depth):
         if aug.pieces[pid].is_sprig:
-            length = base_len / (4**depth)
+            length = Fraction(1, 4**depth)
             far = (
                 point[0] + length * direction[0],
                 point[1] + length * direction[1],
@@ -1644,7 +1608,7 @@ def _try_layout_punctured(aug, cert, base_bud, aux_ids, aux_buds, shrink, salt):
                 "leaf junction order cannot respect its opposed pairs",
                 detail=pid,
             )
-        radius = base_len / 2 / (4**depth)
+        radius = Fraction(1, 2 * 4**depth)
         placements[pid], exits = _place_leaf(
             aug, pid, from_bud, point, direction, radius, slots
         )
@@ -1839,9 +1803,9 @@ def _check_collisions(shrub, placements, junction_points):
         p = placements[pid]
         if isinstance(p, LeafPlacement):
             if _dist2(p.center, origin) <= p.radius**2:
-                raise _Collision
+                raise LayoutError(f"leaf {pid} covers the chart origin", detail=pid)
         elif _point_segment_dist2(origin, *_sprig_span(p, far_x)) == 0:
-            raise _Collision
+            raise LayoutError(f"sprig {pid} passes the chart origin", detail=pid)
     for i, a in enumerate(items):
         pa = placements[a]
         for b in items[i + 1:]:
@@ -1855,20 +1819,25 @@ def _check_collisions(shrub, placements, junction_points):
                     if d2 != lim:
                         raise AssertionError("adjacent leaves are not tangent")
                 elif d2 <= lim:
-                    raise _Collision
+                    raise LayoutError(f"leaves {a} and {b} overlap", detail=(a, b))
             elif isinstance(pa, LeafPlacement) or isinstance(pb, LeafPlacement):
                 leaf, seg = (pa, pb) if isinstance(pa, LeafPlacement) else (pb, pa)
                 # an adjacent sprig leaves the tangency cusp pointing outward
-                _require_span_outside_ball(
-                    _sprig_span(seg, far_x), leaf, allow_touch=shared
-                )
+                if not _span_outside_ball(_sprig_span(seg, far_x), leaf, shared):
+                    raise LayoutError(
+                        f"sprig {seg.piece} crosses the disk of leaf {leaf.piece}",
+                        detail=(seg.piece, leaf.piece),
+                    )
             else:
                 sa, sb = _sprig_span(pa, far_x), _sprig_span(pb, far_x)
                 if not adjacent:
                     if _segments_intersect(*sa, *sb):
-                        raise _Collision
+                        raise LayoutError(f"sprigs {a} and {b} cross", detail=(a, b))
                 elif _spans_overlap_beyond_point(sa, sb, shared):
-                    raise _Collision
+                    raise LayoutError(
+                        f"sprigs {a} and {b} overlap beyond their junction",
+                        detail=(a, b),
+                    )
 
 
 def _dist2(a, b):
@@ -1882,18 +1851,17 @@ def _sprig_span(p, far_x):
     return (a, (far_x, a[1])) if b is None else (a, b)
 
 
-def _require_span_outside_ball(span, leaf, allow_touch):
+def _span_outside_ball(span, leaf, allow_touch):
     c, r = leaf.center, leaf.radius
     if _point_segment_dist2(c, *span) > r * r:
-        return
+        return True
     # touching is fine only at the shared cusp, from which the span must run
     # monotonically away from the center
     v = _dir_away(span, allow_touch)
-    if v is not None:
-        w = (allow_touch[0] - c[0], allow_touch[1] - c[1])
-        if v[0] * w[0] + v[1] * w[1] >= 0:
-            return
-    raise _Collision
+    if v is None:
+        return False
+    w = (allow_touch[0] - c[0], allow_touch[1] - c[1])
+    return v[0] * w[0] + v[1] * w[1] >= 0
 
 
 def _point_segment_dist2(p, a, b):

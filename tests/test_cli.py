@@ -22,6 +22,7 @@ from shrubfield.field_synth import load_bundle
 from shrubfield.flow_sim import FlowError, IntegrateOptions, integrate
 from shrubfield.poly_core import Polynomial
 from shrubfield.shrub_model import random_very_simple_shrub
+from test_shrub_model import STAR, THREE_LEAVES_AT_ONE_CUSP, VEE
 
 
 @pytest.fixture(scope="module")
@@ -508,6 +509,29 @@ def test_unorientable_shrub_cannot_be_synthesized(workdir, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "shrub, error",
+    [
+        (STAR, None),
+        (VEE, "crosses the disk of leaf 0"),
+        (THREE_LEAVES_AT_ONE_CUSP, "more than two leaves meet at one point"),
+    ],
+    ids=["star", "vee", "three-leaves"],
+)
+def test_crowded_junctions_synthesize_or_exit_2(tmp_path, capsys, shrub, error):
+    path = tmp_path / "shrub.json"
+    path.write_text(json.dumps(shrub))
+    out, report = tmp_path / "bundle.json", tmp_path / "synthesize.json"
+    args = ["synthesize", str(path), "--out", str(out), "--report", str(report)]
+    if error is None:
+        assert main(args) == 0
+        assert _read_json(report)["tangency"]["max_normalized"] < 1e-10
+        return
+    assert main(args) == 2
+    assert error in capsys.readouterr().err
+    assert not report.exists() and not out.exists()
+
+
+@pytest.mark.parametrize(
     "extra",
     [
         ["--seed", "-1"],
@@ -810,7 +834,15 @@ def test_start_flag_replaces_seeding(workdir, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "start, code", [("nan,0,0", 2), ("inf,0,-1", 2), ("1e308,1e308,0", 0)]
+    "start, code",
+    [
+        ("nan,0,0", 2),
+        ("inf,0,-1", 2),
+        ("1,2", 2),
+        ("a,b,c", 2),
+        ("0,0,0", 2),
+        ("1e308,1e308,0", 0),
+    ],
 )
 def test_start_points_are_finite_directions(workdir, tmp_path, start, code):
     # scaled by the largest coordinate before the norm, so a huge but finite
@@ -820,6 +852,7 @@ def test_start_points_are_finite_directions(workdir, tmp_path, start, code):
         name="edge",
     )
     assert rc == code
+    assert (tmp_path / "edge.csv").exists() == (code == 0)
     if code == 0:
         half = math.sqrt(0.5)
         assert body["runs"][0]["start"] == pytest.approx([half, half, 0.0], abs=1e-15)
@@ -1209,21 +1242,25 @@ def test_report_renders_every_kind(workdir, tmp_path, capsys):
         workdir / "synthesize-report.json",
         tmp_path / "render.json",
     ]
-    rc_cls, _ = _classify(workdir, "lone-leaf")
-    assert rc_cls == 0
-    produced.append(workdir / "classify-lone-leaf.json")
-    out = tmp_path / "k3.json"
-    report = tmp_path / "k3-report.json"
-    assert (
-        main(["implicitize", "--k", "3", "--out", str(out), "--report", str(report)])
-        == 0
-    )
-    produced.append(report)
+    for name in ("lone-leaf", "star"):
+        rc_cls, _ = _classify(workdir, name)
+        assert rc_cls == 0
+        produced.append(workdir / f"classify-{name}.json")
+    for k, check in ((3, []), (4, ["--check", "astroid"])):
+        out = tmp_path / f"k{k}.json"
+        report = tmp_path / f"k{k}-report.json"
+        args = ["implicitize", "--k", str(k), "--out", str(out)]
+        assert main(args + ["--report", str(report)] + check) == 0
+        produced.append(report)
+    rendered = {}
     for path in produced:
         capsys.readouterr()
         assert main(["report", str(path)]) == 0
-        rendered = capsys.readouterr().out
-        assert "report (config " in rendered
+        rendered[path.name] = capsys.readouterr().out
+        assert "report (config " in rendered[path.name]
+    assert "orientation: not orientable (" in rendered["classify-star.json"]
+    astroid = "astroid grid: 10201/10201 agree, 4 shared zeros"
+    assert astroid in rendered["k4-report.json"]
 
 
 def test_report_rejects_unrecognized_files(tmp_path, capsys):

@@ -120,6 +120,20 @@ def test_sample_times_increase_and_turns_stay_small():
     assert float(np.max(np.abs(np.diff(traj.theta)))) < math.pi / 2
 
 
+def test_steps_that_swing_a_quarter_turn_are_retried_shorter():
+    # 1e-3 from the poles axis the orbit turns about it quickly, so at loose
+    # tolerances a step can swing the winding angle by a quarter turn or more
+    field = field_for("equator")
+    start = seed_orbit(field, 1e-3, 0)
+    for unit_speed in (False, True):
+        opts = IntegrateOptions(rtol=1e-3, atol=1e-3, unit_speed=unit_speed)
+        traj = integrate(field, start, 3.0, opts)
+        assert traj.diagnostics["rejected_winding"] > 0
+        assert float(np.max(np.abs(np.diff(traj.theta)))) < math.pi / 2
+    with pytest.raises(FlowError, match="fixed step swings the winding angle"):
+        integrate(field, start, 3.0, IntegrateOptions(fixed_step=1.0))
+
+
 def test_start_off_the_sphere_is_rejected():
     with pytest.raises(ValueError, match="unit sphere"):
         integrate(field_for("equator"), np.array([0.5, 0.0, 0.0]), 1.0)

@@ -698,3 +698,81 @@ def test_random_layouts_are_pinned():
     assert digest == (
         "3d3d429de8065cc749430f8689bb5a0e5c7e14cc4b4766c22c8e3461bb597418"
     )
+
+
+THREE_LEAVES_AT_ONE_CUSP = {
+    "pieces": [{"leaf": {"k": 4}}, {"leaf": {"k": 4}}, {"leaf": {"k": 4}}],
+    "junctions": [
+        {
+            "bud": 0,
+            "at": [
+                {"piece": 0, "site": 0},
+                {"piece": 1, "site": 0},
+                {"piece": 2, "site": 0},
+            ],
+        }
+    ],
+}
+
+# four sprigs meet at bud 0 and a k = 5 leaf hangs off one of them, so
+# the layout takes its sprig directions from the direction fan
+STAR = {
+    "pieces": [
+        {"sprig": {}},
+        {"sprig": {}},
+        {"sprig": {}},
+        {"leaf": {"k": 5}},
+        {"sprig": {}},
+    ],
+    "junctions": [
+        {
+            "bud": 0,
+            "at": [
+                {"piece": 0, "site": "end1"},
+                {"piece": 1, "site": "end0"},
+                {"piece": 2, "site": "end0"},
+                {"piece": 4, "site": "end0"},
+            ],
+        },
+        {"bud": 1, "at": [{"piece": 0, "site": "end0"}, {"piece": 3, "site": 0}]},
+    ],
+}
+
+# two sprigs leave one cusp of a leaf: they form a straight chain, and the
+# fan offers the leaf no direction perpendicular to it
+VEE = {
+    "pieces": [{"leaf": {"k": 4}}, {"sprig": {}}, {"sprig": {}}],
+    "junctions": [
+        {
+            "bud": 0,
+            "at": [
+                {"piece": 0, "site": 0},
+                {"piece": 1, "site": "end0"},
+                {"piece": 2, "site": "end0"},
+            ],
+        }
+    ],
+}
+
+
+def test_three_leaves_at_one_point_are_refused():
+    # very simple and orientable, but three disks cannot all be tangent at
+    # one point
+    sh = ShrubGraph.from_json(THREE_LEAVES_AT_ONE_CUSP)
+    assert is_very_simple(sh) and orient_all(sh).orientable
+    with pytest.raises(LayoutError, match="^more than two leaves meet at one point$"):
+        layout_shrub(sh)
+
+
+def test_crowded_junction_layout_is_pinned():
+    lay = layout_shrub(ShrubGraph.from_json(STAR))
+    assert lay.mode == "punctured"
+    digest = hashlib.sha256(_layout_fingerprint(lay).encode()).hexdigest()
+    assert digest == (
+        "e34ce2a449af8590a4c08c373759f173839652382233f84e66e0685e29cafc9b"
+    )
+
+
+def test_collision_refusal_names_the_pieces():
+    with pytest.raises(LayoutError, match=r"^sprig [12] crosses the disk of leaf 0$"):
+        layout_shrub(ShrubGraph.from_json(VEE))
