@@ -352,11 +352,16 @@ class Cactus:
     odd: bool
 
 
-def cactuses(shrub: ShrubGraph):
-    """Maximal connected unions of leaves, with sprig attachment counts."""
+def cactuses(shrub: ShrubGraph, cut: int = None):
+    """Maximal connected unions of leaves, with sprig attachment counts.
+
+    With `cut` set, that junction is left out: it joins no leaves and its
+    sprig ends count for no cactus.
+    """
     require_valid(shrub)
     leaf_ids = shrub.leaf_ids()
     parent = {i: i for i in leaf_ids}
+    junctions = [j for j in shrub.junctions if j.bud != cut]
 
     def find(x):
         while parent[x] != x:
@@ -364,7 +369,7 @@ def cactuses(shrub: ShrubGraph):
             x = parent[x]
         return x
 
-    for j in shrub.junctions:
+    for j in junctions:
         leaves_here = [a.piece for a in j.at if shrub.pieces[a.piece].is_leaf]
         for other in leaves_here[1:]:
             parent[find(other)] = find(leaves_here[0])
@@ -375,7 +380,7 @@ def cactuses(shrub: ShrubGraph):
     for members in groups.values():
         member_set = set(members)
         hits = 0
-        for j in shrub.junctions:
+        for j in junctions:
             if any(a.piece in member_set for a in j.at):
                 hits += sum(
                     1
@@ -528,43 +533,23 @@ def _component_beyond(shrub: ShrubGraph, bud: int, piece: int):
     return seen
 
 
-def _sub_shrub(shrub: ShrubGraph, pieces_kept, cut_bud: int) -> ShrubGraph:
-    """The closure of a component as a standalone shrub.
-
-    Junctions are restricted to the kept pieces; the cut bud survives only
-    as a marker on its kept piece, carrying no attachments from elsewhere.
-    """
-    kept = sorted(pieces_kept)
-    remap = {old: new for new, old in enumerate(kept)}
-    pieces = [shrub.pieces[i] for i in kept]
-    junctions = []
-    for j in shrub.junctions:
-        at = tuple(
-            Attachment(remap[a.piece], a.site)
-            for a in j.at
-            if a.piece in pieces_kept
-        )
-        if at:
-            junctions.append(Junction(bud=j.bud, at=at, implicit=j.implicit))
-    return ShrubGraph(pieces, junctions)
-
-
-def classify_piece(shrub: ShrubGraph, bud: int, piece: int) -> str:
-    """Rigid or bland classification of a piece at an incident node.
+def rigid_pieces(shrub: ShrubGraph, bud: int):
+    """The rigid pieces at a node, in attachment order.
 
     A sprig is always rigid. A leaf is rigid exactly when the component it
-    spans beyond the node contains an odd cactus (of that component viewed
-    as a shrub on its own). The flexible class needs an infinite union of
-    leaves and cannot occur for finite shrubs, so everything that is not
-    rigid is bland here.
+    spans beyond the node holds a leaf of an odd cactus, the node itself
+    joining nothing. The flexible class needs an infinite union of leaves
+    and cannot occur for finite shrubs, so every other piece is bland.
     """
-    if piece not in shrub.pieces_at(bud):
-        raise ShrubError(f"piece {piece} does not meet bud {bud}")
-    if shrub.pieces[piece].is_sprig:
-        return "rigid"
-    beyond = _component_beyond(shrub, bud, piece)
-    sub = _sub_shrub(shrub, beyond, bud)
-    return "rigid" if find_odd_cactuses(sub) else "bland"
+    odd_leaves = {
+        leaf for c in cactuses(shrub, cut=bud) if c.odd for leaf in c.leaves
+    }
+    return [
+        a.piece
+        for a in shrub.junction(bud).at
+        if shrub.pieces[a.piece].is_sprig
+        or odd_leaves & _component_beyond(shrub, bud, a.piece)
+    ]
 
 
 # -- orientations -------------------------------------------------------------------
@@ -626,77 +611,57 @@ def is_very_simple(shrub: ShrubGraph) -> bool:
     return not find_odd_cactuses(shrub)
 
 
-class _Rigidity:
-    """Shared scratch state for the orientation construction."""
-
-    def __init__(self, shrub: ShrubGraph):
-        self.shrub = shrub
-        self.cls = classify_buds(shrub)
-        self.in_pa = {
-            b: info.node and not info.odd_bud
-            for b, info in self.cls.buds.items()
-        }
-        self._piece_rigid = {}
-
-    def piece_rigid(self, bud: int, piece: int) -> bool:
-        key = (bud, piece)
-        if key not in self._piece_rigid:
-            self._piece_rigid[key] = classify_piece(self.shrub, bud, piece) == "rigid"
-        return self._piece_rigid[key]
-
-    def node_rigid_for_piece(self, piece: int, bud: int) -> bool:
-        """A node on a piece is rigid when the rigid pieces at it, leaving the
-        piece itself out of the count, are odd in number."""
-        others = [p for p in self.shrub.pieces_at(bud) if p != piece]
-        rigid = sum(1 for p in others if self.piece_rigid(bud, p))
-        return rigid % 2 == 1
-
-    def dangling(self, pid: int, at_bud: int) -> bool:
-        """Sprig whose far endpoint (away from at_bud) is no guarded node."""
-        return not self.in_pa[self.shrub.far_end(pid, at_bud)]
-
-
 def orient_all(shrub: ShrubGraph) -> OrientationCertificate:
     """Forced orientations for all orientable nodes and pieces, with chains.
 
     For a finite shrub without odd cactuses every orientation is forced: it
     must consist of exactly the rigid elements (bland ones are excluded,
-    and the flexible class is empty at finite size). The cyclic order is the
-    declared attachment order at a junction and the cusp order along a leaf.
-    Each sprig is then assigned one of three alternatives: "i" (no endpoint
-    is a guarded node), "ii" (stub of a complete chain), "iii" (interior
-    link of a complete chain). Non-even rigid counts or a sprig with no
-    alternative make the certificate unorientable, with the offender named.
+    and the flexible class is empty at finite size). A node's orientation
+    is its rigid pieces; a leaf's is the guarded nodes at which it is
+    rigid. (The rigid pieces at a guarded node are even in number, so the
+    leaf is rigid there exactly when the other rigid pieces are odd.)
+    The cyclic order is the declared attachment order at a junction and the
+    cusp order along a leaf. Each sprig is then assigned one of three
+    alternatives: "i" (no endpoint is a guarded node), "ii" (stub of a
+    complete chain), "iii" (interior link of a complete chain). Non-even
+    rigid counts, a sprig with no alternative or an opposed pair off
+    exactly one chain make the certificate unorientable, with the offender
+    named.
     """
     require_valid(shrub)
     if not is_very_simple(shrub):
         raise ShrubError("shrub has an odd cactus; orient after augmenting")
-    rig = _Rigidity(shrub)
+    guarded = {
+        b: info.node and not info.odd_bud
+        for b, info in classify_buds(shrub).buds.items()
+    }
+    rigid_at = {b: rigid_pieces(shrub, b) for b, g in guarded.items() if g}
     failures = []
 
+    def is_stub(pid, bud):
+        """A sprig at `bud` whose far endpoint is no guarded node."""
+        return shrub.pieces[pid].is_sprig and not guarded[shrub.far_end(pid, bud)]
+
     node_orients = {}
-    for j in shrub.junctions:
-        if not rig.in_pa[j.bud]:
-            continue
-        rigid = [a.piece for a in j.at if rig.piece_rigid(j.bud, a.piece)]
+    for bud, rigid in rigid_at.items():
         if not rigid:
             continue
         if len(rigid) % 2 == 1:
-            failures.append(f"node {j.bud} has {len(rigid)} rigid pieces")
+            failures.append(f"node {bud} has {len(rigid)} rigid pieces")
             continue
-        node_orients[j.bud] = tuple(rigid)
+        node_orients[bud] = tuple(rigid)
 
     piece_orients = {}
     for pid, piece in enumerate(shrub.pieces):
         if piece.is_sprig:
             b0, b1 = shrub.sprig_ends(pid)
-            if rig.in_pa[b0] and rig.in_pa[b1]:
+            if guarded[b0] and guarded[b1]:
                 piece_orients[pid] = (b0, b1)
             continue
         rigid = [
             bud
             for _, bud in shrub.cusp_buds(pid)
-            if rig.in_pa[bud] and rig.node_rigid_for_piece(pid, bud)
+            if pid in rigid_at.get(bud, ())
         ]
         if not rigid:
             continue
@@ -706,8 +671,7 @@ def orient_all(shrub: ShrubGraph) -> OrientationCertificate:
         piece_orients[pid] = tuple(rigid)
 
     chains = []
-    chain_keys = {}
-    pair_uses = {}
+    chain_of = {}  # opposed pair (link, lower, upper) -> index of its chain
 
     def extend(prev, cur, out):
         """Walk outward until a dangling sprig caps the chain; returns the
@@ -728,7 +692,7 @@ def orient_all(shrub: ShrubGraph) -> OrientationCertificate:
                     )
                     return None
                 nxt = _opposed(f, prev[1])
-                if shrub.pieces[nxt].is_sprig and rig.dangling(nxt, bud):
+                if is_stub(nxt, bud):
                     return nxt
                 out.append(("piece", nxt))
                 prev, cur = cur, ("piece", nxt)
@@ -745,31 +709,32 @@ def orient_all(shrub: ShrubGraph) -> OrientationCertificate:
                 prev, cur = cur, ("node", nxt)
 
     def record_chain(elements, stubs):
-        elements = tuple(elements)
-        key = min(elements, elements[::-1])
-        if key in chain_keys:
-            return chain_keys[key]
-        # consume each opposed pair the chain runs through, once per chain
-        for i, (kind, ident) in enumerate(elements):
+        """Append a chain and claim each opposed pair it runs through."""
+        for i, link in enumerate(elements):
             left = stubs[0] if i == 0 else elements[i - 1][1]
             right = stubs[1] if i == len(elements) - 1 else elements[i + 1][1]
-            _mark_pair(pair_uses, (kind, ident), left, right)
-        rec = ChainRecord(
-            elements=elements,
-            stubs=tuple(stubs),
-            degenerate=len(elements) == 1,
+            pair = (link, min(left, right), max(left, right))
+            if pair in chain_of:
+                failures.append(
+                    f"{link[0]} {link[1]} opposed pair ({left},{right}) "
+                    "lies on 2 chains"
+                )
+            chain_of.setdefault(pair, len(chains))
+        chains.append(
+            ChainRecord(
+                elements=tuple(elements),
+                stubs=tuple(stubs),
+                degenerate=len(elements) == 1,
+            )
         )
-        chains.append(rec)
-        chain_keys[key] = len(chains) - 1
-        return len(chains) - 1
 
-    # build each chain once, seeded from every stub pairing
+    # build each chain once, from the first stub pairing that reaches it
     for bud, f in sorted(node_orients.items()):
         half = len(f) // 2
-        for i in range(half):
-            a, b = f[i], f[i + half]
-            a_st = shrub.pieces[a].is_sprig and rig.dangling(a, bud)
-            b_st = shrub.pieces[b].is_sprig and rig.dangling(b, bud)
+        for a, b in zip(f[:half], f[half:]):
+            if (("node", bud), min(a, b), max(a, b)) in chain_of:
+                continue  # found from its other end
+            a_st, b_st = is_stub(a, bud), is_stub(b, bud)
             if not (a_st or b_st):
                 continue
             if a_st and b_st:
@@ -778,21 +743,17 @@ def orient_all(shrub: ShrubGraph) -> OrientationCertificate:
             stub, inner = (a, b) if a_st else (b, a)
             elements = [("node", bud), ("piece", inner)]
             far = extend(("node", bud), ("piece", inner), elements)
-            if far is None:
-                continue
-            record_chain(elements, (stub, far))
+            if far is not None:
+                record_chain(elements, (stub, far))
 
     assignments = {}
     for pid in shrub.sprig_ids():
-        guarded = [b for b in shrub.sprig_ends(pid) if rig.in_pa[b]]
-        if not guarded:
+        guarded_ends = [b for b in shrub.sprig_ends(pid) if guarded[b]]
+        if not guarded_ends:
             assignments[pid] = SprigAssignment(alternative="i")
             continue
-        if len(guarded) == 2:
-            idx = next(
-                (i for i, c in enumerate(chains) if ("piece", pid) in c.elements),
-                None,
-            )
+        if len(guarded_ends) == 2:
+            idx = chain_of.get((("piece", pid), *sorted(guarded_ends)))
             if idx is None:
                 failures.append(f"sprig {pid} is on no complete chain")
                 continue
@@ -804,25 +765,15 @@ def orient_all(shrub: ShrubGraph) -> OrientationCertificate:
             continue
         assignments[pid] = SprigAssignment(alternative="ii", chain_index=idx)
 
-    # every opposed pair must lie on exactly one complete chain
-    for bud, f in sorted(node_orients.items()):
-        half = len(f) // 2
-        for i in range(half):
-            a, b = f[i], f[i + half]
-            n = pair_uses.get((("node", bud), min(a, b), max(a, b)), 0)
-            if n != 1:
-                failures.append(
-                    f"node {bud} opposed pair ({a},{b}) lies on {n} chains"
-                )
-    for pid, f in sorted(piece_orients.items()):
-        half = len(f) // 2
-        for i in range(half):
-            a, b = f[i], f[i + half]
-            n = pair_uses.get((("piece", pid), min(a, b), max(a, b)), 0)
-            if n != 1:
-                failures.append(
-                    f"piece {pid} opposed pair ({a},{b}) lies on {n} chains"
-                )
+    # every opposed pair must lie on a complete chain
+    for kind, orients in (("node", node_orients), ("piece", piece_orients)):
+        for ident, f in sorted(orients.items()):
+            half = len(f) // 2
+            for a, b in zip(f[:half], f[half:]):
+                if ((kind, ident), min(a, b), max(a, b)) not in chain_of:
+                    failures.append(
+                        f"{kind} {ident} opposed pair ({a},{b}) lies on 0 chains"
+                    )
 
     return OrientationCertificate(
         node_orientations=node_orients,
@@ -838,11 +789,6 @@ def _opposed(seq, member):
     """The member half a turn round the cyclic orientation `seq`."""
     i = seq.index(member)
     return seq[(i + len(seq) // 2) % len(seq)]
-
-
-def _mark_pair(pair_uses, owner, a, b):
-    key = (owner, min(a, b), max(a, b))
-    pair_uses[key] = pair_uses.get(key, 0) + 1
 
 
 # -- independent certificate checker -------------------------------------------------

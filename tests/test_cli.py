@@ -22,7 +22,7 @@ from shrubfield.field_synth import load_bundle
 from shrubfield.flow_sim import FlowError, IntegrateOptions, integrate
 from shrubfield.poly_core import Polynomial
 from shrubfield.shrub_model import random_very_simple_shrub
-from test_shrub_model import STAR, THREE_LEAVES_AT_ONE_CUSP, VEE
+from test_shrub_model import STAR, THREE_LEAVES_AT_ONE_CUSP, VEE, X
 
 
 @pytest.fixture(scope="module")
@@ -222,12 +222,15 @@ def test_prickly_cactus_needs_two_punctures(workdir):
     assert body["orientation"]["verified"] is True
 
 
-def test_unorientable_shrub_still_gets_a_classify_report(workdir):
+def test_free_sprigs_at_one_point_pair_off_into_degenerate_chains(workdir):
     rc, body = _classify(workdir, "star")
     assert rc == 0
     orientation = body["orientation"]
-    assert orientation["orientable"] is False
-    assert orientation["certificate"]["failures"]
+    assert orientation["orientable"] is True
+    assert orientation["verified"] is True
+    chains = orientation["certificate"]["chains"]
+    assert len(chains) == 7
+    assert all(c["degenerate"] and c["elements"] == ["node:0"] for c in chains)
 
 
 def test_example_shrub_reports_carry_an_agreeing_recount(tmp_path, capsys):
@@ -496,16 +499,21 @@ def test_odd_cactus_without_a_free_cusp_is_a_validation_failure(tmp_path, capsys
     assert not report.exists() and not out.exists()
 
 
-def test_unorientable_shrub_cannot_be_synthesized(workdir, tmp_path):
-    rc = main(
-        [
-            "synthesize",
-            str(workdir / "star.json"),
-            "--out",
-            str(tmp_path / "never.json"),
-        ]
-    )
-    assert rc == 2
+def test_free_sprigs_at_one_point_synthesize_as_straight_lines(workdir, tmp_path):
+    out, report = tmp_path / "star-bundle.json", tmp_path / "star-report.json"
+    args = ["synthesize", str(workdir / "star.json"), "--out", str(out)]
+    assert main(args + ["--report", str(report)]) == 0
+    body = _read_json(report)
+    labels = [f["label"] for f in body["factors"]]
+    assert labels == [f"segment:{i}" for i in range(7)]
+    assert body["tangency"]["max_normalized"] < 1e-10
+
+
+def test_four_free_sprigs_at_one_point_synthesize_as_two_arcs(tmp_path):
+    path, out = tmp_path / "x.json", tmp_path / "x-bundle.json"
+    path.write_text(json.dumps(X))
+    assert main(["synthesize", str(path), "--out", str(out)]) == 0
+    assert [f["kind"] for f in _read_json(out)["factors"]] == ["arc", "arc"]
 
 
 @pytest.mark.parametrize(
@@ -1246,6 +1254,14 @@ def test_report_renders_every_kind(workdir, tmp_path, capsys):
         rc_cls, _ = _classify(workdir, name)
         assert rc_cls == 0
         produced.append(workdir / f"classify-{name}.json")
+    # no shrub that classify accepts fails to orient, so the "not
+    # orientable" line is rendered from an edited star report
+    reason = "sprig 0 caps no complete chain"
+    refused = _read_json(workdir / "classify-star.json")
+    refused["orientation"]["orientable"] = False
+    refused["orientation"]["certificate"]["failures"] = [reason]
+    (tmp_path / "classify-refused.json").write_text(json.dumps(refused))
+    produced.append(tmp_path / "classify-refused.json")
     for k, check in ((3, []), (4, ["--check", "astroid"])):
         out = tmp_path / f"k{k}.json"
         report = tmp_path / f"k{k}-report.json"
@@ -1258,7 +1274,9 @@ def test_report_renders_every_kind(workdir, tmp_path, capsys):
         assert main(["report", str(path)]) == 0
         rendered[path.name] = capsys.readouterr().out
         assert "report (config " in rendered[path.name]
-    assert "orientation: not orientable (" in rendered["classify-star.json"]
+    assert "orientation: certificate verified" in rendered["classify-star.json"]
+    refused_line = f"orientation: not orientable ({reason})"
+    assert refused_line in rendered["classify-refused.json"]
     astroid = "astroid grid: 10201/10201 agree, 4 shared zeros"
     assert astroid in rendered["k4-report.json"]
 

@@ -19,7 +19,6 @@ from shrubfield.shrub_model import (
     augment_with_parity_sprigs,
     cactuses,
     classify_buds,
-    classify_piece,
     find_odd_cactuses,
     is_very_simple,
     layout_shrub,
@@ -28,6 +27,7 @@ from shrubfield.shrub_model import (
     parity_check,
     random_very_simple_shrub,
     required_puncture_set,
+    rigid_pieces,
     validate,
     verify_certificate,
 )
@@ -292,7 +292,7 @@ def test_sprigs_are_always_rigid():
     sh = shrub(
         [leaf(), sprig()], [[Attachment(0, 0), Attachment(1, "end0")]]
     )
-    assert classify_piece(sh, 0, 1) == "rigid"
+    assert rigid_pieces(sh, 0) == [1]
 
 
 def test_leaf_is_rigid_when_an_odd_cactus_lies_beyond():
@@ -308,7 +308,7 @@ def test_leaf_is_rigid_when_an_odd_cactus_lies_beyond():
     assert is_very_simple(aug)
     # at the leafA junction with the middle sprig, leafA spans a component
     # containing exactly one odd cactus (itself, via its auxiliary stub)
-    assert classify_piece(aug, 0, 0) == "rigid"
+    assert 0 in rigid_pieces(aug, 0)
     # the lone leaf of a balanced two-attachment cactus is bland at a tip
     lone = shrub(
         [leaf(), sprig(), sprig()],
@@ -318,24 +318,35 @@ def test_leaf_is_rigid_when_an_odd_cactus_lies_beyond():
         ],
     )
     # from the cusp-0 junction the leaf spans the sprig at cusp 2: odd
-    assert classify_piece(lone, 0, 0) == "rigid"
+    assert rigid_pieces(lone, 0) == [0, 1]
+
+
+def test_a_leaf_is_rigid_for_an_odd_cactus_beyond_its_own():
+    # not very simple: leaf 2 is a one-attachment cactus, reached from bud 3
+    # only through leaf 0, whose own part beyond bud 3 has two attachments
+    sh = shrub(
+        [leaf(), sprig(), leaf(), leaf(), sprig()],
+        [
+            [Attachment(0, 0), Attachment(1, "end0")],
+            [Attachment(1, "end1"), Attachment(2, 0)],
+            [Attachment(0, 1), Attachment(4, "end0")],
+            [Attachment(0, 2), Attachment(3, 0)],
+        ],
+    )
+    assert not is_very_simple(sh)
+    assert rigid_pieces(sh, 3) == [0]
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1))
-def test_rigidity_duality_between_nodes_and_pieces(seed):
-    from shrubfield.shrub_model import _Rigidity
-
-    rng = random.Random(seed)
-    sh = random_very_simple_shrub(rng, max_pieces=7)
-    rig = _Rigidity(sh)
-    for j in sh.junctions:
-        for a in j.at:
-            if not rig.in_pa[j.bud] or not sh.pieces[a.piece].is_leaf:
-                continue
-            assert rig.node_rigid_for_piece(a.piece, j.bud) == rig.piece_rigid(
-                j.bud, a.piece
-            )
+def test_guarded_nodes_of_very_simple_shrubs_have_even_rigid_counts(seed):
+    # so a leaf is rigid at a node exactly when the other rigid pieces there
+    # are odd in number, and orient_all reads leaf orientations off the
+    # node table
+    sh = random_very_simple_shrub(random.Random(seed), max_pieces=7)
+    for bud, info in classify_buds(sh).buds.items():
+        if info.node and not info.odd_bud:
+            assert len(rigid_pieces(sh, bud)) % 2 == 0
 
 
 # -- orientations -------------------------------------------------------------------
@@ -413,6 +424,19 @@ def test_node_with_two_dangling_sprigs_forms_a_degenerate_chain():
     assert all(
         a.alternative == "ii" for a in cert.sprig_assignments.values()
     )
+    ok, fails = verify_certificate(sh, cert)
+    assert ok, fails
+
+
+def test_four_sprigs_at_one_node_form_two_degenerate_chains():
+    sh = ShrubGraph.from_json(X)
+    cert = orient_all(sh)
+    assert cert.orientable, cert.failures
+    assert [(c.elements, c.stubs) for c in cert.chains] == [
+        ((("node", 0),), (0, 2)),
+        ((("node", 0),), (1, 3)),
+    ]
+    assert all(c.degenerate for c in cert.chains)
     ok, fails = verify_certificate(sh, cert)
     assert ok, fails
 
@@ -699,6 +723,22 @@ def test_random_layouts_are_pinned():
         "3d3d429de8065cc749430f8689bb5a0e5c7e14cc4b4766c22c8e3461bb597418"
     )
 
+
+# four free sprigs meet at one point
+X = {
+    "pieces": [{"sprig": {}}, {"sprig": {}}, {"sprig": {}}, {"sprig": {}}],
+    "junctions": [
+        {
+            "bud": 0,
+            "at": [
+                {"piece": 0, "site": "end0"},
+                {"piece": 1, "site": "end0"},
+                {"piece": 2, "site": "end0"},
+                {"piece": 3, "site": "end0"},
+            ],
+        }
+    ],
+}
 
 THREE_LEAVES_AT_ONE_CUSP = {
     "pieces": [{"leaf": {"k": 4}}, {"leaf": {"k": 4}}, {"leaf": {"k": 4}}],
