@@ -375,11 +375,6 @@ def classify_command(ctx, shrub_file, report):
 
     cfg = _resolve_config(ctx)
     shrub = _load_shrub(shrub_file)
-    diagnostics = shrub_model.validate(shrub)
-    if not diagnostics.ok:
-        raise ConfigurationError(
-            "shrub fails validation: " + "; ".join(diagnostics.failures)
-        )
 
     classification = shrub_model.classify_buds(shrub)
     cactus_list = shrub_model.cactuses(shrub)
@@ -538,11 +533,6 @@ def synthesize_command(ctx, shrub_file, out, spot_checks, seed, report):
 
     cfg = _resolve_config(ctx)
     shrub = _load_shrub(shrub_file)
-    diagnostics = shrub_model.validate(shrub)
-    if not diagnostics.ok:
-        raise ConfigurationError(
-            "shrub fails validation: " + "; ".join(diagnostics.failures)
-        )
     try:
         layout = shrub_model.layout_shrub(shrub)
     except shrub_model.LayoutError as exc:

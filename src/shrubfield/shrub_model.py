@@ -3,7 +3,9 @@
 A shrub is encoded as a finite family of pieces (leaves, which are cusped
 disks, and sprigs, which are arcs) glued at junctions. The bipartite
 piece/junction incidence graph must be a tree; this is the combinatorial
-shadow of simple connectedness. On top of the incidence structure this
+shadow of simple connectedness. A `ShrubGraph` is checked against that
+and every other rule of `validate` once, when it is built, and the rest of
+the module takes it as well formed. On top of the incidence structure this
 module computes: star orders and odd buds, cactuses and their attachment
 parity, an independent degree-parity recount of the odd objects, the
 puncture set a field synthesis must avoid, rigid/bland piece classification,
@@ -16,8 +18,10 @@ from __future__ import annotations
 import json
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .curves import K_MAX, AffineMap
 from .poly_core import check_keys, json_int, json_list, rational_circle_point
@@ -64,42 +68,45 @@ class ShrubGraph:
 
     Every sprig endpoint that no declared junction covers receives an
     implicit junction of its own (a tip), so buds and junctions coincide.
+    A shrub is checked once, here: construction runs `validate` and raises
+    ShrubError naming every failure, so every later step takes it as well
+    formed.
     """
 
     def __init__(self, pieces, junctions):
         self.pieces = list(pieces)
-        declared = list(junctions)
-        used_ends = {
-            (a.piece, a.site)
-            for j in declared
-            for a in j.at
-            if isinstance(a.site, str)
-        }
-        next_bud = max((j.bud for j in declared), default=-1) + 1
-        for pid, piece in enumerate(self.pieces):
-            if piece.is_sprig:
-                for site in END_SITES:
-                    if (pid, site) not in used_ends:
-                        declared.append(
-                            Junction(
-                                bud=next_bud,
-                                at=(Attachment(pid, site),),
-                                implicit=True,
-                            )
+        self.junctions = list(junctions)
+        # (piece, site) -> bud, held as piece -> {site: bud}; the first
+        # junction to claim a site owns it, and `validate` names any other
+        self._site_bud = {pid: {} for pid in range(len(self.pieces))}
+        for j in self.junctions:
+            for a in j.at:
+                self._site_bud.setdefault(a.piece, {}).setdefault(a.site, j.bud)
+        next_bud = max((j.bud for j in self.junctions), default=-1) + 1
+        for pid in self.sprig_ids():
+            for site in END_SITES:
+                if site not in self._site_bud[pid]:
+                    self.junctions.append(
+                        Junction(
+                            bud=next_bud,
+                            at=(Attachment(pid, site),),
+                            implicit=True,
                         )
-                        next_bud += 1
-        self.junctions = declared
+                    )
+                    self._site_bud[pid][site] = next_bud
+                    next_bud += 1
         self._by_bud = {j.bud: j for j in self.junctions}
-        if len(self._by_bud) != len(self.junctions):
-            raise ShrubError("duplicate bud identifiers")
+        diag = validate(self)
+        if not diag.ok:
+            raise ShrubError("; ".join(diag.failures))
 
     # construction -------------------------------------------------------
 
     @classmethod
     def from_json(cls, text_or_obj) -> "ShrubGraph":
         """Read a shrub file, which gives structure only: the layout derives
-        every coordinate. Any key, type or record outside that form raises
-        ShrubError."""
+        every coordinate. Any key, type or record outside that form, or a
+        shrub that fails `validate`, raises ShrubError."""
         obj = (
             json.loads(text_or_obj)
             if isinstance(text_or_obj, str)
@@ -160,14 +167,10 @@ class ShrubGraph:
         return [i for i, p in enumerate(self.pieces) if p.is_sprig]
 
     def sprig_end_bud(self, pid: int, site: str) -> int:
-        for j in self.junctions:
-            for a in j.at:
-                if a.piece == pid and a.site == site:
-                    return j.bud
-        raise ShrubError(f"sprig {pid} end {site} has no junction")
+        return self._site_bud[pid][site]
 
     def sprig_ends(self, pid: int):
-        return self.sprig_end_bud(pid, "end0"), self.sprig_end_bud(pid, "end1")
+        return self._site_bud[pid]["end0"], self._site_bud[pid]["end1"]
 
     def far_end(self, pid: int, bud: int) -> int:
         """The bud at the other end of a sprig from `bud`."""
@@ -175,10 +178,9 @@ class ShrubGraph:
         return b1 if b0 == bud else b0
 
     def cusp_buds(self, pid: int):
-        """Sorted (cusp, bud) pairs of the junctions on a leaf."""
-        return sorted(
-            (a.site, j.bud) for j in self.junctions for a in j.at if a.piece == pid
-        )
+        """Sorted (site, bud) pairs of the junctions on a piece: its cusps
+        for a leaf, its ends for a sprig."""
+        return sorted(self._site_bud[pid].items())
 
 
 def _site_from_json(value):
@@ -199,8 +201,10 @@ class Diagnostics:
 
 
 def validate(shrub: ShrubGraph) -> Diagnostics:
-    """Structural checks: at least one piece, cusp counts, sites in range,
-    tree incidence, leaf-pair bound."""
+    """The structural rules of a shrub: at least one piece, at least three
+    cusps per leaf, distinct bud identifiers, every site in range and on
+    one junction at most, tree incidence, and the leaf-pair bound.
+    `ShrubGraph` runs it once, when it is built."""
     fails = [
         f"leaf {pid} has k = {p.k}; a leaf needs at least 3 cusps"
         for pid, p in enumerate(shrub.pieces)
@@ -208,9 +212,16 @@ def validate(shrub: ShrubGraph) -> Diagnostics:
     ]
     if not shrub.pieces:
         fails.append("shrub has no pieces")
+    if len(shrub._by_bud) != len(shrub.junctions):
+        fails.append("duplicate bud identifiers")
     for j in shrub.junctions:
         seen_here = set()
         for a in j.at:
+            owner = shrub._site_bud[a.piece][a.site]
+            if owner != j.bud:
+                fails.append(
+                    f"site {(a.piece, a.site)} appears in junctions {owner} and {j.bud}"
+                )
             if not (0 <= a.piece < len(shrub.pieces)):
                 fails.append(f"junction {j.bud}: unknown piece {a.piece}")
                 continue
@@ -230,64 +241,40 @@ def validate(shrub: ShrubGraph) -> Diagnostics:
                     f"junction {j.bud}: duplicate attachment {a.piece}/{a.site}"
                 )
             seen_here.add((a.piece, a.site))
-    # each leaf cusp / sprig end is used by at most one junction
-    site_owner = {}
-    for j in shrub.junctions:
-        for a in j.at:
-            key = (a.piece, a.site)
-            if key in site_owner and site_owner[key] != j.bud:
-                fails.append(
-                    f"site {key} appears in junctions {site_owner[key]} and {j.bud}"
-                )
-            site_owner[key] = j.bud
     if fails:
         return Diagnostics(ok=False, failures=tuple(fails))
 
     # connectivity and tree property of the piece/junction incidence graph
-    n_pieces = len(shrub.pieces)
-    n_junctions = len(shrub.junctions)
-    edges = sum(len(j.at) for j in shrub.junctions)
-    adj = {("p", i): [] for i in range(n_pieces)}
-    adj.update({("j", j.bud): [] for j in shrub.junctions})
-    for j in shrub.junctions:
-        for a in j.at:
-            adj[("j", j.bud)].append(("p", a.piece))
-            adj[("p", a.piece)].append(("j", j.bud))
-    seen = set()
-    stack = [("p", 0)]
+    pieces_seen, buds_seen, stack = {0}, set(), [0]
     while stack:
-        cur = stack.pop()
-        if cur in seen:
-            continue
-        seen.add(cur)
-        stack.extend(adj[cur])
-    if len(seen) != n_pieces + n_junctions:
+        for bud in shrub._site_bud[stack.pop()].values():
+            if bud not in buds_seen:
+                buds_seen.add(bud)
+                fresh = set(shrub.pieces_at(bud)) - pieces_seen
+                pieces_seen |= fresh
+                stack.extend(fresh)
+    vertices = len(shrub.pieces) + len(shrub.junctions)
+    if len(pieces_seen) + len(buds_seen) != vertices:
         fails.append("incidence graph is not connected")
-    if edges != n_pieces + n_junctions - 1:
+    if sum(len(j.at) for j in shrub.junctions) != vertices - 1:
         fails.append(
             "incidence graph has a cycle (gluing encloses a hole)"
         )
     # two leaves may share at most one point; with tree incidence this is
     # implied, but recheck directly for defense in depth
-    for i in shrub.leaf_ids():
-        for l in shrub.leaf_ids():
-            if l <= i:
-                continue
-            common = [
-                j.bud
-                for j in shrub.junctions
-                if any(a.piece == i for a in j.at)
-                and any(a.piece == l for a in j.at)
-            ]
-            if len(common) > 1:
-                fails.append(f"leaves {i} and {l} share {len(common)} points")
+    shared = Counter(
+        pair
+        for j in shrub.junctions
+        for pair in combinations(
+            sorted({a.piece for a in j.at if shrub.pieces[a.piece].is_leaf}), 2
+        )
+    )
+    fails += [
+        f"leaves {i} and {l} share {n} points"
+        for (i, l), n in sorted(shared.items())
+        if n > 1
+    ]
     return Diagnostics(ok=not fails, failures=tuple(fails))
-
-
-def require_valid(shrub: ShrubGraph):
-    diag = validate(shrub)
-    if not diag.ok:
-        raise ShrubError("; ".join(diag.failures))
 
 
 # -- bud classification ----------------------------------------------------------
@@ -319,9 +306,9 @@ def classify_buds(shrub: ShrubGraph) -> BudClassification:
     of its points, a sprig end contributes one; the star order of a bud is
     the branch total. A bud is an odd bud when it lies on no leaf and its
     order is odd; it is a node when removing it disconnects the shrub,
-    which for junction points means at least two attachments.
+    which for junction points means at least two attachments. The shrub
+    was validated when it was built, so every attachment names a piece.
     """
-    require_valid(shrub)
     out = {}
     for j in shrub.junctions:
         leaves = sum(1 for a in j.at if shrub.pieces[a.piece].is_leaf)
@@ -358,7 +345,6 @@ def cactuses(shrub: ShrubGraph, cut: int = None):
     With `cut` set, that junction is left out: it joins no leaves and its
     sprig ends count for no cactus.
     """
-    require_valid(shrub)
     leaf_ids = shrub.leaf_ids()
     parent = {i: i for i in leaf_ids}
     junctions = [j for j in shrub.junctions if j.bud != cut]
@@ -437,7 +423,6 @@ def odd_object_recount(shrub: ShrubGraph) -> int:
     cactuses are then exactly the odd-degree vertices, so the two counts can
     be cross-checked without sharing any classification code.
     """
-    require_valid(shrub)
     cacts = cactuses(shrub)
     leaf_home = {}
     for idx, c in enumerate(cacts):
@@ -521,15 +506,13 @@ def _component_beyond(shrub: ShrubGraph, bud: int, piece: int):
     seen = {piece}
     stack = [piece]
     while stack:
-        cur = stack.pop()
-        for j in shrub.junctions:
-            if j.bud == bud:
+        for _, b in shrub.cusp_buds(stack.pop()):
+            if b == bud:
                 continue
-            if any(a.piece == cur for a in j.at):
-                for a in j.at:
-                    if a.piece not in seen:
-                        seen.add(a.piece)
-                        stack.append(a.piece)
+            for p in shrub.pieces_at(b):
+                if p not in seen:
+                    seen.add(p)
+                    stack.append(p)
     return seen
 
 
@@ -628,7 +611,6 @@ def orient_all(shrub: ShrubGraph) -> OrientationCertificate:
     exactly one chain make the certificate unorientable, with the offender
     named.
     """
-    require_valid(shrub)
     if not is_very_simple(shrub):
         raise ShrubError("shrub has an odd cactus; orient after augmenting")
     guarded = {
@@ -1240,7 +1222,6 @@ def layout_shrub(shrub: ShrubGraph) -> ShrubLayout:
     boundary splits into maximal segments whose endpoints are punctures
     (an endpoint of None means the segment escapes to infinity).
     """
-    require_valid(shrub)
     # leaf balls touching at one point must be tangent along one line
     for j in shrub.junctions:
         if sum(shrub.pieces[a.piece].is_leaf for a in j.at) > 2:
@@ -1578,7 +1559,7 @@ def _layout_punctured(shrub: ShrubGraph) -> ShrubLayout:
     _check_collisions(aug, placements, junction_points)
     # every odd bud of the augmented shrub ends an arc (the auxiliary stub
     # tips included), and each auxiliary junction cuts its chain in two
-    punctures = tuple(sorted(set(classify_buds(aug).odd_buds) | set(aux_buds)))
+    punctures = tuple(sorted(set(cls.odd_buds) | set(aux_buds)))
     return ShrubLayout(
         mode="punctured",
         placements=placements,

@@ -334,10 +334,38 @@ _MALFORMED_SHRUBS = {
         {"pieces": [{"sprig": {}}], "junctions": [{"bud": 0, "at": [{"piece": 0}]}]}
     ),
     "unknown-sprig-end": json.dumps(_leaf_and_sprig(piece=1, site="end2")),
+    "cycle": json.dumps(
+        {
+            "pieces": [{"leaf": {"k": 4}}, {"leaf": {"k": 4}}],
+            "junctions": [
+                {"bud": 0, "at": [{"piece": 0, "site": 0}, {"piece": 1, "site": 0}]},
+                {"bud": 1, "at": [{"piece": 0, "site": 1}, {"piece": 1, "site": 1}]},
+            ],
+        }
+    ),
+    "disconnected": json.dumps({"pieces": [{"leaf": {"k": 4}}, {"sprig": {}}]}),
+    "duplicate-site": json.dumps(
+        {
+            "pieces": [{"leaf": {"k": 4}}, {"sprig": {}}, {"sprig": {}}],
+            "junctions": [
+                {"bud": 0, "at": [{"piece": 0, "site": 0}, {"piece": 1, "site": "end0"}]},
+                {"bud": 1, "at": [{"piece": 0, "site": 0}, {"piece": 2, "site": "end0"}]},
+            ],
+        }
+    ),
+    "duplicate-bud": json.dumps(
+        {
+            "pieces": [{"leaf": {"k": 4}}, {"sprig": {}}, {"sprig": {}}],
+            "junctions": [
+                {"bud": 0, "at": [{"piece": 0, "site": 0}, {"piece": 1, "site": "end0"}]},
+                {"bud": 0, "at": [{"piece": 0, "site": 1}, {"piece": 2, "site": "end0"}]},
+            ],
+        }
+    ),
 }
 
 
-def test_malformed_shrub_files_are_validation_failures(tmp_path):
+def test_malformed_shrub_files_are_validation_failures(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     report, bundle = tmp_path / "report.json", tmp_path / "bundle.json"
     for name, text in _MALFORMED_SHRUBS.items():
@@ -346,6 +374,9 @@ def test_malformed_shrub_files_are_validation_failures(tmp_path):
         args = ["synthesize", str(bad), "--out", str(bundle), "--report", str(report)]
         assert main(args) == 2, name
         assert not report.exists() and not bundle.exists(), name
+        err = capsys.readouterr().err
+        if name == "cycle":
+            assert err.count("invalid shrub file") == 2 and err.count("cycle") == 2
 
 
 def test_missing_file_is_a_usage_error(tmp_path):

@@ -76,46 +76,66 @@ def test_json_round_trip_preserves_structure():
 
 
 def test_two_leaves_sharing_two_cusps_is_rejected():
-    sh = shrub(
-        [leaf(), leaf()],
-        [
-            [Attachment(0, 0), Attachment(1, 0)],
-            [Attachment(0, 1), Attachment(1, 1)],
-        ],
-    )
-    diag = validate(sh)
-    assert not diag.ok
-    assert any("cycle" in f for f in diag.failures)
-    assert any("share" in f for f in diag.failures)
+    with pytest.raises(ShrubError, match="cycle.*share"):
+        shrub(
+            [leaf(), leaf()],
+            [
+                [Attachment(0, 0), Attachment(1, 0)],
+                [Attachment(0, 1), Attachment(1, 1)],
+            ],
+        )
 
 
 def test_out_of_range_cusp_site_is_rejected():
-    sh = ShrubGraph([leaf(4)], [Junction(bud=0, at=(Attachment(0, 7),))])
-    assert not validate(sh).ok
+    with pytest.raises(ShrubError, match="leaf 0 has no cusp 7"):
+        ShrubGraph([leaf(4)], [Junction(bud=0, at=(Attachment(0, 7),))])
 
 
 @pytest.mark.parametrize("k", [-1, 0, 2])
 def test_leaf_with_fewer_than_three_cusps_is_rejected(k):
-    diag = validate(ShrubGraph([leaf(k)], []))
-    assert diag.failures == (f"leaf 0 has k = {k}; a leaf needs at least 3 cusps",)
+    with pytest.raises(ShrubError) as info:
+        ShrubGraph([leaf(k)], [])
+    assert str(info.value) == f"leaf 0 has k = {k}; a leaf needs at least 3 cusps"
 
 
 def test_disconnected_pieces_are_rejected():
-    sh = shrub([leaf(), leaf()], [])
-    diag = validate(sh)
-    assert not diag.ok
-    assert any("connected" in f for f in diag.failures)
+    with pytest.raises(ShrubError, match="not connected"):
+        shrub([leaf(), leaf()], [])
 
 
 def test_duplicate_site_use_is_rejected():
-    sh = shrub(
-        [leaf(), leaf(), leaf()],
-        [
-            [Attachment(0, 0), Attachment(1, 0)],
-            [Attachment(0, 0), Attachment(2, 0)],
+    with pytest.raises(ShrubError, match=r"site \(0, 0\) appears in junctions 0 and 1"):
+        shrub(
+            [leaf(), leaf(), leaf()],
+            [
+                [Attachment(0, 0), Attachment(1, 0)],
+                [Attachment(0, 0), Attachment(2, 0)],
+            ],
+        )
+
+
+def test_structurally_invalid_file_is_refused_when_read():
+    # every key and type is in form; the gluing closes a cycle
+    obj = {
+        "pieces": [{"leaf": {"k": 4}}, {"sprig": {}}],
+        "junctions": [
+            {"bud": 0, "at": [{"piece": 0, "site": 0}, {"piece": 1, "site": "end0"}]},
+            {"bud": 1, "at": [{"piece": 0, "site": 2}, {"piece": 1, "site": "end1"}]},
         ],
-    )
-    assert not validate(sh).ok
+    }
+    with pytest.raises(ShrubError, match="cycle"):
+        ShrubGraph.from_json(json.dumps(obj))
+
+
+def test_duplicate_bud_identifiers_join_the_other_failures():
+    with pytest.raises(ShrubError, match="at least 3 cusps; duplicate bud identifiers"):
+        ShrubGraph(
+            [leaf(), leaf(), leaf(2)],
+            [
+                Junction(bud=0, at=(Attachment(0, 0), Attachment(1, 0))),
+                Junction(bud=0, at=(Attachment(0, 1), Attachment(2, 0))),
+            ],
+        )
 
 
 # -- star orders and buds ---------------------------------------------------------
