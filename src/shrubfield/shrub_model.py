@@ -1056,6 +1056,12 @@ def random_very_simple_shrub(rng: random.Random, max_pieces: int = 9) -> ShrubGr
         open_slots.append((pid, "end1"))
         return pid, "end0"
 
+    def build():
+        return ShrubGraph(
+            pieces,
+            [Junction(bud=i, at=tuple(at)) for i, at in enumerate(junction_specs)],
+        )
+
     if rng.random() < 0.6:
         add_leaf()
     else:
@@ -1075,47 +1081,19 @@ def random_very_simple_shrub(rng: random.Random, max_pieces: int = 9) -> ShrubGr
             [Attachment(*parent_slot), Attachment(child, child_site)]
         )
 
-    shrub = ShrubGraph(
-        pieces,
-        [
-            Junction(bud=i, at=tuple(at))
-            for i, at in enumerate(junction_specs)
-        ],
-    )
-    # parity fix: hang one extra free sprig off every odd cactus
-    extra = []
+    shrub = build()
+    # parity fix: hang one extra free sprig off every odd cactus, at the
+    # lowest free cusp of its first leaf; a leaf lies in one cactus only and
+    # keeps a spare cusp, so that cusp is free
     for c in find_odd_cactuses(shrub):
-        spot = None
-        for leaf in c.leaves:
-            cusp = _free_cusp_any(shrub, leaf, extra)
-            if cusp is not None:
-                spot = (leaf, cusp)
-                break
-        if spot is None:
-            continue  # extremely unlikely with the spare-slot policy
+        leaf = c.leaves[0]
+        used = {cusp for cusp, _ in shrub.cusp_buds(leaf)}
+        cusp = next(i for i in range(shrub.pieces[leaf].k) if i not in used)
         pieces.append(Piece(kind="sprig"))
-        extra.append((spot[0], spot[1], len(pieces) - 1))
-    bud = len(junction_specs)
-    for leaf, cusp, new_sprig in extra:
         junction_specs.append(
-            [Attachment(leaf, cusp), Attachment(new_sprig, "end0")]
+            [Attachment(leaf, cusp), Attachment(len(pieces) - 1, "end0")]
         )
-    return ShrubGraph(
-        pieces,
-        [
-            Junction(bud=i, at=tuple(at))
-            for i, at in enumerate(junction_specs)
-        ],
-    )
-
-
-def _free_cusp_any(shrub: ShrubGraph, leaf: int, pending):
-    used = {cusp for cusp, _ in shrub.cusp_buds(leaf)}
-    used |= {cusp for lf, cusp, _ in pending if lf == leaf}
-    for cusp in range(shrub.pieces[leaf].k):
-        if cusp not in used:
-            return cusp
-    return None
+    return build()
 
 
 # -- geometric layout -----------------------------------------------------------------
@@ -1222,10 +1200,18 @@ def layout_shrub(shrub: ShrubGraph) -> ShrubLayout:
     boundary splits into maximal segments whose endpoints are punctures
     (an endpoint of None means the segment escapes to infinity).
     """
-    # leaf balls touching at one point must be tangent along one line
+    # leaf balls touching at one point must be tangent along one line, and
+    # two tangent disks leave only that line free, which the direction fan
+    # never offers (t + 1/5 = ±1 has no solution in `fan_ts`)
     for j in shrub.junctions:
-        if sum(shrub.pieces[a.piece].is_leaf for a in j.at) > 2:
+        leaves = sorted(a.piece for a in j.at if shrub.pieces[a.piece].is_leaf)
+        if len(leaves) > 2:
             raise LayoutError("more than two leaves meet at one point", detail=j.bud)
+        if len(leaves) == 2 and len(j.at) > 2:
+            raise LayoutError(
+                f"leaves {leaves[0]} and {leaves[1]} meet a sprig at one point",
+                detail=j.bud,
+            )
     if not shrub.sprig_ids():
         return _layout_frame(shrub)
     return _layout_punctured(shrub)
@@ -1438,13 +1424,13 @@ def _layout_punctured(shrub: ShrubGraph) -> ShrubLayout:
 
     def visit_junction(bud, come_from_piece, in_dir, depth):
         """Place every other piece at this junction; in_dir points along the
-        travel direction into the junction."""
+        travel direction into the junction. Two leaves meet only with no
+        sprig (`layout_shrub` refuses the rest), so a leaf arriving at a leaf
+        hands it in_dir, as the chain through them does."""
         point = junction_points[bud]
         j = aug.junction(bud)
         others = [a.piece for a in j.at if a.piece != come_from_piece]
         f = cert.node_orientations.get(bud)
-        base_dir = in_dir
-        came_from_leaf = aug.pieces[come_from_piece].is_leaf
         dirs = {}
 
         def taken():
@@ -1453,35 +1439,11 @@ def _layout_punctured(shrub: ShrubGraph) -> ShrubLayout:
         # the chain through the incoming piece continues straight
         if f is not None and come_from_piece in f:
             dirs[_opposed(f, come_from_piece)] = in_dir
-
-        # leaf balls touching at one point are tangent along one line
-        other_leaves = [p for p in others if aug.pieces[p].is_leaf]
-        if came_from_leaf:
-            for p in other_leaves:
-                if p in dirs and dirs[p] != in_dir:
-                    raise LayoutError(
-                        "chain pairing conflicts with leaf tangency",
-                        detail=bud,
-                    )
-                dirs[p] = in_dir
-        elif len(other_leaves) == 2:
-            l1, l2 = other_leaves
-            have = [p for p in (l1, l2) if p in dirs]
-            if have:
-                got = have[0]
-                far = l2 if got == l1 else l1
-                if far not in dirs:
-                    dirs[far] = _neg(dirs[got])
-            else:
-                d = fresh_directions(1, base_dir, taken())[0]
-                dirs[l1], dirs[l2] = d, _neg(d)
-        # pair partners of any forced leaf directions stay antiparallel
-        if f is not None:
-            for p in other_leaves:
-                if p in dirs and p in f:
-                    q = _opposed(f, p)
-                    if q not in dirs:
-                        dirs[q] = _neg(dirs[p])
+        # the other leaf continues along in_dir, tangent to the arriving one
+        if aug.pieces[come_from_piece].is_leaf:
+            for p in others:
+                if aug.pieces[p].is_leaf:
+                    dirs[p] = in_dir
 
         if f is not None:
             half = len(f) // 2
@@ -1493,13 +1455,13 @@ def _layout_punctured(shrub: ShrubGraph) -> ShrubLayout:
                 and f[i] != come_from_piece
                 and f[i + half] != come_from_piece
             ]
-            fresh = fresh_directions(len(unresolved), base_dir, taken())
+            fresh = fresh_directions(len(unresolved), in_dir, taken())
             for i, d in zip(unresolved, fresh):
                 dirs[f[i]] = d
                 dirs[f[i + half]] = _neg(d)
         plain = [p for p in others if p not in dirs]
         for pid, d in zip(
-            plain, fresh_directions(len(plain), base_dir, taken())
+            plain, fresh_directions(len(plain), in_dir, taken())
         ):
             dirs[pid] = d
         for pid in others:
@@ -1528,7 +1490,7 @@ def _layout_punctured(shrub: ShrubGraph) -> ShrubLayout:
             place_sprig(pid, from_bud, point, far, direction, depth + 1)
             return
         slots = _embed_leaf_slots(
-            _leaf_buds(aug, pid), from_bud, cert.piece_orientations.get(pid)
+            _leaf_buds(aug, pid), cert.piece_orientations.get(pid)
         )
         if slots is None:
             raise LayoutError(
@@ -1575,40 +1537,30 @@ def _parallel(a, b):
     return a[0] * b[1] - a[1] * b[0] == 0
 
 
-def _embed_leaf_slots(order, entry_bud, orientation):
-    """Assign quarter-turn cusp slots to the leaf's junctions.
-
-    Preserves the cyclic cusp order and puts opposed oriented pairs on
-    opposite slots. Returns bud -> slot in increasing slot order, or None
-    when no rotation works.
-    """
-    n = len(order)
-    pairs = []
-    if orientation:
-        half = len(orientation) // 2
-        pairs = [
-            (orientation[i], orientation[i + half]) for i in range(half)
-        ]
-    for rot in range(n):
-        cyc = order[rot:] + order[:rot]
-        for spread in _slot_spreads(n):
-            slot = dict(zip(cyc, spread))
-            ok = all(
-                (slot[a] - slot[b]) % 4 == 2 for a, b in pairs if a in slot and b in slot
-            )
-            if ok and (entry_bud is None or entry_bud in slot):
-                return slot
+def _embed_leaf_slots(order, orientation):
+    """Assign quarter-turn cusp slots to the leaf's junctions, in cusp
+    order: the first fixed spread that puts each opposed pair of the leaf's
+    orientation on opposite slots. Returns bud -> slot in increasing slot
+    order, or None when no spread works."""
+    for spread in _SLOT_SPREADS[len(order)]:
+        slot = dict(zip(order, spread))
+        if all(
+            (slot[b] - slot[_opposed(orientation, b)]) % 4 == 2
+            for b in orientation or ()
+        ):
+            return slot
     return None
 
 
-def _slot_spreads(n):
-    if n == 1:
-        return [(0,)]
-    if n == 2:
-        return [(0, 2), (0, 1)]
-    if n == 3:
-        return [(0, 1, 2), (0, 1, 3), (0, 2, 3)]
-    return [(0, 1, 2, 3)]
+# the slot spreads of a leaf's one to four junctions, with no rotation: a
+# rotation turns every slot alike, the three spreads of three junctions are
+# the cyclic shifts of one gap pattern, and two opposed junctions need (0, 2)
+_SLOT_SPREADS = {
+    1: ((0,),),
+    2: ((0, 2),),
+    3: ((0, 1, 2), (0, 1, 3), (0, 2, 3)),
+    4: ((0, 1, 2, 3),),
+}
 
 
 def _collect_maximal_segments(aug, cert, placements, junction_points, aux_ids):

@@ -22,7 +22,7 @@ from shrubfield.field_synth import load_bundle
 from shrubfield.flow_sim import FlowError, IntegrateOptions, integrate
 from shrubfield.poly_core import Polynomial
 from shrubfield.shrub_model import random_very_simple_shrub
-from test_shrub_model import STAR, THREE_LEAVES_AT_ONE_CUSP, VEE, X
+from test_shrub_model import STAR, THREE_LEAVES_AT_ONE_CUSP, TWO_LEAVES_AND_SPRIG, VEE, X
 
 
 @pytest.fixture(scope="module")
@@ -553,8 +553,9 @@ def test_four_free_sprigs_at_one_point_synthesize_as_two_arcs(tmp_path):
         (STAR, None),
         (VEE, "crosses the disk of leaf 0"),
         (THREE_LEAVES_AT_ONE_CUSP, "more than two leaves meet at one point"),
+        (TWO_LEAVES_AND_SPRIG, "leaves 0 and 1 meet a sprig at one point"),
     ],
-    ids=["star", "vee", "three-leaves"],
+    ids=["star", "vee", "three-leaves", "two-leaves-and-sprig"],
 )
 def test_crowded_junctions_synthesize_or_exit_2(tmp_path, capsys, shrub, error):
     path = tmp_path / "shrub.json"

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shrubfield.shrub_model import (
+    _embed_leaf_slots,
     Attachment,
     BudClassification,
     Junction,
@@ -774,6 +775,22 @@ THREE_LEAVES_AT_ONE_CUSP = {
     ],
 }
 
+# two tangent leaves leave only their common tangent line free at the
+# cusp, so no direction is left for the sprig
+TWO_LEAVES_AND_SPRIG = {
+    "pieces": [{"leaf": {"k": 4}}, {"leaf": {"k": 4}}, {"sprig": {}}],
+    "junctions": [
+        {
+            "bud": 0,
+            "at": [
+                {"piece": 0, "site": 0},
+                {"piece": 1, "site": 0},
+                {"piece": 2, "site": "end0"},
+            ],
+        }
+    ],
+}
+
 # four sprigs meet at bud 0 and a k = 5 leaf hangs off one of them, so
 # the layout takes its sprig directions from the direction fan
 STAR = {
@@ -822,6 +839,38 @@ def test_three_leaves_at_one_point_are_refused():
     assert is_very_simple(sh) and orient_all(sh).orientable
     with pytest.raises(LayoutError, match="^more than two leaves meet at one point$"):
         layout_shrub(sh)
+
+
+def test_two_leaves_and_a_sprig_at_one_point_are_refused():
+    with pytest.raises(
+        LayoutError, match="^leaves 0 and 1 meet a sprig at one point$"
+    ) as refused:
+        layout_shrub(ShrubGraph.from_json(TWO_LEAVES_AND_SPRIG))
+    assert refused.value.detail == 0
+
+
+@pytest.mark.parametrize(
+    "pair, slots",
+    [
+        ((10, 11), {10: 0, 11: 2, 12: 3}),
+        ((11, 12), {10: 0, 11: 1, 12: 3}),
+        ((10, 12), {10: 0, 11: 1, 12: 2}),
+    ],
+)
+def test_three_junctions_put_their_opposed_pair_on_opposite_slots(pair, slots):
+    got = _embed_leaf_slots([10, 11, 12], pair)
+    assert got == slots and list(got) == [10, 11, 12]
+    assert (got[pair[0]] - got[pair[1]]) % 4 == 2
+
+
+def test_two_junctions_take_opposite_slots():
+    assert _embed_leaf_slots([4, 7], None) == {4: 0, 7: 2}
+    assert _embed_leaf_slots([4, 7], (4, 7)) == {4: 0, 7: 2}
+
+
+def test_four_junctions_refuse_an_adjacent_opposed_pair():
+    assert _embed_leaf_slots([0, 1, 2, 3], (0, 1)) is None
+    assert _embed_leaf_slots([0, 1, 2, 3], (0, 1, 2, 3)) == {0: 0, 1: 1, 2: 2, 3: 3}
 
 
 def test_crowded_junction_layout_is_pinned():
