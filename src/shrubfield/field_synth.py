@@ -9,11 +9,12 @@ consists of degenerate rest points that orbits accumulate on without
 reaching.
 
 Factor coefficients stay exact rationals end to end; only evaluation is
-floating point, through one value-and-gradient kernel per factor.
+floating point, through one shared value-and-gradient kernel per polynomial.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -88,6 +89,26 @@ def _kernel_map(placement: AffineMap | None) -> tuple[tuple, tuple]:
     return ((a, b, -e), (c, d, -f), (zero, zero, -one)), (e, f, one)
 
 
+def _fold(start, pairs, values):
+    """((start + c0 * values[i0]) + c1 * values[i1]) + ... over the (c, i)
+    pairs, on floats, numpy columns and Fractions alike."""
+    for c, i in pairs:
+        start = start + c * values[i]
+    return start
+
+
+@functools.cache
+def _leaf_polynomial(k: int) -> Polynomial:
+    return homogenize(implicitize(k))
+
+
+@functools.cache
+def _compiled_kernel(poly: Polynomial):
+    namespace = {"__builtins__": {}}
+    exec(_kernel_source(poly), namespace)
+    return namespace["kernel"]
+
+
 class PolyFactor:
     """Polynomial factor P(B u + b) of the boundary function.
 
@@ -100,10 +121,11 @@ class PolyFactor:
     for the hundreds an expanded lift would need, and floats never see that
     expansion's cancellation.
 
-    The value and the gradient come from one straight-line kernel,
-    generated and compiled when the factor is built (see `_kernel_source`).
-    A piece's factor also writes and reads its bundle entry, which stores
-    the piece and not its polynomial, and samples its piece.
+    P's value and gradient come from a straight-line kernel compiled once
+    per polynomial (see `_kernel_source`). A placed factor applies (B, b)
+    before it and B^T grad P after it, as left folds over B's nonzero
+    entries. A piece's factor also writes and reads its bundle entry, which
+    stores the piece and not its polynomial, and samples its piece.
     """
 
     kind = "poly"
@@ -123,9 +145,18 @@ class PolyFactor:
         self.placement = placement
         self.source = None
         self.matrix, self.shift = _kernel_map(placement)
-        namespace = {"__builtins__": {}}
-        exec(_kernel_source(poly, self.matrix, self.shift), namespace)
-        self._kernel = namespace["kernel"]
+        # row j: (b_j, [(B_ji, i) for nonzero B_ji]); column j: [(B_ij, i + 1)
+        # for nonzero B_ij], where i + 1 finds dP/dv_i in the kernel's result
+        self._exact = [
+            (b, [(c, i) for i, c in enumerate(row) if c])
+            for row, b in zip(self.matrix, self.shift)
+        ]
+        self._rows = [(float(b), [(float(c), i) for c, i in r]) for b, r in self._exact]
+        self._columns = [
+            [(float(c), i) for i, c in enumerate(column, 1) if c]
+            for column in zip(*self.matrix)
+        ]
+        self._kernel = _compiled_kernel(poly)
 
     @classmethod
     def from_piece(cls, source: dict, label: str = "") -> "PolyFactor":
@@ -136,7 +167,7 @@ class PolyFactor:
         if placement is None:
             poly = Polynomial.variable("z", SPHERE_VARS)
         else:
-            poly = homogenize(implicitize(source["k"]))
+            poly = _leaf_polynomial(source["k"])
         factor = cls(poly, label, placement)
         factor.source = dict(source)
         return factor
@@ -160,15 +191,17 @@ class PolyFactor:
     def value_and_gradient(self, x, y, z) -> tuple:
         """(F, dF/dx, dF/dy, dF/dz) in component form: floats for one point,
         numpy columns for a batch."""
-        return self._kernel(x, y, z)
+        if self.placement is None:
+            return self._kernel(x, y, z)
+        u = (x, y, z)
+        (b0, row0), (b1, row1), (b2, row2) = self._rows
+        p = self._kernel(_fold(b0, row0, u), _fold(b1, row1, u), _fold(b2, row2, u))
+        g0, g1, g2 = self._columns
+        return p[0], _fold(0.0, g0, p), _fold(0.0, g1, p), _fold(0.0, g2, p)
 
     def value_exact(self, point):
         u = tuple(Fraction(c) for c in point)
-        mapped = tuple(
-            sum((bij * uj for bij, uj in zip(row, u)), bi)
-            for row, bi in zip(self.matrix, self.shift)
-        )
-        return self.poly.evaluate(mapped)
+        return self.poly.evaluate(tuple(_fold(b, row, u) for b, row in self._exact))
 
     def zero_set(self) -> tuple:
         """(length, sampler) of the equator or of the placed hypocycloid's
@@ -199,34 +232,23 @@ class PolyFactor:
         return length, sampler
 
 
-def _kernel_source(poly: Polynomial, matrix: tuple, shift: tuple) -> str:
-    """Source of `kernel(x, y, z)`, which returns (F, dF/dx, dF/dy, dF/dz)
-    of P(B u + b) for floats and for numpy columns alike.
+def _kernel_source(poly: Polynomial) -> str:
+    """Source of `kernel(x, y, z)`: (P, dP/dv0, dP/dv1, dP/dv2) at P's
+    variables (v0, v1, v2) = (x, y, z), for floats and numpy columns alike.
 
     Straight-line code, one fixed order of float operations:
-    - each mapped coordinate v_j = ((b_j + B_j0 x) + B_j1 y) + B_j2 z over
-      the nonzero entries (none for the identity map);
     - powers by repeated multiplication, v^2 = v v, v^3 = v^2 v;
-    - each monomial of P and of its partials as (v0^i v1^j) v2^k, with the
+    - each monomial of P and of its partials as (x^i y^j) z^k, with the
       literal 1.0 for a zeroth power;
-    - the columns P and dP/dv_j, then the chain rule B^T grad P, each a
-      sum from 0.0 adding one coefficient times value per statement.
+    - the columns P and dP/dv_j, each a sum from 0.0 adding one
+      coefficient times value per statement.
     A left fold, not `sum`, since from Python 3.12 `sum` compensates float
     sums; one statement per term, since CPython refuses an expression
     nested past 200 parentheses and a k = 12 leaf has 276 terms. The text
-    holds only names, operators and the `repr` of finite floats, so it
-    runs with empty builtins.
+    depends on P alone and holds only names, operators and the `repr` of
+    finite floats, so it runs with empty builtins.
     """
     lines = ["def kernel(x, y, z):"]
-    coordinates = ("x", "y", "z")
-    identity = poly.variables == SPHERE_VARS
-    if not identity:
-        coordinates = ("v0", "v1", "v2")
-        for name, row, bj in zip(coordinates, matrix, shift):
-            terms = "".join(
-                f" + {float(c)!r} * {u}" for c, u in zip(row, "xyz") if c
-            )
-            lines.append(f"    {name} = {float(bj)!r}{terms}")
     # rows: monomials of P and of its partials; columns: P, dP/dv_j
     rows: dict[tuple, list] = {}
     for exps, c in poly.terms.items():
@@ -237,7 +259,7 @@ def _kernel_source(poly: Polynomial, matrix: tuple, shift: tuple) -> str:
                 rows.setdefault(lower, [0, 0, 0, 0])[j + 1] += e * c
     monomials = sorted(rows)
     powers = []
-    for j, name in enumerate(coordinates):
+    for j, name in enumerate("xyz"):
         names = ["1.0", name]
         for n in range(2, max(e[j] for e in monomials) + 1):
             names.append(f"p{j}_{n}")
@@ -252,15 +274,7 @@ def _kernel_source(poly: Polynomial, matrix: tuple, shift: tuple) -> str:
             if rows[exps][col]:
                 coefficient = float(rows[exps][col])
                 lines.append(f"    c{col} = c{col} + {coefficient!r} * m{index}")
-    result = ("c0", "c1", "c2", "c3")
-    if not identity:
-        result = ("c0", "g0", "g1", "g2")
-        for j, column in enumerate(zip(*matrix)):
-            lines.append(f"    g{j} = 0.0")
-            for i, c in enumerate(column):
-                if c:
-                    lines.append(f"    g{j} = g{j} + {float(c)!r} * c{i + 1}")
-    lines.append(f"    return {', '.join(result)}")
+    lines.append("    return c0, c1, c2, c3")
     return "\n".join(lines) + "\n"
 
 

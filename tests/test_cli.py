@@ -1143,6 +1143,7 @@ def test_poly_factors_without_a_source_are_refused(tmp_path, capsys, monkeypatch
         raise AssertionError("a kernel was generated")
 
     monkeypatch.setattr(field_synth, "_kernel_source", no_kernel)
+    monkeypatch.setattr(field_synth, "_compiled_kernel", no_kernel)
     entry = {"kind": "poly", "poly": "1*z^20000"}
     body = {"format": field_synth.BUNDLE_FORMAT, "factors": [entry]}
     with pytest.raises(ValueError, match="source"):
@@ -1203,7 +1204,9 @@ def _refuse_algebra(monkeypatch):
 
     monkeypatch.setattr(curves, "implicitize", refuse)
     monkeypatch.setattr(field_synth, "implicitize", refuse)
+    monkeypatch.setattr(field_synth, "_leaf_polynomial", refuse)
     monkeypatch.setattr(field_synth, "_kernel_source", refuse)
+    monkeypatch.setattr(field_synth, "_compiled_kernel", refuse)
 
 
 @pytest.mark.parametrize("k", [5001, 7, 0])
@@ -1216,7 +1219,8 @@ def test_leaf_entries_off_the_k_rule_are_refused_first(
     body = field_synth.bundle_dict(
         field_synth.compose_shrub_function(shrub_model.layout_shrub(shrub))
     )
-    # the leaf alone, since the equator's kernel is compiled as it is read
+    # the leaf alone, since reading the equator fetches its kernel, which
+    # the refusal guard forbids
     body["factors"] = body["factors"][1:]
     body["factors"][0]["source"]["k"] = k
     _refuse_algebra(monkeypatch)

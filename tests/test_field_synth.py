@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from lift_oracle import apply_affine, lift_to_sphere
 
+from shrubfield import field_synth
 from shrubfield.curves import (
     SPHERE_VARS,
     AffineMap,
@@ -271,9 +272,9 @@ def test_leaf_factor_gradient_is_the_chain_rule():
 def test_leaf_kernel_source_holds_only_names_and_float_literals():
     # the generated kernel runs with empty builtins; its text must carry no
     # string, call or bundle text, only its own names and finite floats
-    allowed_names = r"def|kernel|return|[xyz]|[vcg]\d|p\d_\d+|m\d+"
+    allowed_names = r"def|kernel|return|[xyz]|c\d|p\d_\d+|m\d+"
     for name, factor in _leaf_factors():
-        source = _kernel_source(factor.poly, factor.matrix, factor.shift)
+        source = _kernel_source(factor.poly)
         for token in tokenize.generate_tokens(io.StringIO(source).readline):
             if token.type == tokenize.NAME:
                 assert re.fullmatch(allowed_names, token.string), (name, token)
@@ -290,6 +291,35 @@ def test_leaf_kernel_source_holds_only_names_and_float_literals():
                     tokenize.DEDENT,
                     tokenize.ENDMARKER,
                 ), (name, token)
+
+
+def test_leaf_factors_share_one_kernel_per_polynomial(monkeypatch):
+    # the kernel depends on P alone; each placement is applied outside it
+    fn = compose_shrub_function(layout_shrub(example_shrubs()["framed-chain"]))
+    first, second = [f for f in fn.factors if f.label.startswith("leaf:")]
+    assert first._kernel is second._kernel
+    assert (first.matrix, first.shift) != (second.matrix, second.shift)
+    source, generated = field_synth._kernel_source, []
+
+    def counted(poly):
+        generated.append(poly)
+        return source(poly)
+
+    monkeypatch.setattr(field_synth, "_kernel_source", counted)
+    field_synth._compiled_kernel.cache_clear()
+    polys = []
+    for seed in range(10):
+        rng = random.Random(seed)
+        for _ in range(3):
+            try:
+                layout = layout_shrub(random_very_simple_shrub(rng))
+            except LayoutError:
+                continue
+            factors = compose_shrub_function(layout).factors
+            polys.extend(f.poly for f in factors if f.kind == "poly")
+    # 82 factors share 3 polynomials: z and the k = 4 and k = 8 leaves
+    assert len(polys) > 2 * len(set(polys)) > 2
+    assert len(generated) == len(set(generated)) == len(set(polys))
 
 
 def _condition(factor, point) -> float:
