@@ -28,28 +28,31 @@ rate, a NaN or an infinity in any output, a failed classify self-check).
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
 from typing import TYPE_CHECKING
 
-# Set before numpy loads OpenBLAS. No command makes a BLAS call large enough
-# to gain from threads, and each OpenBLAS worker busy-waits for tens of
-# milliseconds after start-up, taking a core from the main thread whenever
-# the machine is loaded; a user's own setting is kept.
+# Set before any command loads numpy and with it OpenBLAS. No command makes a
+# BLAS call large enough to gain from threads, and each OpenBLAS worker
+# busy-waits for tens of milliseconds after start-up, taking a core from the
+# main thread whenever the machine is loaded; a user's own setting is kept.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import click
-import numpy as np
 
-from . import curves, field_synth, flow_sim
-from .poly_core import Polynomial
+from . import ATOL_DEFAULT, GUARD_DEFAULT, RTOL_DEFAULT
 
-# shrub_model, the largest module, is imported by the commands that read a
-# shrub (classify, synthesize), so that no other command pays to compile it
+# Each command imports the modules it runs, inside the command, so that
+# `--help` and `report` load none of them. `implicitize` loads `curves` and
+# `classify` loads `shrub_model` (which loads `curves`), neither with numpy;
+# `synthesize` adds `field_synth` and numpy, and `simulate` loads
+# `field_synth` and `flow_sim` but not `shrub_model`, the largest module.
 if TYPE_CHECKING:
-    from . import shrub_model
+    import numpy as np
+
+    from . import field_synth, shrub_model
+    from .poly_core import Polynomial
 
 PLANE_VARS = ("x", "y")
 CURVE_FORMAT = "implicit-curve/1"
@@ -81,6 +84,8 @@ def _dump_json(obj) -> str:
 
 
 def _config_hash(resolved: dict) -> str:
+    import hashlib  # loads OpenSSL, which `--help` and `report` never need
+
     canonical = json.dumps(resolved, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
@@ -194,6 +199,8 @@ _CONFIG_OPTION = click.option(
 
 
 def _curve_file_dict(k: int) -> dict:
+    from . import curves
+
     meta = curves.implicit_metadata(k)
     return {
         "format": CURVE_FORMAT,
@@ -214,6 +221,8 @@ def _astroid_grid_check(poly: Polynomial) -> dict:
     (x^2 + y^2 - 16)^3 + 432 x^2 y^2 there. Neither scale moves a zero, so
     the comparison carries no floating-point slack at all.
     """
+    from . import curves
+
     form = curves.homogenize(poly)
     mismatches = []
     shared_zeros = 0
@@ -270,6 +279,8 @@ def implicitize_command(ctx, k, out, samples, check, report):
     normalized value of the polynomial along it, plus the normalized gradient
     at every cusp and a nonvanishing check at the origin.
     """
+    from . import curves
+
     cfg = _resolve_config(ctx)
     if check is not None and k != 4:
         raise click.BadParameter(
@@ -461,6 +472,8 @@ def _tangency_spot_check(field: field_synth.VectorField, count: int, seed: int) 
     with an infinite or NaN entry is counted in `nonfinite_rows`, never
     with the zero rows, and is left out of the maximum.
     """
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     points = rng.normal(size=(count, 3))
     points /= np.linalg.norm(points, axis=1, keepdims=True)
@@ -529,7 +542,7 @@ def _factor_report(function: field_synth.SphereFunction) -> list:
 def synthesize_command(ctx, shrub_file, out, spot_checks, seed, report):
     """Lay a shrub out in the plane, compose its boundary function, and
     write the tangent field as a reloadable bundle."""
-    from . import shrub_model
+    from . import field_synth, shrub_model
 
     cfg = _resolve_config(ctx)
     shrub = _load_shrub(shrub_file)
@@ -578,6 +591,8 @@ def synthesize_command(ctx, shrub_file, out, spot_checks, seed, report):
 
 
 def _parse_start(value):
+    import numpy as np
+
     if value is None:
         return None
     try:
@@ -620,6 +635,9 @@ def _stereo_svg(states: np.ndarray, zero_points: np.ndarray) -> str:
     the view box is clipped to inner percentiles so one late excursion
     cannot flatten the rest of the picture.
     """
+    import numpy as np
+
+    from . import curves
 
     def project(rows):
         px, py = curves.sphere_to_plane(rows[rows[:, 2] < 1.0 - 1e-12].T)
@@ -670,6 +688,8 @@ def _run_orbit(
 
     The field and the zero-set samples are shared by every seed of a batch.
     """
+    from . import flow_sim
+
     start = _parse_start(cfg["start"])
     if start is None:
         start = flow_sim.seed_orbit(field, cfg["seed_radius"], seed)
@@ -723,10 +743,10 @@ def _run_orbit(
 @click.argument("bundle", type=click.Path(exists=True, dir_okay=False))
 @click.option("--horizon", type=_POSITIVE, default=20.0, show_default=True)
 @click.option(
-    "--rtol", type=_POSITIVE, default=flow_sim.RTOL_DEFAULT, show_default=True
+    "--rtol", type=_POSITIVE, default=RTOL_DEFAULT, show_default=True
 )
 @click.option(
-    "--atol", type=_POSITIVE, default=flow_sim.ATOL_DEFAULT, show_default=True
+    "--atol", type=_POSITIVE, default=ATOL_DEFAULT, show_default=True
 )
 @click.option(
     "--unit-speed/--raw-speed",
@@ -761,7 +781,7 @@ def _run_orbit(
 @click.option(
     "--guard",
     type=click.FloatRange(min=0.0),
-    default=flow_sim.GUARD_DEFAULT,
+    default=GUARD_DEFAULT,
     show_default=True,
 )
 @click.option(
@@ -788,6 +808,8 @@ def _run_orbit(
 def simulate_command(ctx, bundle, **_kwargs):
     """Integrate one or more orbits of a field bundle and report the
     estimated limit set, first-integral drift, and winding."""
+    from . import curves, field_synth, flow_sim
+
     cfg = _resolve_config(ctx)
     if cfg["seeds"] is not None and cfg["start"] is not None:
         raise ConfigurationError("an explicit start point conflicts with --seeds")

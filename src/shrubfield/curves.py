@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-import numpy as np
-
 from .poly_core import (
     Polynomial,
     check_keys,
@@ -45,6 +43,8 @@ class DomainError(ValueError):
 # Numeric kernels take the coordinates x, y, z either as Python floats (one
 # point) or as equal-length numpy columns (a batch), and use only +, -, *,
 # comparisons and `component_sqrt`, so one formula serves both shapes.
+# numpy is imported only where a batch is handled, so the exact algebra, and
+# the commands that need no more (`implicitize`, `classify`), never load it.
 # Python floats raise where numpy returns inf or NaN: `**` raises
 # OverflowError and division by an exact zero raises ZeroDivisionError. So
 # kernels use no `**`, and divide only once `component_any` has ruled out a
@@ -53,7 +53,11 @@ class DomainError(ValueError):
 
 def component_sqrt(v):
     """Square root of a float or of a numpy column."""
-    return math.sqrt(v) if isinstance(v, float) else np.sqrt(v)
+    if isinstance(v, float):
+        return math.sqrt(v)
+    import numpy as np
+
+    return np.sqrt(v)
 
 
 def component_any(mask) -> bool:
@@ -386,6 +390,8 @@ class SphereArcFunction:
     def zero_set(self) -> tuple:
         """(length, sampler) of the arc; sampler(count) spreads count points
         evenly from the first endpoint to the second, both included."""
+        import numpy as np
+
         nv = np.array([float(c) for c in self.n])
         mv = np.array([float(c) for c in self.m])
         d = float(self.d)

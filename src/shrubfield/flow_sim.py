@@ -23,12 +23,10 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import ATOL_DEFAULT, GUARD_DEFAULT, RTOL_DEFAULT
 from .curves import DomainError, plane_to_sphere
 from .field_synth import SphereFunction, VectorField
 
-RTOL_DEFAULT = 1e-10
-ATOL_DEFAULT = 1e-12
-GUARD_DEFAULT = 1e-2
 MAX_COMPARE = 5000
 
 TWO_PI = 2.0 * math.pi

@@ -104,10 +104,12 @@ class Polynomial:
     """Multivariate polynomial with exact coefficients.
 
     `variables` fixes the meaning and order of exponent-vector slots; all
-    binary operations require identical variable tuples.
+    binary operations require identical variable tuples. Nothing changes
+    `terms` after construction, so the hash is computed once, when first
+    asked for.
     """
 
-    __slots__ = ("variables", "terms")
+    __slots__ = ("variables", "terms", "_hash")
 
     def __init__(self, variables, terms=None):
         self.variables: tuple[str, ...] = tuple(variables)
@@ -126,6 +128,7 @@ class Polynomial:
                 if not clean[exps]:
                     del clean[exps]
         self.terms = clean
+        self._hash = None
 
     # -- constructors -------------------------------------------------
 
@@ -221,7 +224,9 @@ class Polynomial:
         return self.variables == other.variables and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.variables, frozenset(self.terms.items())))
+        if self._hash is None:
+            self._hash = hash((self.variables, frozenset(self.terms.items())))
+        return self._hash
 
     def __repr__(self):
         return f"Polynomial({self.variables}, {self.to_text()!r})"

@@ -1381,21 +1381,70 @@ def test_field_synth_import_leaves_shrub_model_unloaded():
     assert _fresh_interpreter_exit(code) == 0
 
 
-def test_simulate_leaves_shrub_model_unloaded(workdir, tmp_path):
-    args = [
-        "simulate",
-        str(workdir / "bundle.json"),
-        "--horizon",
-        "2",
-        "--out-csv",
-        str(tmp_path / "guard.csv"),
-        "--report",
-        str(tmp_path / "guard.json"),
-    ]
+_NUMERIC_MODULES = (
+    "numpy",
+    "hashlib",
+    "shrubfield.curves",
+    "shrubfield.field_synth",
+    "shrubfield.flow_sim",
+    "shrubfield.shrub_model",
+)
+
+
+_UNLOADED = {
+    "--help": _NUMERIC_MODULES,
+    "report": _NUMERIC_MODULES,
+    "classify": ("numpy",),
+    "implicitize": ("numpy",),
+    "synthesize": ("shrubfield.flow_sim",),
+    "simulate": ("shrubfield.shrub_model",),
+}
+
+
+@pytest.mark.parametrize("command", _UNLOADED)
+def test_commands_load_only_what_they_run(workdir, tmp_path, command):
+    # each command imports its modules inside itself; `--help` and `report`
+    # compute nothing, and only the spot check, the zero set, the integrator
+    # and the plot load numpy
+    report = str(tmp_path / "report.json")
+    args = {
+        "--help": ["--help"],
+        "report": ["report", str(workdir / "synthesize-report.json")],
+        "classify": ["classify", str(workdir / "prickly.json"), "--report", report],
+        "implicitize": [
+            "implicitize",
+            "--k",
+            "3",
+            "--out",
+            str(tmp_path / "k3.curve.json"),
+            "--report",
+            report,
+        ],
+        "synthesize": [
+            "synthesize",
+            str(workdir / "lone-leaf.json"),
+            "--out",
+            str(tmp_path / "bundle.json"),
+            "--report",
+            report,
+        ],
+        "simulate": [
+            "simulate",
+            str(workdir / "bundle.json"),
+            "--horizon",
+            "2",
+            "--out-csv",
+            str(tmp_path / "orbit.csv"),
+            "--report",
+            report,
+        ],
+    }[command]
     code = (
         "import sys; from shrubfield import cli; "
         f"rc = cli.main({args!r}); "
-        "sys.exit(rc or 'shrubfield.shrub_model' in sys.modules)"
+        f"loaded = [m for m in {_UNLOADED[command]!r} if m in sys.modules]; "
+        "print('loaded:', loaded, file=sys.stderr); "
+        "sys.exit(rc or bool(loaded))"
     )
     assert _fresh_interpreter_exit(code) == 0
-    assert (tmp_path / "guard.json").exists()
+    assert command in ("--help", "report") or os.path.exists(report)

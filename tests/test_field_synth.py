@@ -322,6 +322,22 @@ def test_leaf_factors_share_one_kernel_per_polynomial(monkeypatch):
     assert len(generated) == len(set(generated)) == len(set(polys))
 
 
+def test_equal_polynomials_built_apart_share_one_kernel():
+    # the memo is keyed by the polynomial's value, and its hash is kept
+    built = homogenize(implicitize(4))
+    parsed = Polynomial.from_text(built.to_text(), built.variables)
+    reversed_terms = Polynomial(built.variables, dict(reversed(built.terms.items())))
+    assert built is not parsed and built == parsed == reversed_terms
+    assert hash(built) == hash(parsed) == hash(reversed_terms)
+    assert hash(parsed) == hash(parsed)
+    placement = AffineMap(((Fraction(1, 2), 0), (0, Fraction(1, 2))))
+    kernels = {
+        id(PolyFactor(poly, placement=placement)._kernel)
+        for poly in (built, parsed, reversed_terms)
+    }
+    assert len(kernels) == 1
+
+
 def _condition(factor, point) -> float:
     """sum |c| |V^e| over |P(V)| at the mapped point V: the relative error
     an evaluation of P from its own coefficients can amplify."""
