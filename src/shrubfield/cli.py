@@ -466,6 +466,8 @@ def classify_command(ctx, shrub_file, report):
 def _tangency_spot_check(field: field_synth.VectorField, count: int, seed: int) -> dict:
     """Largest normalized tangency defect over seeded random unit vectors.
 
+    Each point takes two doubles u, v of the seeded stream that orbit starts
+    draw from, and is z = 2u - 1 at longitude 2 pi v: uniform on the sphere.
     Rows are rescaled by their largest component before any product is
     taken; towering composites otherwise overflow doubles when squared.
     A row that evaluates to exactly zero is tangent by convention. A row
@@ -474,9 +476,14 @@ def _tangency_spot_check(field: field_synth.VectorField, count: int, seed: int) 
     """
     import numpy as np
 
-    rng = np.random.default_rng(seed)
-    points = rng.normal(size=(count, 3))
-    points /= np.linalg.norm(points, axis=1, keepdims=True)
+    from . import curves
+
+    draws = np.fromiter(curves.seeded_doubles(seed), float, 2 * count)
+    u, v = draws.reshape(count, 2).T
+    z = 2.0 * u - 1.0
+    r = np.sqrt(1.0 - z * z)
+    longitude = 2.0 * math.pi * v
+    points = np.stack([r * np.cos(longitude), r * np.sin(longitude), z], axis=1)
     rows = field.evaluate_many(points)
     finite = np.isfinite(rows).all(axis=1)
     scale = np.max(np.abs(rows), axis=1)

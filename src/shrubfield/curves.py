@@ -5,7 +5,9 @@ The building blocks of every synthesized boundary are k-cusped hypocycloids
 first gave the same polynomial), straight segments (realized on the sphere
 by a non-polynomial but analytic closed form), and circles. This module
 owns their parametric forms, the exact implicit polynomials, rational affine
-deformation, and the stereographic transfer between plane and sphere.
+deformation, and the stereographic transfer between plane and sphere. It
+also holds the seeded stream of doubles that orbit starts and the synthesis
+spot check draw from.
 
 Conventions: the plane is identified with the sphere minus the north pole via
 stereographic projection from (0,0,1); plane coordinates are (x, y), sphere
@@ -500,3 +502,70 @@ def sphere_arc(q1, q2, q3, label: str = "") -> SphereArcFunction:
         e = -e
     return SphereArcFunction(n=n, d=d, m=m, e=e, endpoints=(q1, q2), label=label)
 
+
+# -- seeded sampling -------------------------------------------------------------
+#
+# Orbit starts and the synthesis spot check draw from one seeded stream of
+# doubles, the stream of `numpy.random.default_rng(seed).random()`. It is
+# computed here in Python integers, so that no command loads `numpy.random`:
+# numpy's SeedSequence turns the seed into four 64-bit words, which seed a
+# PCG64 generator (O'Neill 2014, 128-bit LCG with the XSL-RR output), and
+# each double takes the top 53 bits of one output.
+
+_MASK32 = 0xFFFFFFFF
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _seed_words(seed: int) -> list[int]:
+    """numpy's `SeedSequence(seed).generate_state(4, uint64)`."""
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
+    entropy = [seed & _MASK32]
+    while seed >> 32:
+        seed >>= 32
+        entropy.append(seed & _MASK32)
+    hash_const = 0x43B0D7E5
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * 0x931E8875 & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        value = 0xCA01F9DD * x - 0x4973F715 * y & _MASK32
+        return value ^ value >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hash_const = 0x8B51F9DD
+    state = []
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = hash_const * 0x58F38DED & _MASK32
+        value = value * hash_const & _MASK32
+        state.append(value ^ value >> 16)
+    return [state[i] | state[i + 1] << 32 for i in range(0, 8, 2)]
+
+
+def seeded_doubles(seed: int):
+    """Endless doubles in [0, 1), bit for bit those of
+    `numpy.random.default_rng(seed).random()`; same seed, same stream."""
+    w0, w1, w2, w3 = _seed_words(seed)
+    inc = (w2 << 64 | w3) << 1 | 1
+    state = (inc + (w0 << 64 | w1)) * _PCG64_MULTIPLIER + inc & _MASK128
+    while True:
+        state = state * _PCG64_MULTIPLIER + inc & _MASK128
+        rot = state >> 122
+        word = (state >> 64 ^ state) & _MASK64
+        word = (word >> rot | word << (64 - rot)) & _MASK64
+        yield (word >> 11) * 2.0**-53

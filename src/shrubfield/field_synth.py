@@ -473,6 +473,11 @@ def _segment_interior_point(segment) -> tuple:
 
 
 def _leaf_factor(pid: int, placement: LeafPlacement) -> PolyFactor:
+    # the south pole is the chart origin; the factor there is 2^m times the
+    # canonical polynomial at the origin's preimage, so the two vanish alike
+    origin = placement.affine.inverse().offset
+    if implicitize(placement.k_layout).evaluate(origin) == 0:
+        raise AssertionError("placed leaf boundary passes through the chart origin")
     # exact rationals as strings, so bundles round-trip byte for byte
     source = {
         "piece": "hypocycloid",
@@ -480,11 +485,7 @@ def _leaf_factor(pid: int, placement: LeafPlacement) -> PolyFactor:
         "matrix": [rational_point(row) for row in placement.affine.matrix],
         "offset": rational_point(placement.affine.offset),
     }
-    factor = PolyFactor.from_piece(source, label=f"leaf:{pid}")
-    # the south pole is the chart origin
-    if factor.value_exact((0, 0, -1)) == 0:
-        raise AssertionError("placed leaf boundary passes through the chart origin")
-    return factor
+    return PolyFactor.from_piece(source, label=f"leaf:{pid}")
 
 
 def compose_shrub_function(layout: ShrubLayout) -> SphereFunction:

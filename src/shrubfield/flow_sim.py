@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import ATOL_DEFAULT, GUARD_DEFAULT, RTOL_DEFAULT
-from .curves import DomainError, plane_to_sphere
+from .curves import DomainError, plane_to_sphere, seeded_doubles
 from .field_synth import SphereFunction, VectorField
 
 MAX_COMPARE = 5000
@@ -560,12 +560,12 @@ def seed_orbit(field: VectorField, radius: float, seed: int) -> np.ndarray:
 
     The point is drawn at the given radius from the chart origin in the
     lower stereographic chart (radius 0 is the bottom rest point itself),
-    at an angle chosen by the seeded generator. Same seed, same point.
+    at an angle drawn from the seeded stream `seeded_doubles`. Same seed,
+    same point.
     """
     if not 0.0 <= radius < 0.1:
         raise ValueError("seed radius must stay inside the tenth-size chart disk")
-    rng = np.random.default_rng(seed)
-    psi = float(rng.uniform(0.0, TWO_PI))
+    psi = TWO_PI * next(seeded_doubles(seed))
     p = np.array(plane_to_sphere((radius * math.cos(psi), radius * math.sin(psi))))
     p = p / np.linalg.norm(p)
     if radius > 0.0 and field.function.value_and_gradient(*p.tolist())[0] == 0.0:

@@ -418,6 +418,23 @@ def test_spot_check_counts_nonfinite_rows_apart_from_zero_rows():
     assert plain["nonfinite_rows"] == 0
 
 
+def test_spot_check_points_are_seeded_unit_vectors():
+    class Recorder:
+        def evaluate_many(self, points):
+            batches.append(points)
+            return np.zeros_like(points)
+
+    batches = []
+    for seed in (0, 0, 1):
+        assert _tangency_spot_check(Recorder(), 500, seed)["zero_rows"] == 500
+    first, again, other = batches
+    assert first.shape == (500, 3)
+    deviation = np.abs(np.linalg.norm(first, axis=1) - 1.0)
+    assert deviation.max() <= field_synth.UNIT_NORM_TOLERANCE
+    assert np.array_equal(first, again)
+    assert not np.array_equal(first, other)
+
+
 def test_overflowing_one_point_row_is_a_nonfinite_value():
     # the one-point row runs on Python floats, which raise where numpy
     # returns inf or NaN; the kernel must keep the overflow a value
@@ -1396,8 +1413,8 @@ _UNLOADED = {
     "report": _NUMERIC_MODULES,
     "classify": ("numpy",),
     "implicitize": ("numpy",),
-    "synthesize": ("shrubfield.flow_sim",),
-    "simulate": ("shrubfield.shrub_model",),
+    "synthesize": ("shrubfield.flow_sim", "numpy.random"),
+    "simulate": ("shrubfield.shrub_model", "numpy.random"),
 }
 
 
@@ -1405,7 +1422,8 @@ _UNLOADED = {
 def test_commands_load_only_what_they_run(workdir, tmp_path, command):
     # each command imports its modules inside itself; `--help` and `report`
     # compute nothing, and only the spot check, the zero set, the integrator
-    # and the plot load numpy
+    # and the plot load numpy; seeded draws come from `curves.seeded_doubles`,
+    # so no command loads numpy.random
     report = str(tmp_path / "report.json")
     args = {
         "--help": ["--help"],

@@ -422,3 +422,21 @@ def test_arc_rejects_bad_inputs():
         sphere_arc((1, 0, 0), (1, 0, 0), (0, 1, 0))  # repeated point
     with pytest.raises(ValueError):
         sphere_arc((1, 0, 0), (0, 1, 0), (Fraction(1, 2), 0, 0))  # off sphere
+
+
+# -- seeded sampling ------------------------------------------------------------------
+
+
+def test_seeded_doubles_are_the_numpy_default_stream():
+    # numpy's generator is the oracle; the large seeds take SeedSequence's
+    # multi-word path
+    for seed in [*range(1000), 2**32 - 1, 2**32, 2**64 + 5, 2**100 + 3]:
+        rng = np.random.default_rng(seed)
+        expected = [float(rng.random()) for _ in range(5)]
+        draws = curves.seeded_doubles(seed)
+        assert [next(draws) for _ in range(5)] == expected, seed
+
+
+def test_seeded_doubles_reject_a_negative_seed():
+    with pytest.raises(ValueError, match="nonnegative"):
+        next(curves.seeded_doubles(-1))

@@ -720,6 +720,20 @@ def test_compose_rejects_unknown_layout_mode():
         compose_shrub_function(lay)
 
 
+def test_leaf_through_the_chart_origin_is_refused():
+    # moved by (-4, 0), the k = 4 leaf's cusp (4, 0) sits on the origin,
+    # which is the south pole
+    one, zero = Fraction(1), Fraction(0)
+    placement = LeafPlacement(
+        piece=0,
+        frame=False,
+        k_layout=4,
+        affine=AffineMap(((one, zero), (zero, one)), (Fraction(-4), zero)),
+    )
+    with pytest.raises(AssertionError, match="chart origin"):
+        field_synth._leaf_factor(0, placement)
+
+
 # -- reference shrubs ----------------------------------------------------------------
 
 

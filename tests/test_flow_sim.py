@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from shrubfield.curves import sphere_arc
+from shrubfield.curves import plane_to_sphere, sphere_arc
 from shrubfield.field_synth import SphereFunction, example_field
 from shrubfield.flow_sim import (
     FlowError,
@@ -551,6 +551,15 @@ def test_hundred_seeds_are_distinct():
     field = field_for("equator")
     pts = {tuple(seed_orbit(field, 0.05, s)) for s in range(100)}
     assert len(pts) == 100
+
+
+def test_seed_angle_is_the_numpy_uniform_draw():
+    # numpy's own generator is the oracle for the pure-Python stream
+    field = field_for("equator")
+    for s in range(100):
+        psi = float(np.random.default_rng(s).uniform(0.0, 2.0 * math.pi))
+        p = np.array(plane_to_sphere((0.05 * math.cos(psi), 0.05 * math.sin(psi))))
+        assert np.array_equal(seed_orbit(field, 0.05, s), p / np.linalg.norm(p)), s
 
 
 def test_seed_radius_is_bounded():
