@@ -20,14 +20,16 @@ A file value is read as the text its flag would take, so it meets the same
 type and range checks. Unknown keys in a command's section are rejected.
 
 Exit codes are stable: 0 success, 2 validation or configuration failure
-(bad flags, malformed files, unsatisfiable layouts), 3 numeric failure
-(step underflow, exhausted step budgets, evaluation at exceptional points,
+(bad flags, malformed files, unsatisfiable layouts, a start on the zero set
+of F), 3 numeric failure (step underflow, exhausted step budgets, evaluation
+at exceptional points, an orbit that reaches a float zero of F,
 non-finite field rows in the synthesis spot check, a non-finite south spiral
 rate, a NaN or an infinity in any output, a failed classify self-check).
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import os
@@ -84,10 +86,19 @@ def _dump_json(obj) -> str:
 
 
 def _config_hash(resolved: dict) -> str:
-    import hashlib  # loads OpenSSL, which `--help` and `report` never need
+    # the interpreter's own SHA-256, as CPython's `random` takes its SHA-512:
+    # `hashlib` loads OpenSSL, about 3.5 MB of memory, for one digest; only a
+    # build made without the built-in hashes falls back to it
+    try:
+        from _sha2 import sha256  # Python 3.12 and later
+    except ImportError:
+        try:
+            from _sha256 import sha256  # Python 3.10 and 3.11
+        except ImportError:
+            from hashlib import sha256
 
     canonical = json.dumps(resolved, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def _load_json_file(path, what: str):
@@ -700,6 +711,8 @@ def _run_orbit(
     start = _parse_start(cfg["start"])
     if start is None:
         start = flow_sim.seed_orbit(field, cfg["seed_radius"], seed)
+    else:
+        flow_sim.refuse_start(field.function, start)
     options = flow_sim.IntegrateOptions(
         rtol=cfg["rtol"],
         atol=cfg["atol"],
@@ -994,7 +1007,11 @@ def report_command(report_file):
 
 
 def main(argv=None) -> int:
-    """Run the command line; returns the exit code instead of raising."""
+    """Run the command line; returns the exit code instead of raising.
+
+    This is the in-process API. It leaves the garbage collector as it
+    found it; only `run` freezes it.
+    """
     try:
         cli.main(args=argv, prog_name="shrubfield", standalone_mode=False)
     except click.exceptions.Abort:
@@ -1008,5 +1025,18 @@ def main(argv=None) -> int:
     return 0
 
 
+def run() -> None:
+    """Process entry point: run the command line, then exit with its code.
+
+    Freezing the collector first moves every live object out of its
+    generations, so the collections of interpreter shutdown find nothing to
+    traverse. Output streams still flush and `atexit` handlers still run;
+    every file a command writes is closed by then.
+    """
+    code = main()
+    gc.freeze()
+    raise SystemExit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

@@ -216,6 +216,15 @@ def _refuse_exceptional(function: SphereFunction, p: np.ndarray) -> None:
             raise FlowError("start point sits on an exceptional point", p)
 
 
+def refuse_start(function: SphereFunction, p: np.ndarray) -> None:
+    """Refuse an explicit start at an exceptional point (FlowError) or at a
+    float zero of F (ValueError). Every zero of F is a rest point of the
+    field, so an orbit from one is a single point."""
+    _refuse_exceptional(function, p)
+    if function.value_and_gradient(*p.tolist())[0] == 0.0:
+        raise ValueError("start point lies on the zero set of F")
+
+
 def integrate(
     field: VectorField,
     p0,
@@ -236,8 +245,14 @@ def integrate(
     the elapsed durations, so they increase either way.
 
     Raises FlowError when the step size underflows (which happens when the
-    orbit is driven into a puncture), when the step budget runs out, or
-    when evaluation lands exactly on an exceptional point.
+    orbit is driven into a puncture), when the step budget runs out, when
+    evaluation lands exactly on an exceptional point, or when the orbit
+    reaches a float zero of F. In exact arithmetic an orbit never reaches
+    the zero set, but within float resolution of it F can round to 0.0;
+    the row there is exactly zero and the orbit would stop unannounced.
+    F is evaluated only at a step that turns the row exactly zero, so an
+    orbit that starts at a rest point (a zero of F, the south focus, a
+    centre, a saddle) stays there, as before.
     """
     opts = options or IntegrateOptions()
     p = np.asarray(p0, dtype=float)
@@ -312,6 +327,14 @@ def integrate(
             rejected_winding += 1
             h *= 0.5
             continue
+        if any(k0) and not any(k_last):
+            # a zero row stops the orbit for good; F is evaluated only here
+            if field.function.value_and_gradient(*unew)[0] == 0.0:
+                clock = "arc length" if opts.unit_speed else "time"
+                raise FlowError(
+                    f"orbit reached a zero of the field after {clock} {t + h:.6g}",
+                    unew,
+                )
         t += h
         u = unew
         k0 = k_last

@@ -22,6 +22,8 @@ from shrubfield.field_synth import load_bundle
 from shrubfield.flow_sim import FlowError, IntegrateOptions, integrate
 from shrubfield.poly_core import Polynomial
 from shrubfield.shrub_model import random_very_simple_shrub
+from test_field_synth import EXAMPLE_BUNDLE_SHA256
+from test_flow_sim import NorthwardField
 from test_shrub_model import STAR, THREE_LEAVES_AT_ONE_CUSP, TWO_LEAVES_AND_SPRIG, VEE, X
 
 
@@ -61,6 +63,17 @@ def workdir(tmp_path_factory):
             str(root / "bundle.json"),
             "--report",
             str(root / "synthesize-report.json"),
+        ]
+    )
+    assert rc == 0
+    rc = main(
+        [
+            "synthesize",
+            str(root / "arc.json"),
+            "--out",
+            str(root / "arc-bundle.json"),
+            "--report",
+            str(root / "arc-synthesize-report.json"),
         ]
     )
     assert rc == 0
@@ -613,10 +626,10 @@ def test_synthesize_refuses_what_its_flags_refuse(workdir, tmp_path, extra):
 # -- simulate --------------------------------------------------------------------
 
 
-def _simulate(workdir, tmp_path, *extra, name="run"):
+def _simulate(workdir, tmp_path, *extra, name="run", bundle="bundle.json"):
     args = [
         "simulate",
-        str(workdir / "bundle.json"),
+        str(workdir / bundle),
         "--out-csv",
         str(tmp_path / f"{name}.csv"),
         "--report",
@@ -903,10 +916,11 @@ def test_start_flag_replaces_seeding(workdir, tmp_path, capsys):
 )
 def test_start_points_are_finite_directions(workdir, tmp_path, start, code):
     # scaled by the largest coordinate before the norm, so a huge but finite
-    # point is the direction it names
+    # point is the direction it names; run on the arc's field, since that
+    # direction lies on the equator, the zero set of the lone leaf's field
     rc, body = _simulate(
         workdir, tmp_path, "--horizon", "1", "--unit-speed", "--start", start,
-        name="edge",
+        name="edge", bundle="arc-bundle.json",
     )
     assert rc == code
     assert (tmp_path / "edge.csv").exists() == (code == 0)
@@ -926,6 +940,31 @@ def test_start_conflicts_with_seed_batches(workdir, tmp_path):
         name="conflict",
     )
     assert rc == 2
+
+
+@pytest.mark.parametrize("speed", ["--unit-speed", "--raw-speed"])
+def test_a_start_on_the_zero_set_exits_2(workdir, tmp_path, capsys, speed):
+    # the lone leaf's field is the equator's, whose F vanishes at z = 0;
+    # every zero of F is a rest point, so the run would be a one-point orbit
+    rc, _ = _simulate(
+        workdir, tmp_path, "--horizon", "1", speed, "--start", "1,0,0", name="rest"
+    )
+    assert rc == 2
+    assert "start point lies on the zero set of F" in capsys.readouterr().err
+    assert not (tmp_path / "rest.csv").exists()
+
+
+def test_an_orbit_that_reaches_a_zero_of_f_exits_3(
+    workdir, tmp_path, capsys, monkeypatch
+):
+    monkeypatch.setattr(field_synth, "build_field", lambda function: NorthwardField())
+    rc, _ = _simulate(
+        workdir, tmp_path, "--horizon", "4", "--unit-speed", "--fixed-step", "0.25",
+        "--start", "0.6,0,-0.8", name="reached",
+    )
+    assert rc == 3
+    assert "orbit reached a zero of the field" in capsys.readouterr().err
+    assert not (tmp_path / "reached.csv").exists()
 
 
 def test_nonpositive_horizon_is_a_validation_failure(workdir, tmp_path):
@@ -1408,13 +1447,15 @@ _NUMERIC_MODULES = (
 )
 
 
+_OPENSSL = ("hashlib", "_hashlib")
+
 _UNLOADED = {
     "--help": _NUMERIC_MODULES,
     "report": _NUMERIC_MODULES,
-    "classify": ("numpy",),
-    "implicitize": ("numpy",),
-    "synthesize": ("shrubfield.flow_sim", "numpy.random"),
-    "simulate": ("shrubfield.shrub_model", "numpy.random"),
+    "classify": ("numpy", *_OPENSSL),
+    "implicitize": ("numpy", *_OPENSSL),
+    "synthesize": ("shrubfield.flow_sim", "numpy.random", *_OPENSSL),
+    "simulate": ("shrubfield.shrub_model", "numpy.random", *_OPENSSL),
 }
 
 
@@ -1423,7 +1464,8 @@ def test_commands_load_only_what_they_run(workdir, tmp_path, command):
     # each command imports its modules inside itself; `--help` and `report`
     # compute nothing, and only the spot check, the zero set, the integrator
     # and the plot load numpy; seeded draws come from `curves.seeded_doubles`,
-    # so no command loads numpy.random
+    # so no command loads numpy.random, and the config hash is the
+    # interpreter's own SHA-256, so none loads hashlib and with it OpenSSL
     report = str(tmp_path / "report.json")
     args = {
         "--help": ["--help"],
@@ -1466,3 +1508,81 @@ def test_commands_load_only_what_they_run(workdir, tmp_path, command):
     )
     assert _fresh_interpreter_exit(code) == 0
     assert command in ("--help", "report") or os.path.exists(report)
+
+
+def test_config_hash_is_the_sha256_of_the_canonical_config(workdir, tmp_path):
+    # the oracle is hashlib's SHA-256, computed here; the commands use the
+    # interpreter's built-in module, so the two share no import
+    rc, simulate_body = _simulate(workdir, tmp_path, "--horizon", "1", name="hashed")
+    assert rc == 0
+    for body in (_read_json(workdir / "synthesize-report.json"), simulate_body):
+        canonical = json.dumps(body["config"], sort_keys=True, separators=(",", ":"))
+        digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        assert body["config_sha256"] == digest
+
+
+def test_config_hash_without_the_built_in_modules_keeps_the_report(tmp_path):
+    # a build made without the built-in hashes takes hashlib's SHA-256
+    report = tmp_path / "k3.report.json"
+    args = ["implicitize", "--k", "3", "--out", str(tmp_path / "k3.curve.json")]
+    args += ["--report", str(report)]
+    assert main(args) == 0
+    expected = report.read_bytes()
+    report.unlink()
+    code = (
+        "import sys; sys.modules['_sha2'] = sys.modules['_sha256'] = None; "
+        f"from shrubfield import cli; rc = cli.main({args!r}); "
+        "sys.exit(rc or 'hashlib' not in sys.modules)"
+    )
+    assert _fresh_interpreter_exit(code) == 0
+    assert report.read_bytes() == expected
+
+
+def _run_module(*args):
+    """`python -m shrubfield.cli` in a fresh process: its exit code and the
+    lines of its stdout and stderr."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run(
+        [sys.executable, "-m", "shrubfield.cli", *args],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    return done.returncode, done.stdout.splitlines(), done.stderr.splitlines()
+
+
+def test_the_process_entry_point_keeps_codes_and_output(workdir, tmp_path):
+    # in-process main() never runs cli.run(), which `python -m shrubfield.cli`
+    # and the console script take: it freezes the collector before the exit
+    shrub = tmp_path / "framed-pair.json"
+    shrub.write_text(json.dumps(field_synth.example_shrubs()["framed-pair"].to_json()))
+    bundle, report = tmp_path / "framed-pair.bundle.json", tmp_path / "synth.json"
+    assert _run_module(
+        "synthesize", str(shrub), "--out", str(bundle), "--report", str(report)
+    ) == (0, [f"bundle: {bundle}", f"report: {report}"], [])
+    digest = hashlib.sha256(bundle.read_bytes()).hexdigest()
+    assert digest == EXAMPLE_BUNDLE_SHA256["framed-pair"]
+
+    vee = tmp_path / "vee.json"
+    vee.write_text(json.dumps(VEE))
+    refused = tmp_path / "vee.bundle.json"
+    assert _run_module("synthesize", str(vee), "--out", str(refused)) == (
+        2,
+        [],
+        ["Error: layout unsatisfiable: sprig 2 crosses the disk of leaf 0"],
+    )
+    assert not refused.exists()
+
+    csv = tmp_path / "underflow.csv"
+    assert _run_module(
+        "simulate", str(workdir / "bundle.json"), "--horizon", "8", "--unit-speed",
+        "--min-step", "1.0", "--out-csv", str(csv),
+    ) == (
+        3,
+        [],
+        [
+            "Error: integration failed: step size underflow "
+            "at (-0.065039, -0.0756314, -0.995012)"
+        ],
+    )
+    assert not csv.exists()

@@ -17,6 +17,7 @@ from shrubfield.flow_sim import (
     first_integral_drift,
     integrate,
     omega_estimate,
+    refuse_start,
     sample_zero_set,
     seed_orbit,
     trajectory_csv,
@@ -132,6 +133,55 @@ def test_steps_that_swing_a_quarter_turn_are_retried_shorter():
         assert float(np.max(np.abs(np.diff(traj.theta)))) < math.pi / 2
     with pytest.raises(FlowError, match="fixed step swings the winding angle"):
         integrate(field, start, 3.0, IntegrateOptions(fixed_step=1.0))
+
+
+class NorthCap:
+    """Stand-in boundary function: F = -z below the equator and exactly 0.0
+    on and above it, with no punctures."""
+
+    def exceptional_points(self):
+        return ()
+
+    def value_and_gradient(self, x, y, z):
+        return (-z, 0.0, 0.0, -1.0) if z < 0.0 else (0.0, 0.0, 0.0, 0.0)
+
+
+class NorthwardField:
+    """Stand-in field: rows point north along the meridians wherever F is
+    not zero and vanish exactly where it is."""
+
+    function = NorthCap()
+
+    def evaluate_many(self, pts):
+        rows = []
+        for x, y, z in np.asarray(pts, dtype=float).tolist():
+            if self.function.value_and_gradient(x, y, z)[0] == 0.0:
+                rows.append((0.0, 0.0, 0.0))
+            else:
+                rows.append((-x * z, -y * z, 1.0 - z * z))
+        return np.array(rows)
+
+
+def test_an_orbit_that_reaches_a_zero_of_f_raises():
+    # the fixed step accepts every step, so the orbit climbs through the
+    # equator, where F turns 0.0 and the row vanishes for good
+    opts = IntegrateOptions(unit_speed=True, fixed_step=0.25)
+    message = "orbit reached a zero of the field after arc length 1.25 at"
+    with pytest.raises(FlowError, match=message) as err:
+        integrate(NorthwardField(), np.array([0.6, 0.0, -0.8]), 4.0, opts)
+    assert err.value.location[2] >= 0.0
+    assert NorthCap().value_and_gradient(*err.value.location)[0] == 0.0
+
+
+def test_start_on_the_zero_set_is_refused_before_integration():
+    # every zero of F is a rest point; an explicit start there is refused,
+    # while the south focus, where F is not zero, is taken
+    function = field_for("equator").function
+    with pytest.raises(ValueError, match="zero set of F"):
+        refuse_start(function, np.array([1.0, 0.0, 0.0]))
+    refuse_start(function, SOUTH)
+    with pytest.raises(FlowError, match="exceptional"):
+        refuse_start(field_for("lone-sprig").function, np.array([0.0, 0.0, 1.0]))
 
 
 def test_start_off_the_sphere_is_rejected():
