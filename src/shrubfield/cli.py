@@ -483,7 +483,8 @@ def _tangency_spot_check(field: field_synth.VectorField, count: int, seed: int) 
     taken; towering composites otherwise overflow doubles when squared.
     A row that evaluates to exactly zero is tangent by convention. A row
     with an infinite or NaN entry is counted in `nonfinite_rows`, never
-    with the zero rows, and is left out of the maximum.
+    with the zero rows, and is left out of the maximum; so the batch runs
+    with numpy's overflow and invalid-value warnings off.
     """
     import numpy as np
 
@@ -495,7 +496,8 @@ def _tangency_spot_check(field: field_synth.VectorField, count: int, seed: int) 
     r = np.sqrt(1.0 - z * z)
     longitude = 2.0 * math.pi * v
     points = np.stack([r * np.cos(longitude), r * np.sin(longitude), z], axis=1)
-    rows = field.evaluate_many(points)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = field.evaluate_many(points)
     finite = np.isfinite(rows).all(axis=1)
     scale = np.max(np.abs(rows), axis=1)
     live = finite & (scale > 0.0)

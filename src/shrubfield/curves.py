@@ -130,8 +130,10 @@ class AffineMap:
 
 # The largest cusp count a leaf is laid out with: a leaf's k is a multiple of
 # 4 in [4, K_MAX], which layouts and bundle readers check before any curve is
-# implicitized. At k = 20 and 24 the composed field already overflows doubles
-# in the synthesis spot check.
+# implicitized. A framed pair synthesizes up to K_MAX, and overflowed doubles
+# in the synthesis spot check at k = 20 when the cap was higher. A leaf with a
+# sprig already overflows at k = 13, which lays out as 16, so for punctured
+# shrubs the cap is in effect 12.
 K_MAX = 16
 
 
@@ -380,15 +382,6 @@ class SphereArcFunction:
             two_a * n2 + two_s * ((a * n2 + b * m2) / r + m2),
         )
 
-    def value_exact(self, point):
-        """Exact rational value when sqrt(A^2+B^2) happens to be rational
-        (endpoints and sanity checks); raises ValueError otherwise."""
-        u = tuple(Fraction(c) for c in point)
-        a = u[0] * self.n[0] + u[1] * self.n[1] + u[2] * self.n[2] - self.d
-        b = u[0] * self.m[0] + u[1] * self.m[1] + u[2] * self.m[2] - self.e
-        root = _rational_sqrt(a * a + b * b)
-        return a * a + (root + b) * (root + b)
-
     def zero_set(self) -> tuple:
         """(length, sampler) of the arc; sampler(count) spreads count points
         evenly from the first endpoint to the second, both included."""
@@ -428,17 +421,6 @@ class SphereArcFunction:
             return pts / np.linalg.norm(pts, axis=1)[:, None]
 
         return length, sampler
-
-
-def _rational_sqrt(q: Fraction) -> Fraction:
-    q = Fraction(q)
-    if q < 0:
-        raise ValueError("negative radicand")
-    num = math.isqrt(q.numerator)
-    den = math.isqrt(q.denominator)
-    if num * num != q.numerator or den * den != q.denominator:
-        raise ValueError(f"{q} has no rational square root")
-    return Fraction(num, den)
 
 
 def _primitive_int_vector(vec) -> tuple[int, int, int]:

@@ -17,7 +17,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -48,7 +47,7 @@ from .poly_core import (
 # shrub_model is imported inside the functions that compose a layout: loading
 # a bundle and evaluating its field, all that `simulate` does, never runs it
 if TYPE_CHECKING:
-    from .shrub_model import LeafPlacement, ShrubGraph, ShrubLayout
+    from .shrub_model import LeafPlacement, ShrubLayout
 
 UNIT_NORM_TOLERANCE = 1e-12
 
@@ -91,7 +90,7 @@ def _kernel_map(placement: AffineMap | None) -> tuple[tuple, tuple]:
 
 def _fold(start, pairs, values):
     """((start + c0 * values[i0]) + c1 * values[i1]) + ... over the (c, i)
-    pairs, on floats, numpy columns and Fractions alike."""
+    pairs, on floats and numpy columns alike."""
     for c, i in pairs:
         start = start + c * values[i]
     return start
@@ -147,11 +146,10 @@ class PolyFactor:
         self.matrix, self.shift = _kernel_map(placement)
         # row j: (b_j, [(B_ji, i) for nonzero B_ji]); column j: [(B_ij, i + 1)
         # for nonzero B_ij], where i + 1 finds dP/dv_i in the kernel's result
-        self._exact = [
-            (b, [(c, i) for i, c in enumerate(row) if c])
+        self._rows = [
+            (float(b), [(float(c), i) for i, c in enumerate(row) if c])
             for row, b in zip(self.matrix, self.shift)
         ]
-        self._rows = [(float(b), [(float(c), i) for c, i in r]) for b, r in self._exact]
         self._columns = [
             [(float(c), i) for i, c in enumerate(column, 1) if c]
             for column in zip(*self.matrix)
@@ -198,10 +196,6 @@ class PolyFactor:
         p = self._kernel(_fold(b0, row0, u), _fold(b1, row1, u), _fold(b2, row2, u))
         g0, g1, g2 = self._columns
         return p[0], _fold(0.0, g0, p), _fold(0.0, g1, p), _fold(0.0, g2, p)
-
-    def value_exact(self, point):
-        u = tuple(Fraction(c) for c in point)
-        return self.poly.evaluate(tuple(_fold(b, row, u) for b, row in self._exact))
 
     def zero_set(self) -> tuple:
         """(length, sampler) of the equator or of the placed hypocycloid's
@@ -294,14 +288,6 @@ class SphereFunction:
                     out.append(p)
         return tuple(out)
 
-    def value_exact(self, point):
-        """Exact rational product; raises ValueError when an arc factor's
-        square root is irrational at the point."""
-        out = Fraction(1)
-        for factor in self.factors:
-            out *= factor.value_exact(point)
-        return out
-
     def value_and_gradient(self, x, y, z) -> tuple:
         """(F, dF/dx, dF/dy, dF/dz) of the product in component form.
 
@@ -389,66 +375,6 @@ def build_field(function: SphereFunction) -> VectorField:
     return VectorField(function)
 
 
-# -- rest point at the bottom of the sphere ---------------------------------
-
-
-@dataclass(frozen=True)
-class SouthPoleFocus:
-    """Finite-difference linearization at the south pole.
-
-    The eigenvalue pair of the chart Jacobian is compared against the
-    closed-form prediction 2*G(south) * (1 +- i); a relative mismatch
-    above ~1e-4 indicates a broken field, not difference noise.
-    """
-
-    jacobian: np.ndarray
-    eigenvalues: tuple
-    predicted: tuple
-    g_south: float
-    relative_error: float
-
-
-def jacobian_at_south_pole(field: VectorField, h: float = 1e-5) -> SouthPoleFocus:
-    """Central-difference Jacobian in the chart that sends the south pole
-    to the origin, with its eigenvalues and the spiral-focus prediction."""
-    south = (Fraction(0), Fraction(0), Fraction(-1))
-    try:
-        f_south = float(field.function.value_exact(south))
-    except ValueError:
-        f_south = field.function.value_and_gradient(0.0, 0.0, -1.0)[0]
-    if f_south == 0.0:
-        raise ValueError(
-            "boundary function vanishes at the south pole; "
-            "the focus prediction needs a nonzero value there"
-        )
-    g_south = f_south * f_south
-
-    def chart_field(a: float, b: float) -> np.ndarray:
-        x, y, z = plane_to_sphere((a, b))
-        f1, f2, f3 = field.evaluate_many([(x, y, z)])[0]
-        w = 1.0 - z
-        return np.array([f1 / w + x * f3 / (w * w), f2 / w + y * f3 / (w * w)])
-
-    col0 = (chart_field(h, 0.0) - chart_field(-h, 0.0)) / (2.0 * h)
-    col1 = (chart_field(0.0, h) - chart_field(0.0, -h)) / (2.0 * h)
-    jac = np.column_stack([col0, col1])
-    eig = sorted(np.linalg.eigvals(jac), key=lambda t: (t.imag, t.real))
-    predicted = sorted(
-        [2.0 * g_south * (1 - 1j), 2.0 * g_south * (1 + 1j)],
-        key=lambda t: (t.imag, t.real),
-    )
-    rel = max(
-        abs(e - p) / abs(p) for e, p in zip(eig, predicted)
-    )
-    return SouthPoleFocus(
-        jacobian=jac,
-        eigenvalues=tuple(eig),
-        predicted=tuple(predicted),
-        g_south=g_south,
-        relative_error=float(rel),
-    )
-
-
 # -- composing the boundary function from a layout ---------------------------
 
 
@@ -523,61 +449,6 @@ def compose_shrub_function(layout: ShrubLayout) -> SphereFunction:
             )
         )
     return SphereFunction(factors)
-
-
-def synthesize_field(shrub: ShrubGraph) -> VectorField:
-    """Layout, compose, and build in one step."""
-    from .shrub_model import layout_shrub
-
-    return build_field(compose_shrub_function(layout_shrub(shrub)))
-
-
-# -- small reference shrubs ---------------------------------------------------
-
-
-def example_shrubs() -> dict[str, ShrubGraph]:
-    """Named small shrubs that exercise both layout modes.
-
-    equator      lone leaf; the realized boundary is the equator circle
-    framed-pair  two leaves joined at a cusp, drawn as disk-in-frame
-    framed-chain three leaves in a row, still a pure cactus
-    lone-sprig   a single segment with two free ends
-    spiked-leaf  a leaf with sprigs on two opposed cusps
-    """
-    from .shrub_model import Attachment, Junction, Piece, ShrubGraph
-
-    leaf = lambda: Piece("leaf", k=4)  # noqa: E731
-    sprig = lambda: Piece("sprig")  # noqa: E731
-    out = {}
-    out["equator"] = ShrubGraph((leaf(),), ())
-    out["framed-pair"] = ShrubGraph(
-        (leaf(), leaf()),
-        (Junction(0, (Attachment(0, 0), Attachment(1, 0))),),
-    )
-    out["framed-chain"] = ShrubGraph(
-        (leaf(), leaf(), leaf()),
-        (
-            Junction(0, (Attachment(0, 0), Attachment(1, 0))),
-            Junction(1, (Attachment(1, 2), Attachment(2, 0))),
-        ),
-    )
-    out["lone-sprig"] = ShrubGraph((sprig(),), ())
-    out["spiked-leaf"] = ShrubGraph(
-        (leaf(), sprig(), sprig()),
-        (
-            Junction(0, (Attachment(0, 0), Attachment(1, "end0"))),
-            Junction(1, (Attachment(0, 2), Attachment(2, "end0"))),
-        ),
-    )
-    return out
-
-
-def example_field(name: str) -> VectorField:
-    shrubs = example_shrubs()
-    if name not in shrubs:
-        known = ", ".join(sorted(shrubs))
-        raise KeyError(f"unknown example {name!r}; known: {known}")
-    return synthesize_field(shrubs[name])
 
 
 # -- serialized bundles -------------------------------------------------------

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import math
-import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -386,33 +385,6 @@ def cactuses(shrub: ShrubGraph, cut: int = None):
 
 def find_odd_cactuses(shrub: ShrubGraph):
     return [c for c in cactuses(shrub) if c.odd]
-
-
-# -- parity -------------------------------------------------------------------------
-
-
-def parity_check(edges, vertex_count=None):
-    """Handshake identity for a finite multigraph (loops count twice).
-
-    Returns (sum_of_vertex_orders, even_flag) and asserts the sum equals
-    twice the edge count.
-    """
-    edges = list(edges)
-    needed = max((max(u, v) for u, v in edges), default=-1) + 1
-    if vertex_count is None:
-        vertex_count = needed
-    elif vertex_count < needed:
-        raise ValueError("edge endpoint outside the declared vertex range")
-    degree = [0] * vertex_count
-    for u, v in edges:
-        degree[u] += 1
-        degree[v] += 1
-    total = sum(degree)
-    if total != 2 * len(edges):
-        raise AssertionError(
-            f"degree sum {total} != twice edge count {2 * len(edges)}"
-        )
-    return total, total % 2 == 0
 
 
 def odd_object_recount(shrub: ShrubGraph) -> int:
@@ -1028,74 +1000,6 @@ def verify_certificate(shrub: ShrubGraph, cert: OrientationCertificate):
     return (not failures, tuple(failures))
 
 
-# -- random generation ---------------------------------------------------------------
-
-
-def random_very_simple_shrub(rng: random.Random, max_pieces: int = 9) -> ShrubGraph:
-    """Random tree of leaves and sprigs, then parity-fixed to kill odd cactuses.
-
-    A junction uses at most one cusp slot per new attachment, and each leaf
-    keeps at least one spare cusp so the parity fix always finds room.
-    """
-    pieces = []
-    junction_specs = []  # list of attachment lists
-    open_slots = []  # (piece, site)
-
-    def add_leaf():
-        k = rng.choice([4, 4, 8, 3, 5])
-        pieces.append(Piece(kind="leaf", k=k))
-        pid = len(pieces) - 1
-        # keep at least one cusp spare so the parity fix always finds room
-        for cusp in range(min(3, k - 1)):
-            open_slots.append((pid, cusp))
-        return pid
-
-    def add_sprig():
-        pieces.append(Piece(kind="sprig"))
-        pid = len(pieces) - 1
-        open_slots.append((pid, "end1"))
-        return pid, "end0"
-
-    def build():
-        return ShrubGraph(
-            pieces,
-            [Junction(bud=i, at=tuple(at)) for i, at in enumerate(junction_specs)],
-        )
-
-    if rng.random() < 0.6:
-        add_leaf()
-    else:
-        add_sprig()  # its first end stays free
-    target = rng.randint(1, max_pieces)
-    while len(pieces) < target and open_slots:
-        slot_idx = rng.randrange(len(open_slots))
-        parent_slot = open_slots.pop(slot_idx)
-        if rng.random() < 0.5:
-            child = add_leaf()
-            child_site = 0
-            # slot 0 of the child is consumed by this junction
-            open_slots.remove((child, 0))
-        else:
-            child, child_site = add_sprig()
-        junction_specs.append(
-            [Attachment(*parent_slot), Attachment(child, child_site)]
-        )
-
-    shrub = build()
-    # parity fix: hang one extra free sprig off every odd cactus, at the
-    # lowest free cusp of its first leaf; a leaf lies in one cactus only and
-    # keeps a spare cusp, so that cusp is free
-    for c in find_odd_cactuses(shrub):
-        leaf = c.leaves[0]
-        used = {cusp for cusp, _ in shrub.cusp_buds(leaf)}
-        cusp = next(i for i in range(shrub.pieces[leaf].k) if i not in used)
-        pieces.append(Piece(kind="sprig"))
-        junction_specs.append(
-            [Attachment(leaf, cusp), Attachment(len(pieces) - 1, "end0")]
-        )
-    return build()
-
-
 # -- geometric layout -----------------------------------------------------------------
 
 
@@ -1515,9 +1419,7 @@ def _layout_punctured(shrub: ShrubGraph) -> ShrubLayout:
     if len(junction_points) != len(aug.junctions):
         raise LayoutError("layout did not reach every junction")
 
-    segments = _collect_maximal_segments(
-        aug, cert, placements, junction_points, aux_ids
-    )
+    segments = _collect_maximal_segments(aug, cert, junction_points, aux_ids)
     _check_collisions(aug, placements, junction_points)
     # every odd bud of the augmented shrub ends an arc (the auxiliary stub
     # tips included), and each auxiliary junction cuts its chain in two
@@ -1563,7 +1465,7 @@ _SLOT_SPREADS = {
 }
 
 
-def _collect_maximal_segments(aug, cert, placements, junction_points, aux_ids):
+def _collect_maximal_segments(aug, cert, junction_points, aux_ids):
     """Straight factor segments: chains realized as collinear runs, plus
     lone sprigs with both ends free. Auxiliary stubs are cut off their
     chain at the junction and emitted as separate one-sprig segments. An

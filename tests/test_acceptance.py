@@ -12,6 +12,12 @@ import time
 
 import numpy as np
 import pytest
+from shrubs import (
+    example_field,
+    jacobian_at_south_pole,
+    parity_check,
+    random_very_simple_shrub,
+)
 
 from shrubfield.cli import main
 from shrubfield.curves import (
@@ -21,13 +27,7 @@ from shrubfield.curves import (
     param_point,
     poly_gradient,
 )
-from shrubfield.field_synth import (
-    PolyFactor,
-    SphereFunction,
-    build_field,
-    example_field,
-    jacobian_at_south_pole,
-)
+from shrubfield.field_synth import PolyFactor, SphereFunction, build_field
 from shrubfield.flow_sim import (
     IntegrateOptions,
     first_integral_drift,
@@ -38,12 +38,7 @@ from shrubfield.flow_sim import (
     winding_summary,
 )
 from shrubfield.poly_core import Polynomial
-from shrubfield.shrub_model import (
-    orient_all,
-    parity_check,
-    random_very_simple_shrub,
-    verify_certificate,
-)
+from shrubfield.shrub_model import orient_all, verify_certificate
 
 FIVE_FIELDS = ("equator", "lone-sprig", "framed-pair", "framed-chain", "spiked-leaf")
 OFF_BOTTOM = np.array([0.1, 0.0, -math.sqrt(0.99)])

@@ -21,7 +21,7 @@ from shrubfield.cli import NumericFailureError, _dump_json, _tangency_spot_check
 from shrubfield.field_synth import load_bundle
 from shrubfield.flow_sim import FlowError, IntegrateOptions, integrate
 from shrubfield.poly_core import Polynomial
-from shrubfield.shrub_model import random_very_simple_shrub
+from shrubs import example_field, example_shrubs, random_very_simple_shrub
 from test_field_synth import EXAMPLE_BUNDLE_SHA256
 from test_flow_sim import NorthwardField
 from test_shrub_model import STAR, THREE_LEAVES_AT_ONE_CUSP, TWO_LEAVES_AND_SPRIG, VEE, X
@@ -247,7 +247,7 @@ def test_free_sprigs_at_one_point_pair_off_into_degenerate_chains(workdir):
 
 
 def test_example_shrub_reports_carry_an_agreeing_recount(tmp_path, capsys):
-    for name, shrub in field_synth.example_shrubs().items():
+    for name, shrub in example_shrubs().items():
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(shrub.to_json()))
         report = tmp_path / f"classify-{name}.json"
@@ -427,7 +427,7 @@ def test_spot_check_counts_nonfinite_rows_apart_from_zero_rows():
         tangency = _tangency_spot_check(field, 50, 0)
     assert tangency["nonfinite_rows"] == 50
     assert tangency["zero_rows"] == 0
-    plain = _tangency_spot_check(field_synth.example_field("equator"), 50, 0)
+    plain = _tangency_spot_check(example_field("equator"), 50, 0)
     assert plain["nonfinite_rows"] == 0
 
 
@@ -474,6 +474,19 @@ def test_overflowing_synthesis_is_a_numeric_failure(workdir, tmp_path, monkeypat
         rc = main(["synthesize", str(workdir / "lone-leaf.json"), "--out", str(out)])
     assert rc == 3
     assert "not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_an_overflowing_spot_check_warns_nothing(tmp_path, capsys):
+    # a k = 13 leaf lays out as 16, and with a sprig its field overflows
+    # doubles; the spot check counts those rows, so numpy must not also warn
+    shrub = tmp_path / "k13.json"
+    shrub.write_text(json.dumps(_leaf_and_sprig(leaf={"k": 13})))
+    out = tmp_path / "k13-bundle.json"
+    assert main(["synthesize", str(shrub), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "153 of 200 spot-check field rows are not finite" in err
     assert not out.exists()
 
 
@@ -768,7 +781,7 @@ EXAMPLE_ORBIT_SHA256 = {
 @pytest.mark.parametrize("name", sorted(EXAMPLE_ORBIT_SHA256))
 def test_example_orbits_are_pinned(tmp_path, name):
     horizon, csv_digest, report_digest = EXAMPLE_ORBIT_SHA256[name]
-    shrub = field_synth.example_shrubs()[name]
+    shrub = example_shrubs()[name]
     bundle = tmp_path / "bundle.json"
     field_synth.save_bundle(
         bundle, field_synth.compose_shrub_function(shrub_model.layout_shrub(shrub))
@@ -795,7 +808,7 @@ FRAMED_PAIR_PLOT_SHA256 = (
 
 def test_framed_pair_plot_is_pinned(tmp_path):
     horizon, csv_digest, _ = EXAMPLE_ORBIT_SHA256["framed-pair"]
-    shrub = field_synth.example_shrubs()["framed-pair"]
+    shrub = example_shrubs()["framed-pair"]
     bundle = tmp_path / "bundle.json"
     field_synth.save_bundle(
         bundle, field_synth.compose_shrub_function(shrub_model.layout_shrub(shrub))
@@ -825,7 +838,7 @@ EXAMPLE_CLASSIFY_SHA256 = {
 @pytest.mark.parametrize("name", sorted(EXAMPLE_CLASSIFY_SHA256))
 def test_example_classify_reports_are_pinned(tmp_path, name):
     shrub_path, report_path = tmp_path / "shrub.json", tmp_path / "report.json"
-    shrub_path.write_text(json.dumps(field_synth.example_shrubs()[name].to_json()))
+    shrub_path.write_text(json.dumps(example_shrubs()[name].to_json()))
     assert main(["classify", str(shrub_path), "--report", str(report_path)]) == 0
     body = _read_json(report_path)
     del body["config_sha256"]
@@ -1160,7 +1173,7 @@ _BROKEN_ENTRIES = [
 def _broken_bundles():
     intact = {}
     for name in ("lone-sprig", "framed-pair"):
-        shrub = field_synth.example_shrubs()[name]
+        shrub = example_shrubs()[name]
         function = field_synth.compose_shrub_function(shrub_model.layout_shrub(shrub))
         intact[name] = json.dumps(field_synth.bundle_dict(function))
         field_synth.function_from_bundle(json.loads(intact[name]))
@@ -1212,7 +1225,7 @@ def test_poly_factors_without_a_source_are_refused(tmp_path, capsys, monkeypatch
 
 
 def test_a_misspelled_piece_kind_is_named(tmp_path, capsys):
-    shrub = field_synth.example_shrubs()["framed-pair"]
+    shrub = example_shrubs()["framed-pair"]
     body = field_synth.bundle_dict(
         field_synth.compose_shrub_function(shrub_model.layout_shrub(shrub))
     )
@@ -1238,7 +1251,7 @@ def test_version_one_bundles_ask_for_a_new_synthesis(workdir, tmp_path, capsys):
 
 
 def test_version_two_bundles_ask_for_a_new_synthesis(tmp_path, capsys):
-    shrub = field_synth.example_shrubs()["framed-pair"]
+    shrub = example_shrubs()["framed-pair"]
     data = field_synth.bundle_dict(
         field_synth.compose_shrub_function(shrub_model.layout_shrub(shrub))
     )
@@ -1271,7 +1284,7 @@ def test_leaf_entries_off_the_k_rule_are_refused_first(
 ):
     # a leaf's k is a multiple of 4 in [4, K_MAX]; at k = 5001 the kernel
     # alone would take a fifth of a second and 77 MB
-    shrub = field_synth.example_shrubs()["framed-pair"]
+    shrub = example_shrubs()["framed-pair"]
     body = field_synth.bundle_dict(
         field_synth.compose_shrub_function(shrub_model.layout_shrub(shrub))
     )
@@ -1555,7 +1568,7 @@ def test_the_process_entry_point_keeps_codes_and_output(workdir, tmp_path):
     # in-process main() never runs cli.run(), which `python -m shrubfield.cli`
     # and the console script take: it freezes the collector before the exit
     shrub = tmp_path / "framed-pair.json"
-    shrub.write_text(json.dumps(field_synth.example_shrubs()["framed-pair"].to_json()))
+    shrub.write_text(json.dumps(example_shrubs()["framed-pair"].to_json()))
     bundle, report = tmp_path / "framed-pair.bundle.json", tmp_path / "synth.json"
     assert _run_module(
         "synthesize", str(shrub), "--out", str(bundle), "--report", str(report)

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from exact_oracle import factor_value
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from lift_oracle import apply_affine, lift_to_sphere
@@ -414,7 +415,7 @@ def test_arc_endpoints_exact_zeros():
         (Fraction(3, 5), 0, Fraction(4, 5)),
     )
     for q in arc.endpoints:
-        assert arc.value_exact(q) == 0
+        assert factor_value(arc, q) == 0
 
 
 def test_arc_rejects_bad_inputs():

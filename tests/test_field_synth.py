@@ -12,9 +12,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from exact_oracle import exact_value, factor_value
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from lift_oracle import apply_affine, lift_to_sphere
+from shrubs import (
+    example_field,
+    example_shrubs,
+    jacobian_at_south_pole,
+    random_very_simple_shrub,
+    synthesize_field,
+)
 
 from shrubfield import field_synth
 from shrubfield.curves import (
@@ -38,13 +46,9 @@ from shrubfield.field_synth import (
     bundle_dict,
     bundle_text,
     compose_shrub_function,
-    example_field,
-    example_shrubs,
     function_from_bundle,
-    jacobian_at_south_pole,
     load_bundle,
     save_bundle,
-    synthesize_field,
 )
 from shrubfield.poly_core import Polynomial, parse_point
 from shrubfield.shrub_model import (
@@ -55,7 +59,6 @@ from shrubfield.shrub_model import (
     Piece,
     ShrubGraph,
     layout_shrub,
-    random_very_simple_shrub,
 )
 
 X = Polynomial.variable("x", SPHERE_VARS)
@@ -104,15 +107,6 @@ def normalized_tangency(field, pts):
     return float(np.max(dots / norms, initial=0.0))
 
 
-def field_for(name):
-    if name not in _FIELD_CACHE:
-        _FIELD_CACHE[name] = example_field(name)
-    return _FIELD_CACHE[name]
-
-
-_FIELD_CACHE = {}
-
-
 # -- factors --------------------------------------------------------------------
 
 
@@ -123,7 +117,7 @@ def test_poly_factor_value_matches_exact_evaluation():
         (Fraction(0), Fraction(0), Fraction(-1)),
     ]
     for p in pts:
-        exact = factor.value_exact(p)
+        exact = factor_value(factor, p)
         assert value(factor, p) == pytest.approx(
             float(exact), rel=1e-14
         )
@@ -160,7 +154,7 @@ def test_arc_factor_vanishes_exactly_on_its_arc():
         u = np.array([math.cos(t), 0.0, -abs(math.sin(t))])
         assert value(factor, u) == pytest.approx(0.0, abs=1e-30)
     for q in factor.endpoints:
-        assert factor.value_exact(q) == 0
+        assert factor_value(factor, q) == 0
     # off-arc points are strictly positive
     assert value(factor, [0.0, 0.0, 1.0]) > 1.0
     assert value(factor, [0.0, 1.0, 0.0]) > 0.5
@@ -349,7 +343,7 @@ def _condition(factor, point) -> float:
         abs(c) * math.prod(abs(v) ** e for v, e in zip(mapped, exps))
         for exps, c in factor.poly.terms.items()
     )
-    magnitude = abs(factor.value_exact(point))
+    magnitude = abs(factor_value(factor, point))
     return math.inf if magnitude == 0 else float(size / magnitude)
 
 
@@ -363,7 +357,7 @@ def test_poly_factors_match_exact_values_at_rational_points():
     for name, factor in factors:
         # off the zero set: the factor's own evaluation is well posed
         points = [p for p in _rational_sphere_points() if _condition(factor, p) <= 100.0]
-        exact = np.array([float(factor.value_exact(p)) for p in points])
+        exact = np.array([float(factor_value(factor, p)) for p in points])
         floats = np.array([[float(c) for c in p] for p in points])
         # one point at a time on Python floats, and the whole batch on columns
         single = np.array([value(factor, u) for u in floats])
@@ -399,13 +393,13 @@ def test_empty_product_is_the_constant_one():
     vals, *grads = fn.value_and_gradient(*pts.T)
     assert np.all(vals == 1.0)
     assert np.all(np.array(grads) == 0.0)
-    assert fn.value_exact(SOUTH) == 1
+    assert exact_value(fn, SOUTH) == 1
 
 
 def test_value_exact_multiplies_factors():
     fn = SphereFunction(factors=[PolyFactor(Z), PolyFactor(Z * 2)])
-    assert fn.value_exact(SOUTH) == Fraction(2)
-    assert fn.value_exact(NORTH) == Fraction(2)
+    assert exact_value(fn, SOUTH) == Fraction(2)
+    assert exact_value(fn, NORTH) == Fraction(2)
 
 
 def test_exceptional_points_union_without_duplicates():
@@ -435,21 +429,21 @@ def test_poles_are_rest_points_of_the_constant_field():
 
 
 def test_equator_field_frozen_value():
-    field = field_for("equator")
+    field = example_field("equator")
     s = math.sqrt(2) / 2
     f = row(field, (s, 0.0, -s))
     assert np.allclose(f, [0.5, 0.0, 0.5], atol=1e-13)
 
 
 def test_equator_field_vanishes_on_its_zero_circle():
-    field = field_for("equator")
+    field = example_field("equator")
     for t in np.linspace(0.0, 2 * math.pi, 17):
         f = row(field, (math.cos(t), math.sin(t), 0.0))
         assert np.allclose(f, 0.0, atol=1e-15)
 
 
 def test_field_values_are_tangent():
-    field = field_for("framed-pair")
+    field = example_field("framed-pair")
     assert normalized_tangency(field, unit_points(500, seed=11)) < 1e-12
 
 
@@ -483,7 +477,7 @@ def test_one_point_rows_equal_batched_rows():
     # one row runs on Python floats, a batch on numpy columns; the kernels
     # do the same operations in the same order on both, so the bits agree
     pts = unit_points(200, seed=41)
-    fields = {name: field_for(name) for name in sorted(example_shrubs())}
+    fields = {name: example_field(name) for name in sorted(example_shrubs())}
     for k in (8, 12):
         fields[f"leaf k={k} with a sprig"] = synthesize_field(_leaf_with_sprig(k))
     for name, field in fields.items():
@@ -512,7 +506,7 @@ def test_tangency_is_an_identity_of_the_formulas(raw):
     if n < 1e-3:
         return
     u = v / n
-    field = field_for("spiked-leaf")
+    field = example_field("spiked-leaf")
     try:
         f = row(field, u)
     except DomainError:
@@ -548,7 +542,7 @@ def test_south_pole_focus_scales_with_the_squared_constant():
 
 
 def test_south_pole_focus_for_a_composite_boundary():
-    focus = jacobian_at_south_pole(field_for("framed-pair"))
+    focus = jacobian_at_south_pole(example_field("framed-pair"))
     assert focus.relative_error < 1e-4
 
 
@@ -573,7 +567,7 @@ def test_frame_composition_structure():
     fn = compose_shrub_function(lay)
     assert [f.label for f in fn.factors] == ["frame", "leaf:1"]
     assert fn.exceptional_points() == ()
-    assert fn.value_exact(SOUTH) != 0
+    assert exact_value(fn, SOUTH) != 0
 
 
 def test_frame_composition_vanishes_on_the_placed_leaf_boundary():
@@ -604,11 +598,11 @@ def test_punctured_composition_of_the_lone_sprig():
     # the ray's arc runs from the tip image up to the top of the sphere
     assert set(fn.exceptional_points()) == set(fn.factors[0].endpoints)
     assert NORTH in fn.exceptional_points()
-    assert fn.value_exact(NORTH) == 0
+    assert exact_value(fn, NORTH) == 0
 
 
 def test_field_evaluation_refuses_exact_punctures():
-    field = field_for("lone-sprig")
+    field = example_field("lone-sprig")
     with pytest.raises(DomainError):
         row(field, (0.0, 0.0, 1.0))
     with pytest.raises(DomainError):
@@ -623,7 +617,7 @@ def test_punctured_composition_of_the_spiked_leaf():
     assert NORTH in fn.exceptional_points()
     # the arc radicand is irrational at the south pole, so exactness is
     # available factor by factor, not for the product
-    assert fn.factors[0].value_exact(SOUTH) != 0
+    assert factor_value(fn.factors[0], SOUTH) != 0
     assert value(fn, [0.0, 0.0, -1.0]) != 0.0
 
 
@@ -658,7 +652,7 @@ def test_punctured_leaf_factors_avoid_the_chart_origin():
     fn = compose_shrub_function(lay)
     leaf_factor = fn.factors[0]
     # a leaf boundary through the origin would zero the south-pole value
-    assert leaf_factor.value_exact(SOUTH) != 0
+    assert factor_value(leaf_factor, SOUTH) != 0
 
 
 def test_punctured_composition_vanishes_on_sampled_boundary():
@@ -754,7 +748,7 @@ def test_example_shrubs_cover_both_modes():
 def test_example_fields_build_tangent_and_spiral():
     pts = unit_points(300, seed=23)
     for name in sorted(example_shrubs()):
-        field = field_for(name)
+        field = example_field(name)
         assert normalized_tangency(field, pts) < 1e-12, name
         focus = jacobian_at_south_pole(field)
         assert focus.relative_error < 1e-4, name
@@ -848,7 +842,7 @@ EXAMPLE_BUNDLE_SHA256 = {
 
 def test_example_bundles_are_pinned():
     for name, digest in EXAMPLE_BUNDLE_SHA256.items():
-        text = bundle_text(field_for(name).function)
+        text = bundle_text(example_field(name).function)
         assert hashlib.sha256(text.encode()).hexdigest() == digest, name
 
 

@@ -5,9 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from exact_oracle import exact_value
+from shrubs import example_field
 
 from shrubfield.curves import plane_to_sphere, sphere_arc
-from shrubfield.field_synth import SphereFunction, example_field
+from shrubfield.field_synth import SphereFunction
 from shrubfield.flow_sim import (
     FlowError,
     _allocate,
@@ -30,16 +32,10 @@ OFF_BOTTOM = np.array([0.1, 0.0, -math.sqrt(0.99)])
 _CACHE = {}
 
 
-def field_for(name):
-    if name not in _CACHE:
-        _CACHE[name] = example_field(name)
-    return _CACHE[name]
-
-
 def zero_for(name, count=1200):
     key = ("zero", name, count)
     if key not in _CACHE:
-        _CACHE[key] = sample_zero_set(field_for(name).function, count)
+        _CACHE[key] = sample_zero_set(example_field(name).function, count)
     return _CACHE[key]
 
 
@@ -47,7 +43,7 @@ def equator_run():
     """Medium equator orbit shared by the cheap diagnostics tests."""
     if "eq-run" not in _CACHE:
         _CACHE["eq-run"] = integrate(
-            field_for("equator"),
+            example_field("equator"),
             OFF_BOTTOM,
             20.0,
             IntegrateOptions(unit_speed=True),
@@ -59,7 +55,7 @@ def equator_long_run():
     """Long, densely sampled equator orbit for winding and limit tests."""
     if "eq-long" not in _CACHE:
         _CACHE["eq-long"] = integrate(
-            field_for("equator"),
+            example_field("equator"),
             OFF_BOTTOM,
             80.0,
             IntegrateOptions(unit_speed=True, max_step=0.01),
@@ -85,7 +81,7 @@ def constant_trajectory(point, n=5, logrho=-1.0):
 
 def test_rest_at_the_bottom_stays_put():
     traj = integrate(
-        field_for("equator"), SOUTH, 1.0, IntegrateOptions(fixed_step=0.1)
+        example_field("equator"), SOUTH, 1.0, IntegrateOptions(fixed_step=0.1)
     )
     assert len(traj) == 11
     assert np.all(traj.states == SOUTH)
@@ -96,7 +92,7 @@ def test_rest_on_the_boundary_stays_put():
     # every zero of the boundary function is a rest point of the field
     p = np.array([1.0, 0.0, 0.0])
     traj = integrate(
-        field_for("equator"), p, 1.0, IntegrateOptions(fixed_step=0.25)
+        example_field("equator"), p, 1.0, IntegrateOptions(fixed_step=0.25)
     )
     assert np.all(traj.states == p)
 
@@ -124,7 +120,7 @@ def test_sample_times_increase_and_turns_stay_small():
 def test_steps_that_swing_a_quarter_turn_are_retried_shorter():
     # 1e-3 from the poles axis the orbit turns about it quickly, so at loose
     # tolerances a step can swing the winding angle by a quarter turn or more
-    field = field_for("equator")
+    field = example_field("equator")
     start = seed_orbit(field, 1e-3, 0)
     for unit_speed in (False, True):
         opts = IntegrateOptions(rtol=1e-3, atol=1e-3, unit_speed=unit_speed)
@@ -176,41 +172,41 @@ def test_an_orbit_that_reaches_a_zero_of_f_raises():
 def test_start_on_the_zero_set_is_refused_before_integration():
     # every zero of F is a rest point; an explicit start there is refused,
     # while the south focus, where F is not zero, is taken
-    function = field_for("equator").function
+    function = example_field("equator").function
     with pytest.raises(ValueError, match="zero set of F"):
         refuse_start(function, np.array([1.0, 0.0, 0.0]))
     refuse_start(function, SOUTH)
     with pytest.raises(FlowError, match="exceptional"):
-        refuse_start(field_for("lone-sprig").function, np.array([0.0, 0.0, 1.0]))
+        refuse_start(example_field("lone-sprig").function, np.array([0.0, 0.0, 1.0]))
 
 
 def test_start_off_the_sphere_is_rejected():
     with pytest.raises(ValueError, match="unit sphere"):
-        integrate(field_for("equator"), np.array([0.5, 0.0, 0.0]), 1.0)
+        integrate(example_field("equator"), np.array([0.5, 0.0, 0.0]), 1.0)
 
 
 def test_nonfinite_start_is_rejected():
     # a NaN coordinate passed the unit-norm check, since NaN compares false
     for start in ([math.nan, 0.0, 0.0], [math.inf, 0.0, -1.0], [0.6, math.nan, -0.8]):
         with pytest.raises(ValueError, match="finite"):
-            integrate(field_for("equator"), np.array(start), 1.0)
+            integrate(example_field("equator"), np.array(start), 1.0)
 
 
 def test_start_on_a_puncture_is_refused():
-    field = field_for("lone-sprig")
+    field = example_field("lone-sprig")
     with pytest.raises(FlowError, match="exceptional"):
         integrate(field, np.array([0.0, 0.0, 1.0]), 1.0)
 
 
 def test_zero_horizon_is_rejected():
     with pytest.raises(ValueError, match="horizon"):
-        integrate(field_for("equator"), SOUTH, 0.0)
+        integrate(example_field("equator"), SOUTH, 0.0)
 
 
 def test_negative_horizon_retraces_the_orbit():
     opts = IntegrateOptions(unit_speed=True)
     for name, span in (("equator", 20.0), ("lone-sprig", 10.0)):
-        field = field_for(name)
+        field = example_field(name)
         p0 = seed_orbit(field, 0.05, 11)
         forward = integrate(field, p0, span, opts)
         back = integrate(field, forward.states[-1], -span, opts)
@@ -222,7 +218,7 @@ def test_negative_horizon_retraces_the_orbit():
 def test_step_budget_exhaustion_is_reported():
     with pytest.raises(FlowError, match="step budget"):
         integrate(
-            field_for("equator"),
+            example_field("equator"),
             OFF_BOTTOM,
             30.0,
             IntegrateOptions(unit_speed=True, max_steps=5),
@@ -232,7 +228,7 @@ def test_step_budget_exhaustion_is_reported():
 def test_step_floor_stops_the_run_with_a_location():
     with pytest.raises(FlowError, match=r"underflow.*at \("):
         integrate(
-            field_for("equator"),
+            example_field("equator"),
             OFF_BOTTOM,
             30.0,
             IntegrateOptions(unit_speed=True, min_step=1.0),
@@ -242,13 +238,13 @@ def test_step_floor_stops_the_run_with_a_location():
 def test_tolerances_must_be_positive():
     for options in (IntegrateOptions(atol=0.0), IntegrateOptions(rtol=-1e-10)):
         with pytest.raises(ValueError, match="tolerances"):
-            integrate(field_for("equator"), OFF_BOTTOM, 1.0, options)
+            integrate(example_field("equator"), OFF_BOTTOM, 1.0, options)
 
 
 def test_fixed_step_must_be_positive():
     with pytest.raises(ValueError, match="fixed step"):
         integrate(
-            field_for("equator"),
+            example_field("equator"),
             SOUTH,
             1.0,
             IntegrateOptions(fixed_step=0.0),
@@ -275,7 +271,7 @@ def test_each_step_attempt_costs_six_evaluations():
         ("equator", OFF_BOTTOM, 6.0),
         ("lone-sprig", OFF_BOTTOM, 3.0),
     ):
-        counted = CountingField(field_for(name))
+        counted = CountingField(example_field(name))
         traj = integrate(counted, start, horizon, IntegrateOptions(unit_speed=True))
         d = traj.diagnostics
         attempts = d["accepted"] + d["rejected_error"] + d["rejected_winding"]
@@ -312,7 +308,7 @@ def _seven_stage_orbit(field, start, h, count):
 
 
 def test_reused_stages_match_a_seven_stage_reference():
-    field = field_for("equator")
+    field = example_field("equator")
     # a step of 1/16 divides the horizon exactly
     traj = integrate(field, OFF_BOTTOM, 4.0, IntegrateOptions(fixed_step=0.0625))
     reference = _seven_stage_orbit(field, OFF_BOTTOM, 0.0625, len(traj) - 1)
@@ -337,7 +333,7 @@ def test_first_integral_holds_on_guarded_samples():
         ("framed-pair", 16.0),
         ("lone-sprig", 10.0),
     ):
-        field = field_for(name)
+        field = example_field(name)
         p0 = seed_orbit(field, 0.05, 11)
         traj = integrate(field, p0, span, IntegrateOptions(unit_speed=True))
         drift = first_integral_drift(traj, zero_samples=zero_for(name))
@@ -352,7 +348,7 @@ def test_drift_vanishes_on_a_constant_orbit():
 def test_drift_errors_when_the_integral_starts_at_zero():
     # on the poles axis rho vanishes, so w(0) = 0 and no ratio exists
     traj = integrate(
-        field_for("equator"), SOUTH, 1.0, IntegrateOptions(fixed_step=0.25)
+        example_field("equator"), SOUTH, 1.0, IntegrateOptions(fixed_step=0.25)
     )
     with pytest.raises(FlowError, match="vanishes at the start"):
         first_integral_drift(traj)
@@ -370,7 +366,7 @@ def test_loosened_tolerance_grows_the_drift():
     drifts = []
     for rtol in (1e-10, 1e-8, 1e-6):
         traj = integrate(
-            field_for("equator"),
+            example_field("equator"),
             OFF_BOTTOM,
             20.0,
             IntegrateOptions(unit_speed=True, rtol=rtol, atol=rtol * 1e-2),
@@ -383,7 +379,7 @@ def test_halving_the_step_cuts_the_drift_at_least_fourfold():
     drifts = []
     for h in (0.02, 0.01):
         traj = integrate(
-            field_for("equator"),
+            example_field("equator"),
             OFF_BOTTOM,
             16.0,
             IntegrateOptions(unit_speed=True, fixed_step=h),
@@ -415,7 +411,7 @@ def test_circle_boundary_run_winds_past_ten_turns():
 
 def test_winding_keeps_growing_with_the_horizon():
     short = integrate(
-        field_for("equator"),
+        example_field("equator"),
         OFF_BOTTOM,
         10.0,
         IntegrateOptions(unit_speed=True),
@@ -427,7 +423,7 @@ def test_winding_keeps_growing_with_the_horizon():
 
 
 def test_equator_sample_of_four_is_the_cardinal_points():
-    pts = sample_zero_set(field_for("equator").function, 4)
+    pts = sample_zero_set(example_field("equator").function, 4)
     expected = np.array(
         [[1, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0]], dtype=float
     )
@@ -448,18 +444,18 @@ def test_segment_function_samples_the_lower_meridian():
     endpoints = [tuple(float(c) for c in q) for q in arc.endpoints]
     ends = np.array([tuple(p) in endpoints for p in pts.tolist()])
     assert ends.any()
-    assert all(fn.value_exact(p) == 0 for p in pts[ends])
+    assert all(exact_value(fn, p) == 0 for p in pts[ends])
     assert float(np.max(np.abs(fn.value_and_gradient(*pts[~ends].T)[0]))) == 0.0
 
 
 def test_puncture_appears_among_arc_samples():
-    field = field_for("lone-sprig")
+    field = example_field("lone-sprig")
     pts = sample_zero_set(field.function, 50)
     assert any(np.allclose(p, [0, 0, 1], atol=1e-12) for p in pts)
 
 
 def test_hypocycloid_samples_sit_on_the_boundary():
-    fn = field_for("framed-pair").function
+    fn = example_field("framed-pair").function
     pts = sample_zero_set(fn, 400)
     worst = 0.0
     for factor in fn.factors:
@@ -491,7 +487,7 @@ def test_zero_set_samples_are_pinned(name):
 
 
 def test_sample_counts_follow_piece_lengths():
-    fn = field_for("framed-pair").function
+    fn = example_field("framed-pair").function
     pts = sample_zero_set(fn, 300)
     assert pts.shape == (300, 3)
     on_equator = int(np.sum(pts[:, 2] == 0.0))
@@ -531,7 +527,7 @@ def test_sampling_without_a_parametric_source_is_refused():
 
 
 def test_sampling_needs_one_point_per_piece():
-    fn = field_for("spiked-leaf").function
+    fn = example_field("spiked-leaf").function
     with pytest.raises(ValueError, match="one sample per"):
         sample_zero_set(fn, 1)
 
@@ -548,14 +544,14 @@ def test_equator_orbit_settles_on_the_equator():
 
 def test_rest_orbit_sits_a_quarter_turn_from_the_equator():
     traj = integrate(
-        field_for("equator"), SOUTH, 1.0, IntegrateOptions(fixed_step=0.25)
+        example_field("equator"), SOUTH, 1.0, IntegrateOptions(fixed_step=0.25)
     )
     est = omega_estimate(traj, zero_for("equator", 200))
     assert abs(est.attraction - math.pi / 2) < 1e-9
 
 
 def test_lone_sprig_orbit_converges_to_its_arc():
-    field = field_for("lone-sprig")
+    field = example_field("lone-sprig")
     p0 = seed_orbit(field, 0.05, 11)
     traj = integrate(
         field,
@@ -586,26 +582,26 @@ def test_window_fraction_bounds_are_enforced():
 
 
 def test_same_seed_gives_the_same_start():
-    field = field_for("equator")
+    field = example_field("equator")
     a = seed_orbit(field, 0.05, 123)
     b = seed_orbit(field, 0.05, 123)
     assert np.array_equal(a, b)
 
 
 def test_zero_radius_seeds_the_bottom_point():
-    p = seed_orbit(field_for("equator"), 0.0, 9)
+    p = seed_orbit(example_field("equator"), 0.0, 9)
     assert np.array_equal(p, SOUTH)
 
 
 def test_hundred_seeds_are_distinct():
-    field = field_for("equator")
+    field = example_field("equator")
     pts = {tuple(seed_orbit(field, 0.05, s)) for s in range(100)}
     assert len(pts) == 100
 
 
 def test_seed_angle_is_the_numpy_uniform_draw():
     # numpy's own generator is the oracle for the pure-Python stream
-    field = field_for("equator")
+    field = example_field("equator")
     for s in range(100):
         psi = float(np.random.default_rng(s).uniform(0.0, 2.0 * math.pi))
         p = np.array(plane_to_sphere((0.05 * math.cos(psi), 0.05 * math.sin(psi))))
@@ -613,7 +609,7 @@ def test_seed_angle_is_the_numpy_uniform_draw():
 
 
 def test_seed_radius_is_bounded():
-    field = field_for("equator")
+    field = example_field("equator")
     for radius in (0.1, 0.5, -0.01):
         with pytest.raises(ValueError, match="radius"):
             seed_orbit(field, radius, 1)
@@ -635,6 +631,6 @@ def test_trajectory_csv_has_the_stated_columns():
 
 def test_identical_runs_give_identical_csv():
     opts = IntegrateOptions(unit_speed=True)
-    a = integrate(field_for("equator"), OFF_BOTTOM, 5.0, opts)
-    b = integrate(field_for("equator"), OFF_BOTTOM, 5.0, opts)
+    a = integrate(example_field("equator"), OFF_BOTTOM, 5.0, opts)
+    b = integrate(example_field("equator"), OFF_BOTTOM, 5.0, opts)
     assert trajectory_csv(a) == trajectory_csv(b)

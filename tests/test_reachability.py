@@ -12,19 +12,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "shrubfield"
 
-# names that only the tests call, each with the reason it stays
-ALLOWED = {
-    "jacobian_at_south_pole": "the finite-difference check of the south "
-    "spiral focus that acceptance criterion 2 runs",
-    "parity_check": "the handshake identity on a plain multigraph, which "
-    "acceptance criterion 5 runs",
-    "random_very_simple_shrub": "the generator of the property tests and "
-    "the acceptance criteria",
-    "example_field": "builds an example's field by name for the tests and "
-    "the acceptance criteria",
-}
-
-
 def _is_command(node) -> bool:
     """A function registered with the click group (`@cli.command(...)`) or
     the group itself (`@click.group()`)."""
@@ -60,15 +47,13 @@ def test_every_module_level_name_is_reached():
     statements = [(path, node, _names(node)) for path, node in _statements()]
     # how many top-level statements mention each name
     mentions = Counter(name for _, _, names in statements for name in names)
-    defined = set()
     unreached = []
     for path, node, names in statements:
         if path.parent != PACKAGE:
             continue
         if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             continue
-        defined.add(node.name)
-        if node.name in ALLOWED or _is_command(node):
+        if _is_command(node):
             continue
         # a mention inside the definition itself does not count
         if mentions[node.name] - (node.name in names) == 0:
@@ -76,7 +61,6 @@ def test_every_module_level_name_is_reached():
     assert not unreached, "named nowhere else in src/ or bench/: " + ", ".join(
         unreached
     )
-    assert set(ALLOWED) <= defined, "allowed but not defined"
 
 
 def test_every_method_is_reached():

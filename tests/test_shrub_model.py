@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from shrubs import census, parity_check, random_very_simple_shrub
 
 from shrubfield.shrub_model import (
     _embed_leaf_slots,
@@ -25,8 +26,6 @@ from shrubfield.shrub_model import (
     layout_shrub,
     odd_object_recount,
     orient_all,
-    parity_check,
-    random_very_simple_shrub,
     required_puncture_set,
     rigid_pieces,
     validate,
@@ -743,6 +742,32 @@ def test_random_layouts_are_pinned():
     assert digest == (
         "3d3d429de8065cc749430f8689bb5a0e5c7e14cc4b4766c22c8e3461bb597418"
     )
+
+
+def test_census_of_both_generators_is_pinned():
+    """Layout outcomes of 120 crowded draws and 60 very simple ones, and the
+    `synthesize` exit codes of every fourth draw that lays out; the full
+    census is `tests/shrubs.py` run as a script."""
+    table, worst = census(range(120), range(20))
+    assert table == {
+        "crowded": {
+            "lays out": 61,
+            "leaves i and j meet a sprig at one point": 24,
+            "sprig i crosses the disk of leaf j": 18,
+            "more than two leaves meet at one point": 13,
+            "leaf junction order cannot respect its opposed pairs": 3,
+            "leaf carries more junctions than exact cusp slots": 1,
+            "synthesize exit 0": 15,
+            "synthesize exit 3": 1,
+        },
+        "very simple": {
+            "lays out": 58,
+            "leaf junction order cannot respect its opposed pairs": 2,
+            "synthesize exit 0": 7,
+            "synthesize exit 3": 8,
+        },
+    }
+    assert worst < 1e-10
 
 
 # four free sprigs meet at one point
