@@ -21,10 +21,11 @@ type and range checks. Unknown keys in a command's section are rejected.
 
 Exit codes are stable: 0 success, 2 validation or configuration failure
 (bad flags, malformed files, unsatisfiable layouts, a start on the zero set
-of F), 3 numeric failure (step underflow, exhausted step budgets, evaluation
-at exceptional points, an orbit that reaches a float zero of F,
-non-finite field rows in the synthesis spot check, a non-finite south spiral
-rate, a NaN or an infinity in any output, a failed classify self-check).
+of F, an `implicitize` cusp count outside 3 to 25, `IMPLICIT_K_MAX`), 3
+numeric failure (step underflow, exhausted step budgets, evaluation at
+exceptional points, an orbit that reaches a float zero of F, non-finite
+field rows in the synthesis spot check, a non-finite south spiral rate, a
+NaN or an infinity in any output, a failed classify self-check).
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import click
 
-from . import ATOL_DEFAULT, GUARD_DEFAULT, RTOL_DEFAULT
+from . import ATOL_DEFAULT, GUARD_DEFAULT, MAX_STEPS_DEFAULT, RTOL_DEFAULT
 
 # Each command imports the modules it runs, inside the command, so that
 # `--help` and `report` load none of them. `implicitize` loads `curves` and
@@ -257,9 +258,19 @@ def _astroid_grid_check(poly: Polynomial) -> dict:
     }
 
 
+# The largest cusp count `implicitize` takes. Its report divides |F(p)| by
+# 1 + |F|_1 r^deg in doubles, and from k = 26 on that product passes the
+# largest double on the curve: every residual then reads 0.0, and from k = 41
+# on the coefficients of F themselves no longer convert to floats.
+IMPLICIT_K_MAX = 25
+
+
 @cli.command("implicitize")
 @click.option(
-    "--k", type=click.IntRange(min=3), required=True, help="Cusp count, at least 3."
+    "--k",
+    type=click.IntRange(min=3, max=IMPLICIT_K_MAX),
+    required=True,
+    help=f"Cusp count, 3 to {IMPLICIT_K_MAX}.",
 )
 @click.option(
     "--out",
@@ -350,12 +361,6 @@ def _load_shrub(path) -> shrub_model.ShrubGraph:
         return shrub_model.ShrubGraph.from_json(data)
     except shrub_model.ShrubError as exc:
         raise ConfigurationError(f"invalid shrub file {path!r}: {exc}")
-
-
-def _puncture_dict(ref: shrub_model.PunctureRef) -> dict:
-    if ref.kind == "bud":
-        return {"kind": "bud", "bud": ref.bud}
-    return {"kind": "cactus_cusp", "leaf": ref.leaf, "cusp": ref.cusp}
 
 
 def _orientation_report(shrub: shrub_model.ShrubGraph) -> dict:
@@ -464,7 +469,7 @@ def classify_command(ctx, shrub_file, report):
             "sum_of_star_orders": sum_orders,
             "twice_edge_count": 2 * edge_count,
         },
-        "punctures": [_puncture_dict(ref) for ref in punctures],
+        "punctures": punctures,
         "very_simple": shrub_model.is_very_simple(shrub),
         "orientation": _orientation_report(shrub),
     }
@@ -736,11 +741,10 @@ def _run_orbit(
         drift_note = str(exc)
     winding = None
     try:
-        summary = flow_sim.winding_summary(trajectory)
-        winding = {"net": summary.net, "monotone_tail": summary.monotone_tail}
+        winding = flow_sim.winding_summary(trajectory)
     except flow_sim.FlowError:
         pass
-    estimate = flow_sim.omega_estimate(
+    omega = flow_sim.omega_estimate(
         trajectory, zero_points, window_fraction=cfg["window_fraction"]
     )
 
@@ -756,7 +760,7 @@ def _run_orbit(
         "first_integral_drift": drift,
         "drift_note": drift_note,
         "winding": winding,
-        "omega": estimate.as_dict(),
+        "omega": omega,
     }
     return csv_text, svg_text, report
 
@@ -778,7 +782,9 @@ def _run_orbit(
 @click.option("--fixed-step", type=_POSITIVE, default=None)
 @click.option("--max-step", type=_POSITIVE, default=None)
 @click.option("--min-step", type=_POSITIVE, default=None)
-@click.option("--max-steps", type=_COUNT, default=500_000, show_default=True)
+@click.option(
+    "--max-steps", type=_COUNT, default=MAX_STEPS_DEFAULT, show_default=True
+)
 @click.option(
     "--start",
     type=str,

@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
-from . import ATOL_DEFAULT, GUARD_DEFAULT, RTOL_DEFAULT
+from . import ATOL_DEFAULT, GUARD_DEFAULT, MAX_STEPS_DEFAULT, RTOL_DEFAULT
 from .curves import DomainError, plane_to_sphere, seeded_doubles
 from .field_synth import SphereFunction, VectorField
 
@@ -61,7 +61,7 @@ class IntegrateOptions:
     atol: float = ATOL_DEFAULT
     unit_speed: bool = False
     fixed_step: float | None = None
-    max_steps: int = 500_000
+    max_steps: int = MAX_STEPS_DEFAULT
     min_step: float | None = None
     max_step: float | None = None
 
@@ -432,19 +432,15 @@ def first_integral_drift(
 # -- winding ------------------------------------------------------------------
 
 
-class WindingSummary(NamedTuple):
-    net: float
-    monotone_tail: bool
-
-
-def winding_summary(traj: Trajectory) -> WindingSummary:
-    """Net winding angle and whether the tail half moves monotonically."""
+def winding_summary(traj: Trajectory) -> dict:
+    """Net winding angle, and whether the tail half moves monotonically, as
+    the `{net, monotone_tail}` record of the `simulate` report."""
     if len(traj) < 3:
         raise FlowError("winding summary needs at least three samples")
     net = float(traj.theta[-1] - traj.theta[0])
     d = np.diff(traj.theta[len(traj) // 2 :])
     monotone = bool(np.all(d <= 0.0) or np.all(d >= 0.0))
-    return WindingSummary(net, monotone)
+    return {"net": net, "monotone_tail": monotone}
 
 
 # -- zero-set sampling --------------------------------------------------------
@@ -486,49 +482,6 @@ def sample_zero_set(function: SphereFunction, count: int) -> np.ndarray:
 # -- omega-limit estimation ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OmegaWindow:
-    horizon: float
-    attraction: float
-    coverage: float
-
-
-@dataclass(frozen=True)
-class OmegaEstimate:
-    """Tail-versus-boundary distances in the great-circle metric.
-
-    `attraction` is the directed distance from the trajectory tail to the
-    zero samples (small when the orbit hugs the boundary); `coverage` is
-    the reverse direction (small when the tail visits every part of the
-    boundary). The series holds both numbers at doubling prefix horizons,
-    so convergence is visible in a single run.
-    """
-
-    t_start: float
-    t_end: float
-    attraction: float
-    coverage: float
-    symmetric: float
-    series: tuple
-
-    def as_dict(self) -> dict:
-        return {
-            "t_start": self.t_start,
-            "t_end": self.t_end,
-            "attraction": self.attraction,
-            "coverage": self.coverage,
-            "symmetric": self.symmetric,
-            "series": [
-                {
-                    "horizon": w.horizon,
-                    "attraction": w.attraction,
-                    "coverage": w.coverage,
-                }
-                for w in self.series
-            ],
-        }
-
-
 def _thin(points: np.ndarray) -> np.ndarray:
     if points.shape[0] <= MAX_COMPARE:
         return points
@@ -538,13 +491,21 @@ def _thin(points: np.ndarray) -> np.ndarray:
 
 def omega_estimate(
     traj: Trajectory, zero_samples, window_fraction: float = 0.5
-) -> OmegaEstimate:
-    """Estimate how the orbit tail relates to the sampled boundary.
+) -> dict:
+    """Tail-versus-boundary distances in the great-circle metric, as the
+    `omega` record of the `simulate` report.
 
     For each prefix horizon T/8, T/4, T/2, T the tail window
     [(1 - window_fraction) h, h] is compared against the zero samples in
-    both directions. Distances are reported, never judged: an orbit that
-    stays away from the boundary simply shows large numbers.
+    both directions: `attraction` is the directed distance from the tail to
+    the zero samples (small when the orbit hugs the boundary), `coverage`
+    the reverse direction (small when the tail visits every part of the
+    boundary). `series` lists `{horizon, attraction, coverage}` at each
+    prefix horizon, so convergence is visible in a single run; the record's
+    own `attraction`, `coverage` and `symmetric` (their maximum) belong to
+    the full window [`t_start`, `t_end`]. Distances are reported, never
+    judged: an orbit that stays away from the boundary simply shows large
+    numbers.
     """
     if not 0.0 < window_fraction <= 1.0:
         raise ValueError("window fraction must lie in (0, 1]")
@@ -554,25 +515,29 @@ def omega_estimate(
     total = float(traj.times[-1])
     if total <= 0.0:
         raise FlowError("trajectory spans no time")
-    windows = []
+    series = []
     for horizon in (total / 8, total / 4, total / 2, total):
         lo = horizon * (1.0 - window_fraction)
         mask = (traj.times >= lo) & (traj.times <= horizon)
         if not mask.any():
             continue
         tail = _thin(traj.states[mask])
-        attraction = float(np.max(_pairwise_min_angle(tail, zs)))
-        coverage = float(np.max(_pairwise_min_angle(zs, tail)))
-        windows.append(OmegaWindow(float(horizon), attraction, coverage))
-    last = windows[-1]
-    return OmegaEstimate(
-        t_start=total * (1.0 - window_fraction),
-        t_end=total,
-        attraction=last.attraction,
-        coverage=last.coverage,
-        symmetric=max(last.attraction, last.coverage),
-        series=tuple(windows),
-    )
+        series.append(
+            {
+                "horizon": float(horizon),
+                "attraction": float(np.max(_pairwise_min_angle(tail, zs))),
+                "coverage": float(np.max(_pairwise_min_angle(zs, tail))),
+            }
+        )
+    last = series[-1]
+    return {
+        "t_start": total * (1.0 - window_fraction),
+        "t_end": total,
+        "attraction": last["attraction"],
+        "coverage": last["coverage"],
+        "symmetric": max(last["attraction"], last["coverage"]),
+        "series": series,
+    }
 
 
 # -- seeding ------------------------------------------------------------------

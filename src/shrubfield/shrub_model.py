@@ -137,20 +137,6 @@ class ShrubGraph:
             raise ShrubError(str(exc)) from exc
         return cls(pieces, junctions)
 
-    def to_json(self) -> dict:
-        pieces = [
-            {"leaf": {"k": p.k}} if p.is_leaf else {"sprig": {}} for p in self.pieces
-        ]
-        junctions = [
-            {
-                "bud": j.bud,
-                "at": [{"piece": a.piece, "site": a.site} for a in j.at],
-            }
-            for j in self.junctions
-            if not j.implicit
-        ]
-        return {"pieces": pieces, "junctions": junctions}
-
     # incidence helpers ---------------------------------------------------
 
     def junction(self, bud: int) -> Junction:
@@ -426,14 +412,6 @@ def odd_object_recount(shrub: ShrubGraph) -> int:
 # -- puncture set -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PunctureRef:
-    kind: str  # "bud" | "cactus_cusp"
-    bud: int = None
-    leaf: int = None
-    cusp: int = None
-
-
 def _free_axis_cusp(shrub: ShrubGraph, leaf: int):
     """Lowest quarter-turn cusp of the leaf not already used by a junction."""
     k = shrub.pieces[leaf].k
@@ -449,18 +427,19 @@ def _free_axis_cusp(shrub: ShrubGraph, leaf: int):
     return None
 
 
-def required_puncture_set(shrub: ShrubGraph):
-    """Points a synthesized field may not be analytic at: odd buds plus one
-    representative cusp per odd cactus (the lowest free cusp of its lowest
-    leaf that has one). Raises ShrubError for an odd cactus with no free
-    cusp at all."""
+def required_puncture_set(shrub: ShrubGraph) -> list:
+    """Points a synthesized field may not be analytic at, as the `classify`
+    report's records: `{kind: "bud", bud}` for each odd bud, then
+    `{kind: "cactus_cusp", leaf, cusp}` for one representative cusp per odd
+    cactus (the lowest free cusp of its lowest leaf that has one). Raises
+    ShrubError for an odd cactus with no free cusp at all."""
     cls = classify_buds(shrub)
-    refs = [PunctureRef(kind="bud", bud=b) for b in cls.odd_buds]
+    refs = [{"kind": "bud", "bud": b} for b in cls.odd_buds]
     for c in find_odd_cactuses(shrub):
         for leaf in c.leaves:
             cusp = _free_axis_cusp(shrub, leaf)
             if cusp is not None:
-                refs.append(PunctureRef(kind="cactus_cusp", leaf=leaf, cusp=cusp))
+                refs.append({"kind": "cactus_cusp", "leaf": leaf, "cusp": cusp})
                 break
         else:
             raise ShrubError(
@@ -1252,7 +1231,7 @@ def augment_with_parity_sprigs(shrub: ShrubGraph):
     aux_ids = []
     aux_buds = []
     for ref in required_puncture_set(shrub):
-        if ref.kind != "cactus_cusp":
+        if ref["kind"] != "cactus_cusp":
             continue
         pieces.append(Piece(kind="sprig"))
         pid = len(pieces) - 1
@@ -1261,7 +1240,7 @@ def augment_with_parity_sprigs(shrub: ShrubGraph):
             Junction(
                 bud=next_bud,
                 at=(
-                    Attachment(ref.leaf, ref.cusp),
+                    Attachment(ref["leaf"], ref["cusp"]),
                     Attachment(pid, "end0"),
                 ),
             )

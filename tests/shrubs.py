@@ -1,6 +1,6 @@
-"""Test-side shrubs: two random generators with their census, the named
-examples and their fields, the handshake identity, and the finite-difference
-check of the spiral rest point at the bottom of the sphere.
+"""Test-side shrubs: the shrub-file writer, two random generators with their
+census, the named examples and their fields, the handshake identity, and the
+finite-difference check of the spiral rest point at the bottom of the sphere.
 
 No command or pipeline stage calls any of these; the tests and the
 acceptance criteria do. Run as a script, the module prints the full census
@@ -35,6 +35,26 @@ from shrubfield.shrub_model import (
     find_odd_cactuses,
     layout_shrub,
 )
+
+# -- shrub files ------------------------------------------------------------------
+
+
+def shrub_json(shrub: ShrubGraph) -> dict:
+    """The shrub-file record of a shrub, the inverse of `ShrubGraph.from_json`;
+    implicit tip junctions are left out, as a shrub file leaves them out."""
+    pieces = [
+        {"leaf": {"k": p.k}} if p.is_leaf else {"sprig": {}} for p in shrub.pieces
+    ]
+    junctions = [
+        {
+            "bud": j.bud,
+            "at": [{"piece": a.piece, "site": a.site} for a in j.at],
+        }
+        for j in shrub.junctions
+        if not j.implicit
+    ]
+    return {"pieces": pieces, "junctions": junctions}
+
 
 # -- random generation ------------------------------------------------------------
 
@@ -161,7 +181,7 @@ def _synthesize(shrub: ShrubGraph, workdir: Path) -> tuple:
     """(exit code, tangency defect or None) of `synthesize` on a shrub, run
     in process with its output discarded."""
     path, report = workdir / "shrub.json", workdir / "report.json"
-    path.write_text(json.dumps(shrub.to_json()))
+    path.write_text(json.dumps(shrub_json(shrub)))
     args = ["synthesize", str(path), "--out", str(workdir / "bundle.json")]
     sink = io.StringIO()
     with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):

@@ -273,12 +273,12 @@ def test_criterion_7_omega_limit(built):
         IntegrateOptions(unit_speed=True, max_step=0.01),
     )
     estimate = omega_estimate(trajectory, zeros, window_fraction=0.5)
-    assert estimate.symmetric < 1e-2, (
-        f"equator tail misses the limit set by {estimate.symmetric:.3e}"
+    assert estimate["symmetric"] < 1e-2, (
+        f"equator tail misses the limit set by {estimate['symmetric']:.3e}"
     )
     winding = winding_summary(trajectory)
-    assert winding.net < -20.0 * math.pi, (
-        f"winding only reached {winding.net:.2f}"
+    assert winding["net"] < -20.0 * math.pi, (
+        f"winding only reached {winding['net']:.2f}"
     )
 
     # one hypocycloid inside the unit-disk frame: attraction plus coverage
@@ -293,10 +293,10 @@ def test_criterion_7_omega_limit(built):
     )
     attraction = omega_estimate(
         framed_run, framed_zeros, window_fraction=0.25
-    ).attraction
+    )["attraction"]
     assert attraction < 1e-2, f"framed tail sits {attraction:.3e} off the limit set"
-    series = omega_estimate(framed_run, framed_zeros, window_fraction=0.5).series
-    coverages = [window.coverage for window in series]
+    series = omega_estimate(framed_run, framed_zeros, window_fraction=0.5)["series"]
+    coverages = [window["coverage"] for window in series]
     assert len(coverages) == 4
     assert all(a > b for a, b in zip(coverages, coverages[1:])), (
         f"coverage fails to shrink monotonically: {coverages}"
@@ -307,8 +307,8 @@ def test_criterion_7_omega_limit(built):
         7,
         "omega limit",
         elapsed,
-        f"equator symmetric {estimate.symmetric:.3e} < 1e-2, winding "
-        f"{winding.net:.1f} < -20pi; framed attraction {attraction:.3e} < 1e-2, "
+        f"equator symmetric {estimate['symmetric']:.3e} < 1e-2, winding "
+        f"{winding['net']:.1f} < -20pi; framed attraction {attraction:.3e} < 1e-2, "
         f"coverage {', '.join(f'{c:.3f}' for c in coverages)} decreasing",
     )
 

@@ -21,7 +21,7 @@ from shrubfield.cli import NumericFailureError, _dump_json, _tangency_spot_check
 from shrubfield.field_synth import load_bundle
 from shrubfield.flow_sim import FlowError, IntegrateOptions, integrate
 from shrubfield.poly_core import Polynomial
-from shrubs import example_field, example_shrubs, random_very_simple_shrub
+from shrubs import example_field, example_shrubs, random_very_simple_shrub, shrub_json
 from test_field_synth import EXAMPLE_BUNDLE_SHA256
 from test_flow_sim import NorthwardField
 from test_shrub_model import STAR, THREE_LEAVES_AT_ONE_CUSP, TWO_LEAVES_AND_SPRIG, VEE, X
@@ -164,6 +164,27 @@ def test_implicitize_report_floats_are_pinned(tmp_path):
         assert tuple(float.hex(body[key]) for key in keys) == expected, k
 
 
+def test_cusp_counts_above_the_double_range_are_refused(tmp_path, capsys):
+    # at the bound every report number is still a positive residual; from
+    # k = 26 on the normalization passes the largest double and they read
+    # 0.0, and from k = 41 on the coefficients of F do too
+    def implicitize(k):
+        out, report = tmp_path / f"k{k}.curve.json", tmp_path / f"k{k}.report.json"
+        args = ["--samples", "8", "--out", str(out), "--report", str(report)]
+        return main(["implicitize", "--k", str(k), *args]), out, report
+
+    rc, _, report = implicitize(25)
+    assert rc == 0
+    body = _read_json(report)
+    for key in ("max_residual", "mean_residual", "cusp_gradient_max"):
+        assert 0.0 < body[key] < 1e-100, key
+    capsys.readouterr()
+    rc, out, report = implicitize(41)
+    assert rc == 2
+    assert "3<=x<=25" in capsys.readouterr().err
+    assert not out.exists() and not report.exists()
+
+
 def test_astroid_grid_agreement(tmp_path):
     report = tmp_path / "k4-report.json"
     rc = main(
@@ -249,7 +270,7 @@ def test_free_sprigs_at_one_point_pair_off_into_degenerate_chains(workdir):
 def test_example_shrub_reports_carry_an_agreeing_recount(tmp_path, capsys):
     for name, shrub in example_shrubs().items():
         path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps(shrub.to_json()))
+        path.write_text(json.dumps(shrub_json(shrub)))
         report = tmp_path / f"classify-{name}.json"
         assert main(["classify", str(path), "--report", str(report)]) == 0
         body = _read_json(report)
@@ -497,7 +518,7 @@ def test_overflow_at_the_south_pole_is_a_numeric_failure(tmp_path, capsys, spot_
     rng = random.Random(6)
     random_very_simple_shrub(rng)
     shrub = tmp_path / "big.json"
-    shrub.write_text(json.dumps(random_very_simple_shrub(rng).to_json()))
+    shrub.write_text(json.dumps(shrub_json(random_very_simple_shrub(rng))))
     out, report = tmp_path / "big-bundle.json", tmp_path / "big-report.json"
     args = ["synthesize", str(shrub), "--out", str(out), "--report", str(report)]
     rc = main(args + ["--spot-checks", spot_checks, "--seed", "0"])
@@ -838,7 +859,7 @@ EXAMPLE_CLASSIFY_SHA256 = {
 @pytest.mark.parametrize("name", sorted(EXAMPLE_CLASSIFY_SHA256))
 def test_example_classify_reports_are_pinned(tmp_path, name):
     shrub_path, report_path = tmp_path / "shrub.json", tmp_path / "report.json"
-    shrub_path.write_text(json.dumps(example_shrubs()[name].to_json()))
+    shrub_path.write_text(json.dumps(shrub_json(example_shrubs()[name])))
     assert main(["classify", str(shrub_path), "--report", str(report_path)]) == 0
     body = _read_json(report_path)
     del body["config_sha256"]
@@ -1568,7 +1589,7 @@ def test_the_process_entry_point_keeps_codes_and_output(workdir, tmp_path):
     # in-process main() never runs cli.run(), which `python -m shrubfield.cli`
     # and the console script take: it freezes the collector before the exit
     shrub = tmp_path / "framed-pair.json"
-    shrub.write_text(json.dumps(example_shrubs()["framed-pair"].to_json()))
+    shrub.write_text(json.dumps(shrub_json(example_shrubs()["framed-pair"])))
     bundle, report = tmp_path / "framed-pair.bundle.json", tmp_path / "synth.json"
     assert _run_module(
         "synthesize", str(shrub), "--out", str(bundle), "--report", str(report)

@@ -399,14 +399,14 @@ def test_winding_summary_needs_three_samples():
 
 def test_constant_orbit_has_zero_winding():
     summary = winding_summary(constant_trajectory((0.6, 0.0, -0.8)))
-    assert summary.net == 0.0
-    assert summary.monotone_tail
+    assert summary["net"] == 0.0
+    assert summary["monotone_tail"]
 
 
 def test_circle_boundary_run_winds_past_ten_turns():
     summary = winding_summary(equator_long_run())
-    assert summary.net < -10.0 * 2.0 * math.pi
-    assert summary.monotone_tail
+    assert summary["net"] < -10.0 * 2.0 * math.pi
+    assert summary["monotone_tail"]
 
 
 def test_winding_keeps_growing_with_the_horizon():
@@ -416,7 +416,7 @@ def test_winding_keeps_growing_with_the_horizon():
         10.0,
         IntegrateOptions(unit_speed=True),
     )
-    assert winding_summary(equator_run()).net < winding_summary(short).net
+    assert winding_summary(equator_run())["net"] < winding_summary(short)["net"]
 
 
 # -- zero-set sampling --------------------------------------------------------
@@ -539,7 +539,7 @@ def test_equator_orbit_settles_on_the_equator():
     est = omega_estimate(
         equator_long_run(), zero_for("equator", 1500), window_fraction=0.5
     )
-    assert est.symmetric < 1e-2
+    assert est["symmetric"] < 1e-2
 
 
 def test_rest_orbit_sits_a_quarter_turn_from_the_equator():
@@ -547,7 +547,7 @@ def test_rest_orbit_sits_a_quarter_turn_from_the_equator():
         example_field("equator"), SOUTH, 1.0, IntegrateOptions(fixed_step=0.25)
     )
     est = omega_estimate(traj, zero_for("equator", 200))
-    assert abs(est.attraction - math.pi / 2) < 1e-9
+    assert abs(est["attraction"] - math.pi / 2) < 1e-9
 
 
 def test_lone_sprig_orbit_converges_to_its_arc():
@@ -560,13 +560,13 @@ def test_lone_sprig_orbit_converges_to_its_arc():
         IntegrateOptions(unit_speed=True, rtol=1e-6, atol=1e-9),
     )
     est = omega_estimate(traj, zero_for("lone-sprig"), window_fraction=0.25)
-    assert est.attraction < 1e-2
-    assert est.coverage < 1e-2
+    assert est["attraction"] < 1e-2
+    assert est["coverage"] < 1e-2
 
 
 def test_omega_series_reports_doubling_horizons():
     est = omega_estimate(equator_run(), zero_for("equator", 200))
-    horizons = [w.horizon for w in est.series]
+    horizons = [w["horizon"] for w in est["series"]]
     total = float(equator_run().times[-1])
     assert horizons == [total / 8, total / 4, total / 2, total]
 
