@@ -403,13 +403,13 @@ def classify_command(ctx, shrub_file, report):
     cfg = _resolve_config(ctx)
     shrub = _load_shrub(shrub_file)
 
-    classification = shrub_model.classify_buds(shrub)
+    buds = sorted(shrub_model.classify_buds(shrub), key=lambda b: b["bud"])
     cactus_list = shrub_model.cactuses(shrub)
     try:
         punctures = shrub_model.required_puncture_set(shrub)
     except shrub_model.ShrubError as exc:
         raise ConfigurationError(f"shrub rejected: {exc}")
-    sum_orders = sum(info.order for info in classification.buds.values())
+    sum_orders = sum(b["order"] for b in buds)
     leaf_contacts = sum(
         1
         for junction in shrub.junctions
@@ -422,8 +422,9 @@ def classify_command(ctx, shrub_file, report):
             f"handshake check failed: sum of star orders {sum_orders} "
             f"!= twice the edge count {2 * edge_count}"
         )
-    odd_cactuses = sum(1 for c in cactus_list if c.odd)
-    odd_objects = len(classification.odd_buds) + odd_cactuses
+    odd_buds = [b["bud"] for b in buds if b["odd"]]
+    odd_cactuses = sum(1 for c in cactus_list if c["odd"])
+    odd_objects = len(odd_buds) + odd_cactuses
     # degree-parity recount that shares no classification code with the above
     recount = shrub_model.odd_object_recount(shrub)
     if recount != odd_objects:
@@ -440,26 +441,9 @@ def classify_command(ctx, shrub_file, report):
             "leaves": list(shrub.leaf_ids()),
             "sprigs": list(shrub.sprig_ids()),
         },
-        "buds": [
-            {
-                "bud": bud,
-                "order": info.order,
-                "on_leaf": info.on_leaf,
-                "odd": info.odd_bud,
-                "node": info.node,
-                "tip": info.tip,
-            }
-            for bud, info in sorted(classification.buds.items())
-        ],
-        "odd_buds": classification.odd_buds,
-        "cactuses": [
-            {
-                "leaves": list(c.leaves),
-                "attachments": c.attachments,
-                "odd": c.odd,
-            }
-            for c in cactus_list
-        ],
+        "buds": buds,
+        "odd_buds": odd_buds,
+        "cactuses": cactus_list,
         "odd_cactuses": odd_cactuses,
         "odd_object_recount": {
             "odd_buds_plus_odd_cactuses": odd_objects,

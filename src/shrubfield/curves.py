@@ -29,6 +29,7 @@ from .poly_core import (
     parse_point,
     parse_rational,
     rational_point,
+    to_double,
 )
 
 PLANE_VARS = ("x", "y")
@@ -238,8 +239,11 @@ def implicit_metadata(k: int) -> dict:
 def normalized_residuals(poly: Polynomial, points) -> list[float]:
     """|F(p)| scaled by coefficient mass and radius^degree, for each point p.
 
-    Raw implicit coefficients are huge; dividing by the coefficient 1-norm
-    times max(1, r)^deg makes residual tolerances independent of k. The norm
+    Raw implicit coefficients are huge; the division by 1 plus the
+    coefficient 1-norm times max(1, r)^deg brings them down, but does not
+    make the residual independent of k: on the curve r reaches about k, and
+    the r^deg factor, not |F(p)|, sets the scale, so the reported maximum
+    falls from about 2e-17 at k = 3 to about 2.5e-143 at k = 25. The norm
     and the degree are taken once per sweep.
     """
     l1_norm = poly.coeff_l1_norm()
@@ -321,7 +325,9 @@ class SphereArcFunction:
     def from_bundle(cls, item: dict) -> "SphereArcFunction":
         """The factor of a bundle entry; ValueError on an entry that
         `bundle_entry` cannot write, such as an endpoint off the unit sphere,
-        the circle plane or the side plane (`sphere_arc` puts it on all three)."""
+        the circle plane or the side plane (`sphere_arc` puts it on all three),
+        or a normal or offset beyond doubles, which the kernel and the
+        sampler read (the endpoints, on the unit sphere, always fit)."""
         planes = ("circle_normal", "circle_offset", "side_normal", "side_offset")
         check_keys(item, "arc factor", ("kind", *planes, "endpoints"), ("label",))
         n, m = (
@@ -338,6 +344,8 @@ class SphereArcFunction:
             dots = tuple(sum(a * b for a, b in zip(v, q)) for v in (q, n, m))
             if len(q) != 3 or dots != (1, d, e):
                 raise ValueError(f"arc endpoint {rational_point(q)} is off its arc")
+        for c in (*n, d, *m, e):
+            to_double(c, "an arc's normal or offset")
         return cls(n, d, m, e, endpoints, label=item.get("label", ""))
 
     def bundle_entry(self) -> dict:

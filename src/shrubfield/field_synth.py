@@ -42,6 +42,7 @@ from .poly_core import (
     json_list,
     parse_point,
     rational_point,
+    to_double,
 )
 
 # shrub_model is imported inside the functions that compose a layout: loading
@@ -55,7 +56,8 @@ UNIT_NORM_TOLERANCE = 1e-12
 def _placement(source) -> AffineMap | None:
     """The forward map A that places a hypocycloid piece's plane curve, read
     once from its source; None for the equator. ValueError on a source that
-    `compose_shrub_function` cannot write, before any curve is implicitized."""
+    `compose_shrub_function` cannot write, before any curve is implicitized,
+    such as an entry beyond doubles, which the sampler reads."""
     if source == {"piece": "equator"}:
         return None
     check_keys(source, "factor source", ("piece", "k", "matrix", "offset"))
@@ -68,6 +70,8 @@ def _placement(source) -> AffineMap | None:
     offset = parse_point(source["offset"])
     if [len(v) for v in (*rows, offset)] != [2, 2, 2]:
         raise ValueError("a placement is a 2 x 2 matrix and a 2-vector offset")
+    for v in (*rows[0], *rows[1], *offset):
+        to_double(v, "a placement entry")
     placement = AffineMap(rows, offset)
     if placement.determinant() == 0:
         raise ValueError("a placement's matrix is singular")
@@ -145,13 +149,15 @@ class PolyFactor:
         self.source = None
         self.matrix, self.shift = _kernel_map(placement)
         # row j: (b_j, [(B_ji, i) for nonzero B_ji]); column j: [(B_ij, i + 1)
-        # for nonzero B_ij], where i + 1 finds dP/dv_i in the kernel's result
+        # for nonzero B_ij], where i + 1 finds dP/dv_i in the kernel's result;
+        # a placement whose inverse is beyond doubles raises ValueError here
+        double = functools.partial(to_double, what="an inverse placement entry")
         self._rows = [
-            (float(b), [(float(c), i) for i, c in enumerate(row) if c])
+            (double(b), [(double(c), i) for i, c in enumerate(row) if c])
             for row, b in zip(self.matrix, self.shift)
         ]
         self._columns = [
-            [(float(c), i) for i, c in enumerate(column, 1) if c]
+            [(double(c), i) for i, c in enumerate(column, 1) if c]
             for column in zip(*self.matrix)
         ]
         self._kernel = _compiled_kernel(poly)

@@ -36,6 +36,16 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(num, den)
 
 
+def to_double(value, what) -> float:
+    """float(value) of an int or Fraction; ValueError, not OverflowError,
+    when its magnitude is beyond the largest double."""
+    try:
+        return float(value)
+    except OverflowError:
+        digits = len(str(abs(int(value)))) - 1
+        raise ValueError(f"{what} near 10^{digits} does not fit in a double") from None
+
+
 def rational_point(value) -> list[str]:
     """Format a tuple of rationals as a JSON-ready list of strings."""
     return [format_rational(v) for v in value]

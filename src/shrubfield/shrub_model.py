@@ -265,27 +265,10 @@ def validate(shrub: ShrubGraph) -> Diagnostics:
 # -- bud classification ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BudInfo:
-    bud: int
-    order: int
-    on_leaf: bool
-    odd_bud: bool
-    node: bool
-    tip: bool
-
-
-@dataclass
-class BudClassification:
-    buds: dict  # bud id -> BudInfo
-
-    @property
-    def odd_buds(self):
-        return [b for b, info in sorted(self.buds.items()) if info.odd_bud]
-
-
-def classify_buds(shrub: ShrubGraph) -> BudClassification:
-    """Star order and flags for every junction point.
+def classify_buds(shrub: ShrubGraph) -> list:
+    """Star order and flags for every junction point, as the `classify`
+    report's records `{bud, order, on_leaf, odd, node, tip}`, in junction
+    order.
 
     The boundary of a leaf contributes two local boundary branches at each
     of its points, a sprig end contributes one; the star order of a bud is
@@ -294,38 +277,31 @@ def classify_buds(shrub: ShrubGraph) -> BudClassification:
     which for junction points means at least two attachments. The shrub
     was validated when it was built, so every attachment names a piece.
     """
-    out = {}
+    out = []
     for j in shrub.junctions:
         leaves = sum(1 for a in j.at if shrub.pieces[a.piece].is_leaf)
         sprig_ends = len(j.at) - leaves
         order = 2 * leaves + sprig_ends
-        on_leaf = leaves > 0
-        odd = (order % 2 == 1) and not on_leaf
-        node = len(j.at) >= 2
-        tip = len(j.at) == 1 and sprig_ends == 1
-        out[j.bud] = BudInfo(
-            bud=j.bud,
-            order=order,
-            on_leaf=on_leaf,
-            odd_bud=odd,
-            node=node,
-            tip=tip,
+        out.append(
+            {
+                "bud": j.bud,
+                "order": order,
+                "on_leaf": leaves > 0,
+                "odd": order % 2 == 1 and not leaves,
+                "node": len(j.at) >= 2,
+                "tip": len(j.at) == 1 and sprig_ends == 1,
+            }
         )
-    return BudClassification(buds=out)
+    return out
 
 
 # -- cactuses ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Cactus:
-    leaves: tuple  # sorted leaf piece ids
-    attachments: int  # sprig ends touching the union
-    odd: bool
-
-
 def cactuses(shrub: ShrubGraph, cut: int = None):
-    """Maximal connected unions of leaves, with sprig attachment counts.
+    """Maximal connected unions of leaves, as the `classify` report's
+    records `{leaves, attachments, odd}`: the sorted leaf ids, the sprig
+    ends touching the union and their parity; sorted by leaves.
 
     With `cut` set, that junction is left out: it joins no leaves and its
     sprig ends count for no cactus.
@@ -350,27 +326,25 @@ def cactuses(shrub: ShrubGraph, cut: int = None):
     out = []
     for members in groups.values():
         member_set = set(members)
-        hits = 0
-        for j in junctions:
-            if any(a.piece in member_set for a in j.at):
-                hits += sum(
-                    1
-                    for a in j.at
-                    if shrub.pieces[a.piece].is_sprig
-                )
-        out.append(
-            Cactus(
-                leaves=tuple(sorted(members)),
-                attachments=hits,
-                odd=hits % 2 == 1,
-            )
+        hits = sum(
+            shrub.pieces[a.piece].is_sprig
+            for j in junctions
+            if any(b.piece in member_set for b in j.at)
+            for a in j.at
         )
-    out.sort(key=lambda c: c.leaves)
+        out.append(
+            {
+                "leaves": tuple(sorted(members)),
+                "attachments": hits,
+                "odd": hits % 2 == 1,
+            }
+        )
+    out.sort(key=lambda c: c["leaves"])
     return out
 
 
 def find_odd_cactuses(shrub: ShrubGraph):
-    return [c for c in cactuses(shrub) if c.odd]
+    return [c for c in cactuses(shrub) if c["odd"]]
 
 
 def odd_object_recount(shrub: ShrubGraph) -> int:
@@ -382,10 +356,7 @@ def odd_object_recount(shrub: ShrubGraph) -> int:
     be cross-checked without sharing any classification code.
     """
     cacts = cactuses(shrub)
-    leaf_home = {}
-    for idx, c in enumerate(cacts):
-        for leaf in c.leaves:
-            leaf_home[leaf] = idx
+    leaf_home = {leaf: idx for idx, c in enumerate(cacts) for leaf in c["leaves"]}
     # vertex per cactus, then one per off-leaf bud
     bud_vertex = {}
     nxt = len(cacts)
@@ -400,26 +371,21 @@ def odd_object_recount(shrub: ShrubGraph) -> int:
     for pid in shrub.sprig_ids():
         for site in END_SITES:
             degree[bud_vertex[shrub.sprig_end_bud(pid, site)]] += 1
-    off_leaf = set(range(len(cacts), nxt))
-    odd_vertices = 0
-    for v, d in enumerate(degree):
-        if v in off_leaf or v < len(cacts):
-            if d % 2 == 1:
-                odd_vertices += 1
-    return odd_vertices
+    return sum(d % 2 for d in degree)
 
 
 # -- puncture set -------------------------------------------------------------------
 
 
 def _free_axis_cusp(shrub: ShrubGraph, leaf: int):
-    """Lowest quarter-turn cusp of the leaf not already used by a junction."""
+    """Lowest quarter-turn cusp of the leaf not already used by a junction,
+    else its lowest free cusp; both searches stop at the first free cusp, so
+    the cost does not grow with k."""
     k = shrub.pieces[leaf].k
     used = {cusp for cusp, _ in shrub.cusp_buds(leaf)}
     step = max(1, k // 4)
-    slots = sorted({0, step, 2 * step, 3 * step} & set(range(k)))
-    for cusp in slots:
-        if cusp not in used:
+    for cusp in sorted({0, step, 2 * step, 3 * step}):
+        if cusp < k and cusp not in used:
             return cusp
     for cusp in range(k):
         if cusp not in used:
@@ -433,17 +399,17 @@ def required_puncture_set(shrub: ShrubGraph) -> list:
     `{kind: "cactus_cusp", leaf, cusp}` for one representative cusp per odd
     cactus (the lowest free cusp of its lowest leaf that has one). Raises
     ShrubError for an odd cactus with no free cusp at all."""
-    cls = classify_buds(shrub)
-    refs = [{"kind": "bud", "bud": b} for b in cls.odd_buds]
+    odd_buds = sorted(b["bud"] for b in classify_buds(shrub) if b["odd"])
+    refs = [{"kind": "bud", "bud": b} for b in odd_buds]
     for c in find_odd_cactuses(shrub):
-        for leaf in c.leaves:
+        for leaf in c["leaves"]:
             cusp = _free_axis_cusp(shrub, leaf)
             if cusp is not None:
                 refs.append({"kind": "cactus_cusp", "leaf": leaf, "cusp": cusp})
                 break
         else:
             raise ShrubError(
-                f"odd cactus of leaves {list(c.leaves)} has no free cusp "
+                f"odd cactus of leaves {list(c['leaves'])} has no free cusp "
                 "for its puncture"
             )
     return refs
@@ -476,7 +442,7 @@ def rigid_pieces(shrub: ShrubGraph, bud: int):
     and cannot occur for finite shrubs, so every other piece is bland.
     """
     odd_leaves = {
-        leaf for c in cactuses(shrub, cut=bud) if c.odd for leaf in c.leaves
+        leaf for c in cactuses(shrub, cut=bud) if c["odd"] for leaf in c["leaves"]
     }
     return [
         a.piece
@@ -496,18 +462,12 @@ class ChainRecord:
     degenerate: bool  # single-node chain between two of its own stubs
 
 
-@dataclass(frozen=True)
-class SprigAssignment:
-    alternative: str  # "i" | "ii" | "iii"
-    chain_index: int = None
-
-
 @dataclass
 class OrientationCertificate:
     node_orientations: dict  # bud -> tuple of piece ids, ccw, even size
     piece_orientations: dict  # piece -> tuple of bud ids, ccw, even size
     chains: tuple
-    sprig_assignments: dict  # sprig id -> SprigAssignment
+    sprig_assignments: dict  # sprig id -> {alternative: "i" | "ii" | "iii", chain}
     orientable: bool
     failures: tuple
 
@@ -528,13 +488,7 @@ class OrientationCertificate:
                 }
                 for c in self.chains
             ],
-            "sprigs": {
-                str(s): {
-                    "alternative": a.alternative,
-                    "chain": a.chain_index,
-                }
-                for s, a in sorted(self.sprig_assignments.items())
-            },
+            "sprigs": {str(s): a for s, a in sorted(self.sprig_assignments.items())},
             "orientable": self.orientable,
             "failures": list(self.failures),
         }
@@ -564,10 +518,7 @@ def orient_all(shrub: ShrubGraph) -> OrientationCertificate:
     """
     if not is_very_simple(shrub):
         raise ShrubError("shrub has an odd cactus; orient after augmenting")
-    guarded = {
-        b: info.node and not info.odd_bud
-        for b, info in classify_buds(shrub).buds.items()
-    }
+    guarded = {b["bud"]: b["node"] and not b["odd"] for b in classify_buds(shrub)}
     rigid_at = {b: rigid_pieces(shrub, b) for b, g in guarded.items() if g}
     failures = []
 
@@ -683,20 +634,20 @@ def orient_all(shrub: ShrubGraph) -> OrientationCertificate:
     for pid in shrub.sprig_ids():
         guarded_ends = [b for b in shrub.sprig_ends(pid) if guarded[b]]
         if not guarded_ends:
-            assignments[pid] = SprigAssignment(alternative="i")
+            assignments[pid] = {"alternative": "i", "chain": None}
             continue
         if len(guarded_ends) == 2:
             idx = chain_of.get((("piece", pid), *sorted(guarded_ends)))
             if idx is None:
                 failures.append(f"sprig {pid} is on no complete chain")
                 continue
-            assignments[pid] = SprigAssignment(alternative="iii", chain_index=idx)
+            assignments[pid] = {"alternative": "iii", "chain": idx}
             continue
         idx = next((i for i, c in enumerate(chains) if pid in c.stubs), None)
         if idx is None:
             failures.append(f"sprig {pid} caps no complete chain")
             continue
-        assignments[pid] = SprigAssignment(alternative="ii", chain_index=idx)
+        assignments[pid] = {"alternative": "ii", "chain": idx}
 
     # every opposed pair must lie on a complete chain
     for kind, orients in (("node", node_orients), ("piece", piece_orients)):
@@ -957,24 +908,25 @@ def verify_certificate(shrub: ShrubGraph, cert: OrientationCertificate):
         b0 = shrub.sprig_end_bud(pid, "end0")
         b1 = shrub.sprig_end_bud(pid, "end1")
         g0, g1 = guarded.get(b0, False), guarded.get(b1, False)
-        if a.alternative == "i":
+        alternative, index = a["alternative"], a["chain"]
+        if alternative == "i":
             if g0 or g1:
                 failures.append(f"sprig {pid}: endpoint is guarded, not free")
             continue
-        if a.chain_index is None or not (0 <= a.chain_index < len(cert.chains)):
-            failures.append(f"sprig {pid} cites missing chain {a.chain_index}")
+        if index is None or not (0 <= index < len(cert.chains)):
+            failures.append(f"sprig {pid} cites missing chain {index}")
             continue
-        chain = cert.chains[a.chain_index]
-        if a.alternative == "ii":
+        chain = cert.chains[index]
+        if alternative == "ii":
             if pid not in chain.stubs:
-                failures.append(f"sprig {pid} not a stub of chain {a.chain_index}")
+                failures.append(f"sprig {pid} not a stub of chain {index}")
             if g0 and g1:
                 failures.append(f"sprig {pid} cannot be a stub: both ends guarded")
-        elif a.alternative == "iii":
+        elif alternative == "iii":
             if ("piece", pid) not in chain.elements:
-                failures.append(f"sprig {pid} not a link of chain {a.chain_index}")
+                failures.append(f"sprig {pid} not a link of chain {index}")
         else:
-            failures.append(f"sprig {pid} unknown alternative {a.alternative}")
+            failures.append(f"sprig {pid} unknown alternative {alternative}")
 
     return (not failures, tuple(failures))
 
@@ -1257,9 +1209,9 @@ def _layout_punctured(shrub: ShrubGraph) -> ShrubLayout:
         raise LayoutError(
             "shrub is not orientable", detail=cert.failures
         )
-    cls = classify_buds(aug)
+    odd_buds = sorted(b["bud"] for b in classify_buds(aug) if b["odd"])
     original_bud_ids = {j.bud for j in shrub.junctions}
-    original_odd = [b for b in cls.odd_buds if b in original_bud_ids]
+    original_odd = [b for b in odd_buds if b in original_bud_ids]
     # base point sent to infinity: the first odd bud of the original shrub,
     # or the free tip of the first auxiliary stub when only odd cactuses
     # forced the punctures (odd buds carry no leaf, so everything at the
@@ -1402,7 +1354,7 @@ def _layout_punctured(shrub: ShrubGraph) -> ShrubLayout:
     _check_collisions(aug, placements, junction_points)
     # every odd bud of the augmented shrub ends an arc (the auxiliary stub
     # tips included), and each auxiliary junction cuts its chain in two
-    punctures = tuple(sorted(set(cls.odd_buds) | set(aux_buds)))
+    punctures = tuple(sorted(set(odd_buds) | set(aux_buds)))
     return ShrubLayout(
         mode="punctured",
         placements=placements,
@@ -1493,20 +1445,15 @@ def _collect_maximal_segments(aug, cert, junction_points, aux_ids):
     claimed = {
         ident for seg in segments for kind, ident in seg.pieces if kind == "sprig"
     }
-    for pid, assign in cert.sprig_assignments.items():
-        if assign.alternative == "i" and pid not in aux_ids:
-            b0, b1 = aug.sprig_ends(pid)
-            segments.append(
-                MaximalSegment(
-                    start=junction_points[b0],
-                    end=junction_points[b1],
-                    pieces=(("sprig", pid),),
-                )
-            )
-            claimed.add(pid)
-    # auxiliary stubs stay in the drawn boundary as their own segments from
-    # the cutting junction to the free tip
-    for pid in aux_ids:
+    # lone sprigs with both ends free, then the auxiliary stubs, which stay
+    # in the drawn boundary as their own segments from the cutting junction
+    # to the free tip
+    lone = [
+        pid
+        for pid, assign in cert.sprig_assignments.items()
+        if assign["alternative"] == "i" and pid not in aux_ids
+    ]
+    for pid in lone + list(aux_ids):
         b0, b1 = aug.sprig_ends(pid)
         segments.append(
             MaximalSegment(

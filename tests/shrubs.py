@@ -114,7 +114,7 @@ def random_very_simple_shrub(rng: random.Random, max_pieces: int = 9) -> ShrubGr
     # lowest free cusp of its first leaf; a leaf lies in one cactus only and
     # keeps a spare cusp, so that cusp is free
     for c in find_odd_cactuses(shrub):
-        leaf = c.leaves[0]
+        leaf = c["leaves"][0]
         used = {cusp for cusp, _ in shrub.cusp_buds(leaf)}
         cusp = next(i for i in range(shrub.pieces[leaf].k) if i not in used)
         pieces.append(Piece(kind="sprig"))

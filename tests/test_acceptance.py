@@ -247,8 +247,8 @@ def test_criterion_6_orientation():
         for sprig in shrub.sprig_ids():
             assignment = certificate.sprig_assignments.get(sprig)
             assert assignment is not None, f"shrub {index} sprig {sprig} unassigned"
-            assert assignment.alternative in {"i", "ii", "iii"}
-            alternatives_seen.add(assignment.alternative)
+            assert assignment["alternative"] in {"i", "ii", "iii"}
+            alternatives_seen.add(assignment["alternative"])
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"orientation sweep took {elapsed:.1f}s (budget 10s)"
     _verdict(

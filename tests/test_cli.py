@@ -4,7 +4,6 @@ Everything goes through ``main(argv)`` exactly as the console script would,
 asserting on exit codes and on the files the commands leave behind.
 """
 
-import dataclasses
 import hashlib
 import json
 import math
@@ -12,6 +11,8 @@ import os
 import random
 import subprocess
 import sys
+import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from shrubfield import curves, field_synth, flow_sim, shrub_model
 from shrubfield.cli import NumericFailureError, _dump_json, _tangency_spot_check, main
 from shrubfield.field_synth import load_bundle
 from shrubfield.flow_sim import FlowError, IntegrateOptions, integrate
-from shrubfield.poly_core import Polynomial
+from shrubfield.poly_core import Polynomial, format_rational
 from shrubs import example_field, example_shrubs, random_very_simple_shrub, shrub_json
 from test_field_synth import EXAMPLE_BUNDLE_SHA256
 from test_flow_sim import NorthwardField
@@ -301,12 +302,9 @@ def test_broken_handshake_exits_3_without_a_report(workdir, tmp_path, monkeypatc
     classify_buds = shrub_model.classify_buds
 
     def one_order_too_many(shrub):
-        cls = classify_buds(shrub)
-        first = min(cls.buds)
-        cls.buds[first] = dataclasses.replace(
-            cls.buds[first], order=cls.buds[first].order + 1
-        )
-        return cls
+        buds = classify_buds(shrub)
+        buds[0] = {**buds[0], "order": buds[0]["order"] + 1}
+        return buds
 
     monkeypatch.setattr(shrub_model, "classify_buds", one_order_too_many)
     report = tmp_path / "classify.json"
@@ -594,6 +592,33 @@ def test_odd_cactus_without_a_free_cusp_is_a_validation_failure(tmp_path, capsys
     assert not report.exists() and not out.exists()
 
 
+def test_a_leaf_of_a_trillion_cusps_classifies_at_once_and_exceeds_k_max(
+    tmp_path, capsys
+):
+    # one k = 10^12 leaf with a sprig at cusp 0, an odd cactus: its puncture
+    # is the quarter-turn cusp k / 4, found without listing the cusps, and
+    # synthesis refuses the leaf before any curve is built
+    path = tmp_path / "trillion.json"
+    path.write_text(
+        json.dumps(
+            {
+                "pieces": [{"leaf": {"k": 10**12}}, {"sprig": {}}],
+                "junctions": [_sprig_at(0, 0, 0, 1)],
+            }
+        )
+    )
+    report, out = tmp_path / "report.json", tmp_path / "bundle.json"
+    start = time.perf_counter()
+    assert main(["classify", str(path), "--report", str(report)]) == 0
+    assert time.perf_counter() - start < 1.0
+    punctures = _read_json(report)["punctures"]
+    assert {"kind": "cactus_cusp", "leaf": 0, "cusp": 250000000000} in punctures
+    capsys.readouterr()
+    assert main(["synthesize", str(path), "--out", str(out)]) == 2
+    assert "K_MAX" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_free_sprigs_at_one_point_synthesize_as_straight_lines(workdir, tmp_path):
     out, report = tmp_path / "star-bundle.json", tmp_path / "star-report.json"
     args = ["synthesize", str(workdir / "star.json"), "--out", str(out)]
@@ -856,10 +881,27 @@ EXAMPLE_CLASSIFY_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(EXAMPLE_CLASSIFY_SHA256))
+# one k = 4 leaf with a sprig at cusp 0, the one odd cactus among these
+# inputs: its report pins the cactus_cusp puncture, the parity sprig and
+# the certificate of the augmented shrub
+ODD_CACTUS = {
+    "pieces": [{"leaf": {"k": 4}}, {"sprig": {}}],
+    "junctions": [_sprig_at(0, 0, 0, 1)],
+}
+ODD_CACTUS_CLASSIFY_SHA256 = (
+    "f291d1e91a0db799ffdeec6d424769078de508e083f2f31f4329ed76fdb875eb"
+)
+
+
+@pytest.mark.parametrize("name", sorted(EXAMPLE_CLASSIFY_SHA256) + ["odd-cactus"])
 def test_example_classify_reports_are_pinned(tmp_path, name):
+    if name == "odd-cactus":
+        shrub, pinned = ODD_CACTUS, ODD_CACTUS_CLASSIFY_SHA256
+    else:
+        shrub = shrub_json(example_shrubs()[name])
+        pinned = EXAMPLE_CLASSIFY_SHA256[name]
     shrub_path, report_path = tmp_path / "shrub.json", tmp_path / "report.json"
-    shrub_path.write_text(json.dumps(shrub_json(example_shrubs()[name])))
+    shrub_path.write_text(json.dumps(shrub))
     assert main(["classify", str(shrub_path), "--report", str(report_path)]) == 0
     body = _read_json(report_path)
     del body["config_sha256"]
@@ -867,7 +909,7 @@ def test_example_classify_reports_are_pinned(tmp_path, name):
         del body["config"][key]
     text = _dump_json(body)
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-    assert digest == EXAMPLE_CLASSIFY_SHA256[name]
+    assert digest == pinned
 
 
 def test_unit_speed_estimate_matches_raw_speed_within_factor_two(workdir, tmp_path):
@@ -1224,6 +1266,41 @@ def test_garbage_bundles_are_validation_failures(tmp_path):
         fake.write_text(json.dumps(body))
         assert main(args) == 2, body
         assert not csv.exists() and not report.exists(), body
+
+
+_HUGE, _TINY = str(10**400), f"1/{10**400}"
+# example bundles holding exact numbers beyond doubles, which `simulate`
+# once ran into as an OverflowError: the lone-sprig arc with its normals and
+# offsets scaled by 10^400, and framed-pair's leaf with matrix 10^400 I,
+# with offset 10^400, or with matrix 10^-400 I, whose inverse is beyond
+_BEYOND_DOUBLES = {
+    "arc": None,
+    "matrix": {"matrix": [[_HUGE, "0"], ["0", _HUGE]]},
+    "offset": {"offset": [_HUGE, "0"]},
+    "inverse": {"matrix": [[_TINY, "0"], ["0", _TINY]]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BEYOND_DOUBLES))
+def test_bundles_beyond_doubles_are_refused_when_read(tmp_path, capsys, name):
+    placement = _BEYOND_DOUBLES[name]
+    shrub = example_shrubs()["lone-sprig" if placement is None else "framed-pair"]
+    function = field_synth.compose_shrub_function(shrub_model.layout_shrub(shrub))
+    body = field_synth.bundle_dict(function)
+    factor = body["factors"][-1]
+    if placement is None:
+        for key in ("circle_normal", "side_normal"):
+            factor[key] = [c * 10**400 for c in factor[key]]
+        for key in ("circle_offset", "side_offset"):
+            factor[key] = format_rational(Fraction(factor[key]) * 10**400)
+    else:
+        factor["source"].update(placement)
+    bundle, csv = tmp_path / "bundle.json", tmp_path / "orbit.csv"
+    bundle.write_text(json.dumps(body))
+    capsys.readouterr()
+    assert main(["simulate", str(bundle), "--out-csv", str(csv)]) == 2
+    assert "does not fit in a double" in capsys.readouterr().err
+    assert not csv.exists()
 
 
 def test_poly_factors_without_a_source_are_refused(tmp_path, capsys, monkeypatch):

@@ -12,7 +12,6 @@ from shrubs import census, parity_check, random_very_simple_shrub, shrub_json
 from shrubfield.shrub_model import (
     _embed_leaf_slots,
     Attachment,
-    BudClassification,
     Junction,
     LayoutError,
     Piece,
@@ -143,11 +142,11 @@ def test_duplicate_bud_identifiers_join_the_other_failures():
 
 def test_free_sprig_end_is_an_odd_tip_of_order_one():
     cls = classify_buds(ShrubGraph([sprig()], []))
-    for info in cls.buds.values():
-        assert info.order == 1
-        assert info.odd_bud
-        assert info.tip
-        assert not info.node
+    for info in cls:
+        assert info["order"] == 1
+        assert info["odd"]
+        assert info["tip"]
+        assert not info["node"]
 
 
 def test_two_sprig_junction_has_order_two_and_is_a_node():
@@ -155,10 +154,10 @@ def test_two_sprig_junction_has_order_two_and_is_a_node():
         [sprig(), sprig()],
         [[Attachment(0, "end0"), Attachment(1, "end0")]],
     )
-    info = classify_buds(sh).buds[0]
-    assert info.order == 2
-    assert info.node
-    assert not info.odd_bud
+    info = classify_buds(sh)[0]
+    assert info["order"] == 2
+    assert info["node"]
+    assert not info["odd"]
 
 
 def test_leaf_cusp_with_sprig_has_order_three_but_is_not_odd():
@@ -166,11 +165,11 @@ def test_leaf_cusp_with_sprig_has_order_three_but_is_not_odd():
         [leaf(), sprig()],
         [[Attachment(0, 0), Attachment(1, "end0")]],
     )
-    info = classify_buds(sh).buds[0]
-    assert info.order == 3
-    assert info.on_leaf
-    assert not info.odd_bud
-    assert info.node
+    info = classify_buds(sh)[0]
+    assert info["order"] == 3
+    assert info["on_leaf"]
+    assert not info["odd"]
+    assert info["node"]
 
 
 def test_three_sprigs_meeting_off_leaf_form_an_odd_bud():
@@ -184,10 +183,10 @@ def test_three_sprigs_meeting_off_leaf_form_an_odd_bud():
             ]
         ],
     )
-    info = classify_buds(sh).buds[0]
-    assert info.order == 3
-    assert info.odd_bud
-    assert info.node
+    info = classify_buds(sh)[0]
+    assert info["order"] == 3
+    assert info["odd"]
+    assert info["node"]
 
 
 # -- cactuses and parity ----------------------------------------------------------
@@ -196,7 +195,7 @@ def test_three_sprigs_meeting_off_leaf_form_an_odd_bud():
 def test_lone_leaf_is_one_even_cactus_with_no_punctures():
     sh = ShrubGraph([leaf()], [])
     cs = cactuses(sh)
-    assert len(cs) == 1 and not cs[0].odd
+    assert len(cs) == 1 and not cs[0]["odd"]
     assert required_puncture_set(sh) == []
 
 
@@ -211,7 +210,7 @@ def test_leaf_with_one_sprig_is_an_odd_cactus():
     sh = shrub([leaf(), sprig()], [[Attachment(0, 0), Attachment(1, "end0")]])
     odd = find_odd_cactuses(sh)
     assert len(odd) == 1
-    assert odd[0].attachments == 1
+    assert odd[0]["attachments"] == 1
     refs = required_puncture_set(sh)
     kinds = sorted(r["kind"] for r in refs)
     assert kinds == ["bud", "cactus_cusp"]
@@ -265,7 +264,7 @@ def test_two_leaves_joined_by_a_sprig_have_two_odd_cactuses_no_odd_buds():
             [Attachment(1, 0), Attachment(2, "end1")],
         ],
     )
-    assert classify_buds(sh).odd_buds == []
+    assert not any(b["odd"] for b in classify_buds(sh))
     assert len(find_odd_cactuses(sh)) == 2
 
 
@@ -279,8 +278,8 @@ def test_leaf_adjacency_merges_cactuses():
     )
     cs = cactuses(sh)
     assert len(cs) == 1
-    assert cs[0].leaves == (0, 1)
-    assert cs[0].attachments == 1 and cs[0].odd
+    assert cs[0]["leaves"] == (0, 1)
+    assert cs[0]["attachments"] == 1 and cs[0]["odd"]
 
 
 def test_parity_check_counts_loops_twice():
@@ -295,7 +294,7 @@ def test_parity_check_counts_loops_twice():
 def test_odd_objects_match_degree_parity_recount(seed):
     rng = random.Random(seed)
     sh = random_very_simple_shrub(rng)
-    direct = len(classify_buds(sh).odd_buds) + len(find_odd_cactuses(sh))
+    direct = sum(b["odd"] for b in classify_buds(sh)) + len(find_odd_cactuses(sh))
     assert odd_object_recount(sh) == direct
 
 
@@ -364,9 +363,9 @@ def test_guarded_nodes_of_very_simple_shrubs_have_even_rigid_counts(seed):
     # are odd in number, and orient_all reads leaf orientations off the
     # node table
     sh = random_very_simple_shrub(random.Random(seed), max_pieces=7)
-    for bud, info in classify_buds(sh).buds.items():
-        if info.node and not info.odd_bud:
-            assert len(rigid_pieces(sh, bud)) % 2 == 0
+    for info in classify_buds(sh):
+        if info["node"] and not info["odd"]:
+            assert len(rigid_pieces(sh, info["bud"])) % 2 == 0
 
 
 # -- orientations -------------------------------------------------------------------
@@ -401,8 +400,8 @@ def test_through_diameter_chain_with_two_stubs():
     assert chain.elements == (("node", 0), ("piece", 0), ("node", 1))
     assert sorted(chain.stubs) == [1, 2]
     assert not chain.degenerate
-    assert cert.sprig_assignments[1].alternative == "ii"
-    assert cert.sprig_assignments[2].alternative == "ii"
+    assert cert.sprig_assignments[1]["alternative"] == "ii"
+    assert cert.sprig_assignments[2]["alternative"] == "ii"
     ok, fails = verify_certificate(sh, cert)
     assert ok, fails
 
@@ -420,7 +419,7 @@ def test_sprig_between_two_guarded_nodes_is_a_link():
     assert cert.orientable
     # the middle sprig is oriented by its two endpoints
     assert set(cert.piece_orientations[2]) == {0, 1}
-    assert cert.sprig_assignments[2].alternative == "iii"
+    assert cert.sprig_assignments[2]["alternative"] == "iii"
     # one chain spans stub-diameter-sprig-diameter-stub
     assert len(cert.chains) == 1
     assert ("piece", 2) in cert.chains[0].elements
@@ -442,7 +441,7 @@ def test_node_with_two_dangling_sprigs_forms_a_degenerate_chain():
     assert chain.elements == (("node", 0),)
     assert sorted(chain.stubs) == [0, 1]
     assert all(
-        a.alternative == "ii" for a in cert.sprig_assignments.values()
+        a["alternative"] == "ii" for a in cert.sprig_assignments.values()
     )
     ok, fails = verify_certificate(sh, cert)
     assert ok, fails
@@ -464,7 +463,7 @@ def test_four_sprigs_at_one_node_form_two_degenerate_chains():
 def test_sprig_with_no_guarded_endpoint_is_free():
     sh = ShrubGraph([sprig()], [])
     cert = orient_all(sh)
-    assert cert.sprig_assignments[0].alternative == "i"
+    assert cert.sprig_assignments[0]["alternative"] == "i"
     ok, fails = verify_certificate(sh, cert)
     assert ok, fails
 
@@ -481,9 +480,7 @@ def test_checker_catches_a_tampered_node_orientation():
 def test_checker_catches_a_wrong_alternative():
     sh = leaf_two_opposed_sprigs()
     cert = orient_all(sh)
-    from shrubfield.shrub_model import SprigAssignment
-
-    cert.sprig_assignments[1] = SprigAssignment(alternative="i")
+    cert.sprig_assignments[1] = {"alternative": "i", "chain": None}
     ok, fails = verify_certificate(sh, cert)
     assert not ok
 
@@ -515,7 +512,7 @@ def test_random_shrubs_orient_and_pass_the_checker(seed):
     ok, fails = verify_certificate(sh, cert)
     assert ok, fails
     for pid in sh.sprig_ids():
-        assert cert.sprig_assignments[pid].alternative in ("i", "ii", "iii")
+        assert cert.sprig_assignments[pid]["alternative"] in ("i", "ii", "iii")
 
 
 def test_certificate_serializes_to_json():
